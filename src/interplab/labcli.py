@@ -35,7 +35,8 @@ from .errors import (
 )
 from .rng import substream
 
-CONFIG_VERSION = "1"
+CONFIG_VERSION = "1"   # config files this build accepts
+FORMAT_VERSION = "2"   # CSV bytes; bumped whenever a result moves
 COMMANDS = ("noise-interp", "double-descent", "raisin", "loss-compare",
             "simplex", "sgd-scaling", "linearity")
 
@@ -132,7 +133,7 @@ def _subseed(seed: int, *tags) -> int:
 
 def _comment(cfg: ExperimentConfig) -> str:
     return (f"# config_hash={config_hash(cfg.params)} seed={cfg.seed} "
-            f"version={CONFIG_VERSION}")
+            f"version={FORMAT_VERSION}")
 
 
 def _pool_map(fn, items, threads):

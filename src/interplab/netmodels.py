@@ -9,21 +9,19 @@ is what makes the flatness measurements downstream trustworthy: wide
 networks are expected to look nearly linear around a random init, and
 that effect is quantified here by spectral curvature norms, gradient
 norms, and tangent-kernel drift over a parameter ball.
+
+For one hidden layer with a fixed read-out, hessian_norm gives the
+curvature norm in closed form; numlin.spectral_norm(hessian(...)) is the
+general method and its test oracle.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse.linalg
 from scipy.special import expit
 
 from . import numlin
-from .errors import (
-    InvalidSpec,
-    NoConvergence,
-    ShapeMismatch,
-    TooLarge,
-)
+from .errors import InvalidSpec, ShapeMismatch, TooLarge
 from .rng import substream
 
 ACTIVATIONS = ("identity", "tanh", "softplus")
@@ -302,56 +300,55 @@ def hessian(model: MLPModel, w, x) -> np.ndarray:
     return H
 
 
-def _extreme_curvature(model: MLPModel, w, x, tol, starts):
-    """Largest-magnitude Hessian eigenvalue via both algebraic ends.
+def _diag_rank_one_extremes(d, u, rho: float):
+    """Smallest and largest eigenvalue of diag(d) + rho u u^T, rho >= 0.
 
-    Lanczos reaches algebraic extremes far more reliably than magnitude
-    sorting when the spectrum is nearly sign-symmetric; the norm is
-    max(|smallest|, |largest|). starts carries converged eigenvectors
-    between nearby parameter points so ball scans warm-start.
+    Both lie in [min d, max d + rho |u|^2]. Each is found by bisecting on
+    the count of eigenvalues below lambda, which the inertia of the
+    bordered matrix [[diag(d) - lambda, u], [u^T, -1/rho]] gives as
+    #(d_k < lambda) + [1 + rho sum u_k^2 / (d_k - lambda) > 0] - 1, exact
+    for tied d and zero u alike. 64 halvings reach full precision.
     """
-    n = param_count(model)
-    op = scipy.sparse.linalg.LinearOperator(
-        (n, n), matvec=lambda vec: hvp(model, w, x, vec))
-    default = substream(0x5EC7, "hessian-norm-start", n).standard_normal(n)
-    if starts is None:
-        starts = {}
-    # identically zero curvature (e.g. identity activations) would hand
-    # the eigensolver a zero starting residual
-    if not np.any(op.matvec(default)):
-        return 0.0, starts
-    best = 0.0
-    for which in ("LA", "SA"):
-        last = None
-        for ncv in (min(n, 64), min(n, 256)):
-            try:
-                val, vec = scipy.sparse.linalg.eigsh(
-                    op, k=1, which=which, ncv=ncv, tol=tol,
-                    v0=starts.get(which, default), return_eigenvectors=True)
-            except scipy.sparse.linalg.ArpackNoConvergence as exc:
-                last = exc
-                continue
-            starts[which] = vec[:, 0]
-            best = max(best, abs(float(val[0])))
-            break
-        else:
-            raise NoConvergence(
-                f"curvature estimate did not converge: {last}") from last
-    return best, starts
+    u2 = u * u
+    lo = np.full(2, d.min())
+    hi = np.full(2, d.max() + rho * u2.sum())
+    for _ in range(64):
+        lam = 0.5 * (lo + hi)
+        gap = d[None, :] - lam[:, None]
+        # a pole d_k = lambda counts as its left limit: +inf, or 0 if u_k = 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            secular = 1.0 + rho * np.where(u2 > 0.0, u2 / gap, 0.0).sum(axis=1)
+        above = np.sum(gap < 0.0, axis=1) + (secular > 0.0) - 1 > [0, d.size - 1]
+        lo, hi = np.where(above, lo, lam), np.where(above, lam, hi)
+    return float(lo[0]), float(hi[1])
 
 
-def hessian_norm(model: MLPModel, w, x, tol: float = 1e-9) -> float:
-    """Spectral norm of the output Hessian through matrix-free products.
+def hessian_norm(model: MLPModel, w, x) -> float:
+    """Exact spectral norm of the output Hessian, for one hidden layer with
+    a fixed read-out; other models raise InvalidSpec (the general method
+    is numlin.spectral_norm(hessian(...))).
 
-    Works at widths far past the dense cap since only Hessian-vector
-    products are formed. Tiny parameter counts fall back to the dense
-    matrix.
+    The Hessian is A kron x x^T with A = g'(s) c diag(v act''(z)) +
+    g''(s) c^2 u u^T, u = v act'(z), z = W x and g the output wrap, so the
+    norm is |x|^2 max |eig(A)|: a maximum over the diagonal for a plain
+    output, and a diagonal-plus-rank-one bisection with the wrap. O(m).
     """
+    if len(model.widths) != 2 or model.second_layer_trainable:
+        raise InvalidSpec("closed-form curvature needs one hidden layer "
+                          "and a fixed read-out")
+    mats, v = _resolve(model, w)
     x = _as_point(model, x)
-    if param_count(model) <= 8:
-        return numlin.spectral_norm(hessian(model, w, x))
-    norm, _ = _extreme_curvature(model, w, x, tol, None)
-    return norm
+    act, actd, actdd = _ACT[model.activation]
+    _, wrap_d, wrap_dd = _WRAP[model.output_wrap]
+    c = model.scale
+    z = mats[0] @ x
+    s = c * float(v @ act(z))
+    d = float(wrap_d(s)) * c * v * actdd(z)
+    rho = float(wrap_dd(s)) * c * c
+    if rho == 0.0:
+        return float(x @ x) * float(np.max(np.abs(d)))
+    lo, hi = _diag_rank_one_extremes(d, v * actd(z), rho)
+    return float(x @ x) * max(abs(lo), abs(hi))
 
 
 def tangent_kernel(model: MLPModel, w, X) -> np.ndarray:
@@ -369,7 +366,6 @@ class ArchTemplate:
     input_dim: int = 1
     activation: str = "tanh"
     output_wrap: str = "none"
-    second_layer_trainable: bool = False
 
 
 @dataclass(frozen=True)
@@ -401,7 +397,8 @@ def linearity_scan(template: ArchTemplate, width_grid, ball_radius: float = 1.0,
     largest curvature norm seen over those points, the gradient norm at
     w0, and the worst relative tangent-kernel drift between w0 and a
     probe; fits log-log slopes of each against the width. Curvature and
-    gradient are probed at the first scan input.
+    gradient are probed at the first scan input; the curvature of every
+    probe is the exact hessian_norm, so the report is deterministic.
     """
     widths = np.asarray(sorted(set(int(m) for m in np.asarray(width_grid).ravel())))
     if widths.size < 2 or widths[0] < 1:
@@ -414,7 +411,6 @@ def linearity_scan(template: ArchTemplate, width_grid, ball_radius: float = 1.0,
     gnorms, hnorms, drifts = [], [], []
     for m in widths:
         model = init_mlp((template.input_dim, m), template.activation, seed,
-                         second_layer_trainable=template.second_layer_trainable,
                          output_wrap=template.output_wrap)
         w0 = flatten_params(model)
         gnorms.append(float(np.linalg.norm(grad(model, w0, x))))
@@ -422,15 +418,10 @@ def linearity_scan(template: ArchTemplate, width_grid, ball_radius: float = 1.0,
         K0_norm = numlin.spectral_norm(K0)
         ball = substream(seed, "scan-ball", int(m))
         worst_h, worst_drift = 0.0, 0.0
-        starts = None
         for _ in range(probes):
             u = ball.standard_normal(w0.size)
             wp = w0 + ball_radius * (u / np.linalg.norm(u))
-            if w0.size <= 8:
-                h = hessian_norm(model, wp, x)
-            else:
-                h, starts = _extreme_curvature(model, wp, x, 1e-6, starts)
-            worst_h = max(worst_h, h)
+            worst_h = max(worst_h, hessian_norm(model, wp, x))
             drift = numlin.spectral_norm(tangent_kernel(model, wp, X) - K0) / K0_norm
             worst_drift = max(worst_drift, drift)
         hnorms.append(worst_h)

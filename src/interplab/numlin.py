@@ -15,6 +15,7 @@ cases.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .errors import (
     DimensionMismatch,
@@ -83,8 +84,6 @@ def solve_spd(a, b, jitter: float = 0.0) -> np.ndarray:
         chol = np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"Cholesky failed at jitter={jitter:g}: {exc}") from exc
-    from scipy.linalg import solve_triangular
-
     y = solve_triangular(chol, b, lower=True, check_finite=False)
     return solve_triangular(chol.T, y, lower=False, check_finite=False)
 

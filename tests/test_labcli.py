@@ -81,7 +81,7 @@ def test_bad_values_raise_config_error():
 def _check_comment(csv_text, params, seed):
     first = csv_text.splitlines()[0]
     assert first == (f"# config_hash={labcli.config_hash(params)} "
-                     f"seed={seed} version={labcli.CONFIG_VERSION}")
+                     f"seed={seed} version={labcli.FORMAT_VERSION}")
 
 
 # --- simplex ---
@@ -275,6 +275,22 @@ def test_linearity_csv_and_plot_range():
     assert len(rows) == 4
     # plot must stop before the slope footer row
     assert "every ::0::2" in arts["linearity.gp"]
+
+
+def test_linearity_small_widths_exit_zero(tmp_path):
+    # width 2 at input dim 8: 16 parameters, an output Hessian of rank 2
+    cfg = tmp_path / "lin.cfg"
+    cfg.write_text("lin.input_dim = 8\nlin.widths = 2, 4, 8, 16\nlin.probes = 8\n")
+    for seed in ("7", "11"):
+        assert labcli.main(["linearity", "--config", str(cfg), "--seed", seed,
+                            "--out", str(tmp_path / seed)]) == 0
+
+
+def test_linearity_reproducible_in_process():
+    params = {"lin.widths": "16, 24, 32, 48, 64", "lin.probes": "24"}
+    first = labcli.run_linearity(_cfg("linearity", params, seed=3))
+    second = labcli.run_linearity(_cfg("linearity", params, seed=3))
+    assert first["linearity.csv"] == second["linearity.csv"]
 
 
 # --- command line ---

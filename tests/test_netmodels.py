@@ -1,6 +1,7 @@
 """Exact derivatives, curvature norms, and the width-flatness scan."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -223,6 +224,48 @@ def test_curvature_norm_matches_closed_form():
     assert abs(nm.hessian_norm(model, w, x) - closed) <= 1e-8 * closed
     dense = numlin.spectral_norm(nm.hessian(model, w, x))
     assert abs(dense - closed) <= 1e-8 * closed
+
+
+def test_hessian_norm_matches_dense_oracle():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for trial in range(120):
+            rng = substream(40, "hn-oracle", trial)
+            activation = nm.ACTIVATIONS[trial % 3]
+            wrap = nm.OUTPUT_WRAPS[(trial // 3) % 2]
+            m, d = int(rng.integers(1, 41)), int(rng.integers(1, 5))
+            model = nm.init_mlp((d, m), activation, seed=trial, output_wrap=wrap)
+            w = nm.flatten_params(model) + rng.uniform(0.0, 2.0) * rng.standard_normal(m * d)
+            x = rng.standard_normal(d)
+            got = nm.hessian_norm(model, w, x)
+            want = numlin.spectral_norm(nm.hessian(model, w, x))
+            assert abs(got - want) <= 1e-12 * want, (activation, wrap, m, d)
+
+
+def test_diag_rank_one_extremes_match_eigvalsh():
+    rng = substream(41, "dpr1")
+    d = np.repeat(rng.standard_normal(250), 2)   # every diagonal entry tied
+    u = rng.standard_normal(500)
+    u[::7] = 0.0
+    for rho in (0.3, 1e-6, 50.0):
+        want = np.linalg.eigvalsh(np.diag(d) + rho * np.outer(u, u))
+        lo, hi = nm._diag_rank_one_extremes(d, u, rho)
+        scale = np.abs(want).max()
+        assert abs(lo - want[0]) <= 1e-12 * scale
+        assert abs(hi - want[-1]) <= 1e-12 * scale
+    # lambda lands on the poles: all of d equal, and the same with u = 0 there
+    assert nm._diag_rank_one_extremes(np.zeros(5), np.ones(5), 1.0) == (0.0, 5.0)
+    assert nm._diag_rank_one_extremes(np.ones(3), np.array([0.0, 1.0, 0.0]),
+                                      2.0) == (1.0, 3.0)
+
+
+def test_hessian_norm_rejects_uncovered_models():
+    x = np.array([0.5, -1.0])
+    deep = nm.init_mlp((2, 4, 3), "tanh", seed=42)
+    trainable = nm.init_mlp((2, 4), "tanh", seed=42, second_layer_trainable=True)
+    for model in (deep, trainable):
+        with pytest.raises(InvalidSpec):
+            nm.hessian_norm(model, None, x)
 
 
 # --- tangent kernel ---
