@@ -98,6 +98,8 @@ def experiment_config(name: str, params: dict, seed: int, out_dir: str,
         raise ConfigError(f"unknown experiment {name!r}")
     if threads < 1:
         raise ConfigError("threads must be at least 1")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     return ExperimentConfig(name=name, params=dict(params), seed=int(seed),
                             out_dir=out_dir, threads=int(threads))
 
@@ -504,8 +506,7 @@ def run_sgd_scaling(cfg: ExperimentConfig) -> dict:
     y = X @ rng.standard_normal(d)
     obj = optim.linear_objective(X, y)
     target = factor * 0.5 * float(y @ y)
-    report = optim.critical_batch_scan(obj, grid, target, seeds,
-                                       iter_cap=cap, threads=cfg.threads)
+    report = optim.critical_batch_scan(obj, grid, target, seeds, iter_cap=cap)
 
     body = optim.batch_report_csv(report)
     stats = (f"# tr_h={_fmt(report.tr_h)} lambda_max_h={_fmt(report.lambda_max_h)} "
@@ -590,6 +591,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_artifacts(out_dir: str, artifacts: dict) -> None:
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for name, text in sorted(artifacts.items()):
+            path = os.path.join(out_dir, name)
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            print(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_dir!r}: {exc}") from exc
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -599,12 +612,7 @@ def main(argv=None) -> int:
         cfg = experiment_config(args.command, params, seed, args.out,
                                 args.threads)
         artifacts = RUNNERS[args.command](cfg)
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        for name, text in sorted(artifacts.items()):
-            path = os.path.join(cfg.out_dir, name)
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-            print(path)
+        _write_artifacts(cfg.out_dir, artifacts)
         return 0
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -14,7 +14,6 @@ scan that locates where SGD stops scaling linearly.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -281,9 +280,33 @@ def scan_step_rule(m: int, n: int, max_row_norm_sq: float, lambda_max_h: float) 
     return m / (n * max_row_norm_sq + (m - 1) * lambda_max_h)
 
 
+_BATCH_ONE_BLOCK = 4096   # batch-1 indices drawn per generator call
+
+
+def _batches(rng, n: int, m: int):
+    """Endless row selectors for the batch scan at batch size m.
+
+    Step t selects the rows that the t-th np.sort(rng.choice(n, size=m,
+    replace=False)) would. At m = n that sorted draw is always
+    arange(n), so no draw is made. At m = 1 choice makes exactly the one
+    bounded draw rng.integers(0, n) makes (Floyd's algorithm with one
+    element, no shuffle), so indices are drawn in blocks and each step
+    gets a basic slice, a view rather than a copy.
+    """
+    if m == n:
+        while True:
+            yield slice(None)
+    if m == 1:
+        while True:
+            for i in rng.integers(0, n, size=_BATCH_ONE_BLOCK).tolist():
+                yield slice(i, i + 1)
+    while True:
+        yield np.sort(rng.choice(n, size=m, replace=False))
+
+
 def critical_batch_scan(obj: Objective, batch_grid, target_loss: float,
-                        seeds: int, iter_cap: int = DEFAULT_ITER_CAP,
-                        threads: int = 1) -> BatchScalingReport:
+                        seeds: int, iter_cap: int = DEFAULT_ITER_CAP
+                        ) -> BatchScalingReport:
     """Median steps-to-target per batch size on an interpolated linear fit.
 
     Starts every run at zero and tracks the residual directly through
@@ -293,6 +316,17 @@ def critical_batch_scan(obj: Objective, batch_grid, target_loss: float,
     sample budget stays within twice the single-sample budget and
     saturated after. The predicted crossover is tr(H)/lambda_max(H) for
     H = X^T X.
+
+    A step multiplies the batch residual by the batch rows of G = X X^T.
+    numpy forms G with a symmetric rank-k update, so G equals its
+    transpose exactly. The row gather G[idx] then holds the same bytes
+    as the F-ordered column gather G[:, idx], and both products make the
+    same BLAS call; but a row gather copies contiguous memory, several
+    times faster than the strided column gather. The selectors from
+    _batches reproduce the batches of a sorted rng.choice draw per step,
+    so every step, and every count in the report, is bit for bit what
+    gathering columns of a fresh sorted draw gives (tests keep that loop
+    as the reference).
     """
     if obj.mlp is not None or obj.loss != SQUARE:
         raise InvalidSpec("batch scan is defined for linear square-loss fits")
@@ -312,28 +346,19 @@ def critical_batch_scan(obj: Objective, batch_grid, target_loss: float,
         raise InvalidSpec("target not below the starting loss")
     max_row = float(row_sq.max())
 
-    def run_cell(cell):
-        m, s = cell
+    def run_cell(m, s):
         c = scan_step_rule(m, n, max_row, lam) * (n / m)
-        rng = substream(s, "batch-scan", m)
+        batches = _batches(substream(s, "batch-scan", m), n, m)
         r = -obj.y.copy()               # residual X w - y at w = 0
-        for t in range(1, iter_cap + 1):
-            idx = np.sort(rng.choice(n, size=m, replace=False))
-            r -= c * (G[:, idx] @ r[idx])
+        for t, idx in zip(range(1, iter_cap + 1), batches):
+            r -= c * (r[idx] @ G[idx])
             if 0.5 * float(r @ r) <= target_loss:
                 return t
         raise TargetUnreachable(
             f"batch {m}, seed {s}: loss {0.5 * float(r @ r):.3e} above "
             f"target {target_loss:.3e} after {iter_cap} steps")
 
-    # cells are independent (per-cell rng substream), so any execution
-    # order reproduces the same counts
-    cells = [(m, s) for m in grid for s in range(seeds)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = list(pool.map(run_cell, cells))
-    else:
-        counts = [run_cell(cell) for cell in cells]
+    counts = [run_cell(m, s) for m in grid for s in range(seeds)]
     by_m = np.array(counts, dtype=float).reshape(len(grid), seeds)
     med = [float(np.median(row)) for row in by_m]
     ref = med[0]

@@ -334,6 +334,29 @@ def test_main_exit_codes(tmp_path):
     assert exc.value.code == 2
 
 
+def test_main_rejects_negative_seed(tmp_path, capsys):
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text("seed = -1\n")
+    out = tmp_path / "o"
+    for argv in (["--seed", "-1"], ["--config", str(cfg)]):
+        assert labcli.main(["simplex", "--out", str(out)] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: seed must be non-negative")
+        assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_main_unwritable_out_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("simplex.draws = 100\nsimplex.dims = 1\n")
+    out = cfg / "out"                     # a path under a regular file
+    assert labcli.main(["simplex", "--config", str(cfg),
+                        "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {str(out)!r}")
+    assert "Traceback" not in err
+
+
 def test_main_raisin_exit_two_without_corruption(tmp_path):
     cfg = tmp_path / "r.cfg"
     cfg.write_text("noise.q = 0\ndata.train_n = 50\nquery.count = 3\n")

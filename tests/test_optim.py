@@ -353,14 +353,59 @@ def test_scan_always_anchors_at_batch_one():
     assert rep.batch_grid.tolist() == [1, 2, 4]
 
 
-def test_scan_thread_pool_matches_sequential():
-    y = substream(9, "probe-threads").standard_normal(6)
-    obj = optim.linear_objective(np.eye(6), y)
-    target = 1e-8 * 0.5 * float(y @ y)
-    a = optim.critical_batch_scan(obj, [1, 2, 3, 6], target, seeds=4, threads=1)
-    b = optim.critical_batch_scan(obj, [1, 2, 3, 6], target, seeds=4, threads=3)
-    assert np.array_equal(a.median_iters, b.median_iters)
-    assert a.regimes == b.regimes
+def _column_gather_scan(obj, grid, target, seeds):
+    """Reference for critical_batch_scan: a fresh sorted draw and a
+    column gather of the Gram matrix at every step."""
+    X, y = obj.X, obj.y
+    n = X.shape[0]
+    row_sq = np.einsum("ij,ij->i", X, X)
+    lam = numlin.spectral_norm(X) ** 2
+    G = X @ X.T
+    counts = []
+    for m in grid:
+        c = optim.scan_step_rule(m, n, float(row_sq.max()), lam) * (n / m)
+        for s in range(seeds):
+            rng = substream(s, "batch-scan", m)
+            r = -y.copy()
+            t = 0
+            while True:
+                t += 1
+                idx = np.sort(rng.choice(n, size=m, replace=False))
+                r -= c * (G[:, idx] @ r[idx])
+                if 0.5 * float(r @ r) <= target:
+                    break
+            counts.append(t)
+    med = [float(np.median(row))
+           for row in np.array(counts, dtype=float).reshape(len(grid), seeds)]
+    regimes = tuple("linear" if m * it <= 2.0 * med[0] else "saturation"
+                    for m, it in zip(grid, med))
+    return np.array(med), regimes
+
+
+def test_scan_matches_column_gather_reference():
+    rng = substream(21, "probe-scan-oracle")
+    # d < n included: y = X w stays in the range of X, so the target is
+    # still reachable
+    for n, d in [(5, 3), (9, 160), (17, 8), (40, 12), (64, 24), (80, 160)]:
+        X = rng.standard_normal((n, d))
+        y = X @ rng.standard_normal(d)
+        obj = optim.linear_objective(X, y)
+        grid = [1, 2, max(3, n // 2), n - 1, n]
+        target = 1e-10 * 0.5 * float(y @ y)
+        want_med, want_reg = _column_gather_scan(obj, sorted(set(grid)), target, 3)
+        rep = optim.critical_batch_scan(obj, grid, target, seeds=3)
+        assert np.array_equal(rep.median_iters, want_med), (n, d)
+        assert rep.regimes == want_reg, (n, d)
+
+
+def test_single_choice_draws_like_integers():
+    # the batch-1 selectors rely on choice(n, 1, replace=False) spending
+    # the stream exactly as integers(0, n) does
+    for n in (1, 2, 7, 100, 512, 1000, 65_537):
+        a = substream(n, "choice-vs-integers")
+        b = substream(n, "choice-vs-integers")
+        picks = [int(a.choice(n, size=1, replace=False)[0]) for _ in range(300)]
+        assert picks == b.integers(0, n, size=300).tolist(), n
 
 
 def test_scan_unreachable_target_raises():
