@@ -16,7 +16,6 @@ from . import datagen, direct, errors, kernelmach, labcli, netmodels, numlin, op
 from .datagen import (
     CorruptionSpec,
     Dataset,
-    MnistSubset,
     NoisyLine,
     TwoGaussians,
     UniformSimplex,
@@ -80,7 +79,6 @@ __all__ = [
     "KernelMachine",
     "KernelSpec",
     "MLPModel",
-    "MnistSubset",
     "NoisyLine",
     "OptimTrace",
     "RFFModel",

@@ -125,29 +125,7 @@ class NoisyLine:
             raise InvalidSpec("noise_sd must be non-negative")
 
 
-@dataclass(frozen=True)
-class MnistSubset:
-    """Two chosen digit classes from IDX files, first class -> -1, second -> +1.
-
-    Rows are taken in file order, so the subset is deterministic; the seed
-    field exists for interface uniformity and is not consumed.
-    """
-
-    images_path: str
-    labels_path: str
-    classes: tuple = (0, 1)
-    seed: int = 0
-
-    def __post_init__(self):
-        cls = tuple(self.classes)
-        if len(cls) != 2 or cls[0] == cls[1]:
-            raise InvalidSpec("classes must be two distinct labels")
-        if not all(isinstance(c, (int, np.integer)) and 0 <= c <= 255 for c in cls):
-            raise InvalidSpec("class labels must be ints in [0, 255]")
-        object.__setattr__(self, "classes", cls)
-
-
-DistributionSpec = TwoGaussians | UniformSimplex | NoisyLine | MnistSubset
+DistributionSpec = TwoGaussians | UniformSimplex | NoisyLine
 
 
 def sample(spec: DistributionSpec, n: int) -> Dataset:
@@ -170,8 +148,6 @@ def sample(spec: DistributionSpec, n: int) -> Dataset:
         x = rng.random(n)
         y = spec.slope * x + spec.noise_sd * rng.standard_normal(n)
         return make_dataset(x[:, None], y, REGRESSION)
-    if isinstance(spec, MnistSubset):
-        return load_idx(spec.images_path, spec.labels_path, spec.classes, n)
     raise InvalidSpec(f"unknown distribution spec {type(spec)!r}")
 
 
@@ -213,8 +189,8 @@ def _phi(t: float) -> float:
 def bayes_risk(spec: DistributionSpec, q: float) -> float:
     """Risk of the optimal rule under q-corrupted labels: q/2 + (1-q) R*.
 
-    R* is the clean Bayes risk of the family. Raises NoAnalyticOracle for
-    file-backed families and NotClassification for regression families.
+    R* is the clean Bayes risk of the family. Raises NotClassification for
+    regression families.
     """
     if not 0.0 <= q <= 1.0:
         raise InvalidSpec("q must lie in [0, 1]")
@@ -224,8 +200,6 @@ def bayes_risk(spec: DistributionSpec, q: float) -> float:
         r_star = 0.0
     elif isinstance(spec, NoisyLine):
         raise NotClassification("bayes_risk applies to classification families")
-    elif isinstance(spec, MnistSubset):
-        raise NoAnalyticOracle("no closed-form risk for image subsets")
     else:
         raise InvalidSpec(f"unknown distribution spec {type(spec)!r}")
     return q / 2.0 + (1.0 - q) * r_star

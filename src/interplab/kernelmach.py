@@ -8,15 +8,15 @@ training residual certifies interpolation.
 
 Random Fourier feature models tell the same story at finite width:
 f(w, x) = sum_k w_k exp(i <v_k, x>) with iid standard normal frequency
-rows v_k, fitted by the minimum-norm least-squares rule through the real
-embedding of the complex feature matrix. One code path covers both
-regimes, because the pseudo-inverse solution is the least-squares fit
-below the interpolation threshold and the minimum-norm interpolant above
-it. Predictions use the real part of f; the recorded training residual is
+rows v_k, fitted by the minimum-norm least-squares rule on the complex
+feature matrix. One code path covers both regimes, because the
+pseudo-inverse solution is the least-squares fit below the interpolation
+threshold and the minimum-norm interpolant above it. Predictions use the real part of f; the recorded training residual is
 the complex one, which bounds the real-part residual from above.
 
 The width sweep reuses one frequency draw per replicate and takes nested
-prefixes of its rows, so the spanned feature spaces grow with m. That
+prefixes of its rows, so the spanned feature spaces grow with m and the
+feature matrices of every width are column prefixes of one matrix. That
 makes the per-replicate training residual non-increasing in m and the
 coefficient norm non-increasing beyond the interpolation threshold, not
 just on average but path by path.
@@ -148,35 +148,28 @@ def rff_features(freqs: np.ndarray, X) -> np.ndarray:
     freqs = np.asarray(freqs, dtype=float)
     if X.ndim != 2 or freqs.ndim != 2 or X.shape[1] != freqs.shape[1]:
         raise DimensionMismatch(f"points {X.shape} do not match frequencies {freqs.shape}")
-    return np.exp(1j * (X @ freqs.T))
+    phase = (X @ freqs.T) * 1j
+    np.exp(phase, out=phase)
+    return phase
 
 
 def rff_fit_minnorm(X, y, freqs, rank_tol: float = numlin.DEFAULT_RANK_TOL) -> RFFModel:
     """Fit minimum-norm least-squares weights for fixed frequencies.
 
-    Solves the complex system Phi w = y in the real embedding; with more
-    features than points this is the minimum-norm interpolant, otherwise
-    the least-squares fit.
+    Solves the complex system Phi w = y; with more features than points
+    this is the minimum-norm interpolant, otherwise the least-squares fit.
     """
     y = np.asarray(y, dtype=float)
     phi = rff_features(freqs, X)
     if y.shape != (phi.shape[0],):
         raise DimensionMismatch(f"y has shape {y.shape}, expected ({phi.shape[0]},)")
-    emb = numlin.complex_embed_matrix(phi)
-    rhs = numlin.complex_embed_vector(y.astype(complex))
-    w = numlin.complex_unembed_vector(numlin.pinv_apply(emb, rhs, rank_tol=rank_tol))
+    w = numlin.pinv_apply(phi, y, rank_tol=rank_tol)
     return RFFModel(freqs=np.array(freqs, dtype=float, copy=True), weights=w)
 
 
 def rff_predict(model: RFFModel, X) -> np.ndarray:
     """Real part of f(w, x) at the rows of X."""
     return np.real(rff_features(model.freqs, X) @ model.weights)
-
-
-def rff_train_mse(model: RFFModel, X, y) -> float:
-    """Mean squared complex residual of the fit on (X, y)."""
-    resid = rff_features(model.freqs, X) @ model.weights - np.asarray(y, dtype=float)
-    return float(np.mean(np.abs(resid) ** 2))
 
 
 # --- double descent sweep ---
@@ -201,10 +194,12 @@ def double_descent_sweep(train: Dataset, test: Dataset, m_grid, replicates: int,
     """Sweep feature-model width across the interpolation threshold.
 
     For each replicate a single stack of frequency rows is drawn and each
-    width m uses its first m rows. Records per (m, replicate): complex
-    training MSE, real-part test square loss, test 0-1 loss, coefficient
-    norm, and the replicate's empirical interpolation threshold (the
-    smallest m in the grid whose training MSE is at most 1e-6; -1 if none).
+    width m uses its first m rows, so the train and test features are
+    computed once per replicate and each width fits on their first m
+    columns. Records per (m, replicate): complex training MSE, real-part
+    test square loss, test 0-1 loss, coefficient norm, and the replicate's
+    empirical interpolation threshold (the smallest m in the grid whose
+    training MSE is at most 1e-6; -1 if none).
     """
     m_grid = np.asarray(sorted(set(int(m) for m in np.asarray(m_grid).ravel())))
     if m_grid.size == 0 or m_grid[0] < 1:
@@ -219,14 +214,16 @@ def double_descent_sweep(train: Dataset, test: Dataset, m_grid, replicates: int,
     per_m = {m: {"train": [], "test": [], "zo": [], "norm": []} for m in m_grid}
     for rep in range(replicates):
         stack = draw_rff_freqs(m_max, train.dim, seed, replicate=rep)
+        phi_train = rff_features(stack, train.X)
+        phi_test = rff_features(stack, test.X)
         rep_rows = []
         for m in m_grid:
-            model = rff_fit_minnorm(train.X, train.y, stack[:m])
-            tr = rff_train_mse(model, train.X, train.y)
-            pred = rff_predict(model, test.X)
+            w = numlin.pinv_apply(phi_train[:, :m], train.y)
+            tr = float(np.mean(np.abs(phi_train[:, :m] @ w - train.y) ** 2))
+            pred = np.real(phi_test[:, :m] @ w)
             te = float(np.mean((pred - test.y) ** 2))
             zo = float(np.mean(np.where(pred > 0, 1.0, -1.0) != test.y))
-            nrm = float(np.linalg.norm(model.weights))
+            nrm = float(np.linalg.norm(w))
             rep_rows.append([int(m), rep, tr, te, zo, nrm])
             if thresholds[rep] < 0 and tr <= TRAIN_MSE_THRESHOLD:
                 thresholds[rep] = int(m)
@@ -236,6 +233,7 @@ def double_descent_sweep(train: Dataset, test: Dataset, m_grid, replicates: int,
             per_m[m]["norm"].append(nrm)
         for row in rep_rows:
             rows.append(tuple(row + [int(thresholds[rep])]))
+        del phi_train, phi_test   # free before the next replicate's draw
 
     def _mean(key):
         return np.array([float(np.mean(per_m[m][key])) for m in m_grid])

@@ -17,7 +17,6 @@ import hashlib
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,7 @@ from .errors import (
 from .rng import substream
 
 CONFIG_VERSION = "1"   # config files this build accepts
-FORMAT_VERSION = "2"   # CSV bytes; bumped whenever a result moves
+FORMAT_VERSION = "3"   # CSV bytes; bumped whenever a result moves
 COMMANDS = ("noise-interp", "double-descent", "raisin", "loss-compare",
             "simplex", "sgd-scaling", "linearity")
 
@@ -84,11 +83,10 @@ class ExperimentConfig:
     params: dict
     seed: int
     out_dir: str
-    threads: int = 1
 
 
-def experiment_config(name: str, params: dict, seed: int, out_dir: str,
-                      threads: int = 1) -> ExperimentConfig:
+def experiment_config(name: str, params: dict, seed: int,
+                      out_dir: str) -> ExperimentConfig:
     version = params.get("version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
         raise ConfigError(
@@ -96,12 +94,14 @@ def experiment_config(name: str, params: dict, seed: int, out_dir: str,
             f"{CONFIG_VERSION!r})")
     if name not in COMMANDS:
         raise ConfigError(f"unknown experiment {name!r}")
-    if threads < 1:
-        raise ConfigError("threads must be at least 1")
+    unknown = sorted(set(params) - set(GLOBAL_KEYS) - set(CONFIG_KEYS[name]))
+    if unknown:
+        raise ConfigError(f"unknown config key(s) for {name}: "
+                          + ", ".join(map(repr, unknown)))
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     return ExperimentConfig(name=name, params=dict(params), seed=int(seed),
-                            out_dir=out_dir, threads=int(threads))
+                            out_dir=out_dir)
 
 
 def _get(params, key, default=None, cast=str):
@@ -138,13 +138,6 @@ def _comment(cfg: ExperimentConfig) -> str:
             f"version={FORMAT_VERSION}")
 
 
-def _pool_map(fn, items, threads):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _fmt(value) -> str:
     return repr(float(value))
 
@@ -178,9 +171,12 @@ def _train_test(cfg: ExperimentConfig, cell: int, train_n: int, test_n: int,
     if _get(params, "data.family", "two_gaussians") == "idx":
         classes = _get_list(params, "data.classes", None, int) \
             if "data.classes" in params else [0, 1]
-        ds = datagen.load_idx(_get(params, "data.images"),
-                              _get(params, "data.labels"),
-                              classes, train_n + test_n)
+        try:
+            ds = datagen.load_idx(_get(params, "data.images"),
+                                  _get(params, "data.labels"),
+                                  classes, train_n + test_n)
+        except OSError as exc:
+            raise ConfigError(f"cannot read idx data: {exc}") from exc
         if ds.n < train_n + test_n:
             raise ConfigError(
                 f"idx files hold only {ds.n} usable rows, need {train_n + test_n}")
@@ -215,7 +211,7 @@ def run_simplex_blessing(cfg: ExperimentConfig) -> dict:
             d, draws, _subseed(cfg.seed, "simplex", d))
         return d, est, se
 
-    rows = _pool_map(cell, dims, cfg.threads)
+    rows = [cell(d) for d in dims]
     lines = [_comment(cfg), "d,estimate,stderr,expected"]
     for d, est, se in rows:
         lines.append(f"{d},{_fmt(est)},{_fmt(se)},{_fmt(2.0 ** -d)}")
@@ -252,7 +248,7 @@ def run_noise_interp(cfg: ExperimentConfig) -> dict:
         return q, s, train_risk, test_risk, bayes, test_risk - train_risk
 
     jobs = [(q, s) for q in q_grid for s in range(n_seeds)]
-    rows = _pool_map(cell, jobs, cfg.threads)
+    rows = [cell(job) for job in jobs]
     lines = [_comment(cfg), "q,seed,train_risk,test_risk,bayes_risk,gap"]
     for q, s, tr, te, by, gap in rows:
         lines.append(f"{_fmt(q)},{s},{_fmt(tr)},{_fmt(te)},{_fmt(by)},{_fmt(gap)}")
@@ -470,7 +466,7 @@ def run_loss_comparison(cfg: ExperimentConfig) -> dict:
                         float(np.median(train.y * f_train))))
         return out
 
-    cells = _pool_map(cell, range(n_seeds), cfg.threads)
+    cells = [cell(s) for s in range(n_seeds)]
     lines = [_comment(cfg),
              "seed,loss,init_hash,train_acc,test_acc,margin_median"]
     for pair in cells:
@@ -572,6 +568,29 @@ RUNNERS = {
     "linearity": run_linearity,
 }
 
+# Every config key a command reads; experiment_config rejects the rest, so
+# a misspelt key fails before any work instead of silently changing the
+# config hash. The data keys are read by _train_test and _family_spec.
+GLOBAL_KEYS = ("seed", "version")
+_DATA_KEYS = ("data.family", "data.dim", "data.separation", "data.scale",
+              "data.images", "data.labels", "data.classes", "data.train_n")
+_KERNEL_KEYS = ("kernel.family", "kernel.bandwidth")
+CONFIG_KEYS = {
+    "simplex": ("simplex.dims", "simplex.draws"),
+    "noise-interp": _DATA_KEYS + _KERNEL_KEYS + (
+        "data.test_n", "noise.grid", "seeds.count"),
+    "double-descent": _DATA_KEYS + (
+        "data.test_n", "rff.grid", "rff.replicates", "noise.q"),
+    "raisin": _DATA_KEYS + _KERNEL_KEYS + (
+        "noise.q", "query.count", "random.trials", "search.tol", "model.kind"),
+    "loss-compare": _DATA_KEYS + (
+        "data.test_n", "seeds.count", "train.iters", "model.kind", "mlp.width"),
+    "sgd-scaling": ("scan.n", "scan.d", "scan.spike", "batch.grid",
+                    "scan.target_factor", "scan.seeds", "scan.iter_cap"),
+    "linearity": ("lin.widths", "lin.probes", "lin.radius", "lin.points",
+                  "lin.wrap", "lin.activation", "lin.input_dim"),
+}
+
 
 # --- command line ---
 
@@ -587,7 +606,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="interplab-out",
                         help="output directory for CSVs and plot scripts")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for independent cells")
+                        help="accepted for compatibility and ignored; cells "
+                             "run in order (must be at least 1)")
     return parser
 
 
@@ -607,10 +627,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         params = load_config(args.config) if args.config else {}
+        if args.threads < 1:
+            raise ConfigError("threads must be at least 1")
         seed = args.seed if args.seed is not None else \
             _get(params, "seed", 0, int)
-        cfg = experiment_config(args.command, params, seed, args.out,
-                                args.threads)
+        cfg = experiment_config(args.command, params, seed, args.out)
         artifacts = RUNNERS[args.command](cfg)
         _write_artifacts(cfg.out_dir, artifacts)
         return 0

@@ -7,7 +7,6 @@ import pytest
 from interplab import datagen
 from interplab.datagen import (
     CorruptionSpec,
-    MnistSubset,
     NoisyLine,
     TwoGaussians,
     UniformSimplex,
@@ -16,7 +15,6 @@ from interplab.errors import (
     BadMagic,
     InvalidInput,
     InvalidSpec,
-    NoAnalyticOracle,
     NotClassification,
     TruncatedFile,
     UnknownClass,
@@ -254,6 +252,8 @@ def test_load_idx_unknown_class(tmp_path):
     ip, lp = _write_idx(tmp_path, images, labels)
     with pytest.raises(UnknownClass):
         datagen.load_idx(ip, lp, (3, 7), 2)
+    with pytest.raises(InvalidSpec):
+        datagen.load_idx(ip, lp, (3, 3), 2)
 
 
 def test_load_idx_deterministic(tmp_path):
@@ -264,18 +264,3 @@ def test_load_idx_deterministic(tmp_path):
     b = datagen.load_idx(ip, lp, (3, 8), 5)
     assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
 
-
-def test_mnist_subset_spec_via_sample(tmp_path):
-    rng = np.random.default_rng(7)
-    images, labels = _tiny_corpus(rng)
-    ip, lp = _write_idx(tmp_path, images, labels)
-    spec = MnistSubset(images_path=ip, labels_path=lp, classes=(3, 8))
-    ds = datagen.sample(spec, 4)
-    assert ds.n == 4
-    with pytest.raises(NoAnalyticOracle):
-        datagen.bayes_risk(spec, 0.2)
-
-
-def test_mnist_subset_spec_validation():
-    with pytest.raises(InvalidSpec):
-        MnistSubset(images_path="a", labels_path="b", classes=(3, 3))

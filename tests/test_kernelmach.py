@@ -165,7 +165,8 @@ def test_overparametrized_fit_interpolates():
     X = rng.standard_normal((15, 2))
     y = rng.standard_normal(15)
     model = km.rff_fit_minnorm(X, y, km.draw_rff_freqs(60, 2, seed=3))
-    assert km.rff_train_mse(model, X, y) < 1e-18
+    resid = km.rff_features(model.freqs, X) @ model.weights - y
+    assert np.mean(np.abs(resid) ** 2) < 1e-18
     assert np.abs(km.rff_predict(model, X) - y).max() < 1e-9
 
 
@@ -243,6 +244,33 @@ def test_sweep_shapes_and_row_layout():
         assert m in grid and 0 <= rep < 3
         assert tr >= 0.0 and te >= 0.0 and 0.0 <= zo <= 1.0 and nrm >= 0.0
         assert thr == res.thresholds[rep]
+
+
+def test_sweep_matches_per_width_fit_reference():
+    # the reference refits every width from its own frequency prefix
+    train, test, grid = _sweep_fixture()
+    res = km.double_descent_sweep(train, test, grid, 3, seed=5)
+    ref_rows = []
+    for rep in range(3):
+        stack = km.draw_rff_freqs(grid[-1], train.dim, 5, replicate=rep)
+        thr, rep_rows = -1, []
+        for m in grid:
+            model = km.rff_fit_minnorm(train.X, train.y, stack[:m])
+            resid = km.rff_features(model.freqs, train.X) @ model.weights - train.y
+            tr = float(np.mean(np.abs(resid) ** 2))
+            pred = km.rff_predict(model, test.X)
+            rep_rows.append([m, rep, tr, float(np.mean((pred - test.y) ** 2)),
+                             float(np.mean(np.where(pred > 0, 1.0, -1.0) != test.y)),
+                             float(np.linalg.norm(model.weights))])
+            if thr < 0 and tr <= km.TRAIN_MSE_THRESHOLD:
+                thr = m
+        assert res.thresholds[rep] == thr
+        ref_rows += [row + [thr] for row in rep_rows]
+    assert len(res.rows) == len(ref_rows)
+    for got, ref in zip(res.rows, ref_rows):
+        assert got[:2] == tuple(ref[:2]) and got[6] == ref[6]
+        for g, r in zip(got[2:6], ref[2:6]):
+            assert abs(g - r) <= 1e-10 * max(1.0, abs(r))
 
 
 def test_sweep_train_mse_monotone_per_replicate():

@@ -10,8 +10,8 @@ from interplab import datagen, labcli
 from interplab.errors import ConfigError, NoCorruptedNeighbor
 
 
-def _cfg(name, params, seed=5, threads=1):
-    return labcli.experiment_config(name, params, seed, "/tmp/unused", threads)
+def _cfg(name, params, seed=5):
+    return labcli.experiment_config(name, params, seed, "/tmp/unused")
 
 
 def _rows(csv_text):
@@ -66,7 +66,7 @@ def test_experiment_config_version_gate():
     with pytest.raises(ConfigError):
         labcli.experiment_config("warp-drive", {}, 0, "out")
     with pytest.raises(ConfigError):
-        labcli.experiment_config("simplex", {}, 0, "out", threads=0)
+        labcli.experiment_config("simplex", {"typo.key": "3"}, 0, "out")
 
 
 def test_bad_values_raise_config_error():
@@ -105,8 +105,7 @@ def test_simplex_reproducible_and_thread_invariant():
     params = {"simplex.draws": "5000"}
     one = labcli.run_simplex_blessing(_cfg("simplex", params))
     two = labcli.run_simplex_blessing(_cfg("simplex", params))
-    pooled = labcli.run_simplex_blessing(_cfg("simplex", params, threads=3))
-    assert one == two == pooled
+    assert one == two
     other_seed = labcli.run_simplex_blessing(_cfg("simplex", params, seed=6))
     assert other_seed != one
 
@@ -135,9 +134,8 @@ def test_noise_interp_schema_and_interpolation():
 def test_noise_interp_thread_invariant():
     params = {"data.train_n": "80", "data.test_n": "80",
               "seeds.count": "2", "noise.grid": "0.2", "data.dim": "3"}
-    seq = labcli.run_noise_interp(_cfg("noise-interp", params))
-    par = labcli.run_noise_interp(_cfg("noise-interp", params, threads=4))
-    assert seq == par
+    first = labcli.run_noise_interp(_cfg("noise-interp", params))
+    assert labcli.run_noise_interp(_cfg("noise-interp", params)) == first
 
 
 # --- double descent ---
@@ -329,6 +327,15 @@ def test_main_exit_codes(tmp_path):
     assert labcli.main(["sgd-scaling", "--config", str(capped),
                         "--out", str(out)]) == 3
 
+    tiny = tmp_path / "tiny.cfg"
+    tiny.write_text("simplex.draws = 100\nsimplex.dims = 1\n")
+    out = tmp_path / "out0"
+    assert labcli.main(["simplex", "--config", str(tiny), "--out", str(out),
+                        "--threads", "0"]) == 2
+    assert not out.exists()
+    assert labcli.main(["simplex", "--config", str(tiny), "--out", str(out),
+                        "--threads", "3"]) == 0
+
     with pytest.raises(SystemExit) as exc:
         labcli.main(["warp-drive"])
     assert exc.value.code == 2
@@ -355,6 +362,62 @@ def test_main_unwritable_out_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot write {str(out)!r}")
     assert "Traceback" not in err
+
+
+# one small config per command; each runs in well under a second
+_TINY = {
+    "simplex": "simplex.draws = 200\nsimplex.dims = 1, 2\n",
+    "noise-interp": "data.train_n = 30\ndata.test_n = 30\nseeds.count = 1\n"
+                    "noise.grid = 0.2\ndata.dim = 3\n",
+    "double-descent": "data.train_n = 20\ndata.test_n = 20\nrff.grid = 10, 30\n"
+                      "rff.replicates = 1\n",
+    "raisin": "data.train_n = 100\nquery.count = 3\nrandom.trials = 2\n",
+    "loss-compare": "seeds.count = 1\ndata.train_n = 20\ndata.test_n = 20\n"
+                    "train.iters = 5\nmodel.kind = mlp\nmlp.width = 4\n",
+    "sgd-scaling": "scan.n = 16\nscan.d = 8\nbatch.grid = 1, 16\nscan.seeds = 1\n"
+                   "scan.target_factor = 1e-2\n",
+    "linearity": "lin.widths = 4, 8\nlin.probes = 2\nlin.points = 2\n",
+}
+
+
+@pytest.mark.parametrize("command", labcli.COMMANDS)
+def test_main_rejects_unknown_key_before_writing(tmp_path, capsys, command):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(_TINY[command] + "typo.key = 3\n")
+    out = tmp_path / "o"
+    assert labcli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: unknown config key(s) for {command}: 'typo.key'")
+    assert not out.exists()
+
+
+def test_declared_keys_cover_every_key_read(tmp_path, monkeypatch):
+    # record what _get/_get_list are asked for while every command runs,
+    # once on synthetic data and once pointed at missing idx files
+    get, get_list = labcli._get, labcli._get_list
+    asked = set()
+
+    def spy(fn):
+        def wrapped(params, key, *args, **kwargs):
+            asked.add(key)
+            return fn(params, key, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(labcli, "_get", spy(get))
+    monkeypatch.setattr(labcli, "_get_list", spy(get_list))
+    idx = ("data.family = idx\ndata.images = {0}/none\ndata.labels = {0}/none\n"
+           "data.classes = 3, 8\n").format(tmp_path)
+    for command in labcli.COMMANDS:
+        for extra, code in (("", 0), (idx, 2)):
+            if extra and "data.family" not in labcli.CONFIG_KEYS[command]:
+                continue
+            asked.clear()
+            cfg = tmp_path / f"{command}.cfg"
+            cfg.write_text(_TINY[command] + extra)
+            assert labcli.main([command, "--config", str(cfg), "--seed", "1",
+                                "--out", str(tmp_path / command)]) == code
+            declared = set(labcli.CONFIG_KEYS[command]) | set(labcli.GLOBAL_KEYS)
+            assert asked and asked <= declared, (command, asked - declared)
 
 
 def test_main_raisin_exit_two_without_corruption(tmp_path):

@@ -241,26 +241,64 @@ def test_complex_embed_matrix_layout():
     assert np.allclose(e, [[1.0, -2.0], [2.0, 1.0]])
 
 
+def _stack(z):
+    return np.concatenate([np.real(z), np.imag(z)])
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_complex_embedding_commutes_with_matvec(seed):
+    # the embedding is the reference for the complex solves, so check it
     rng = np.random.default_rng(500 + seed)
     n, m = rng.integers(1, 20, size=2)
     a = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
     z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     direct = a @ z
-    embedded = numlin.complex_embed_matrix(a) @ numlin.complex_embed_vector(z)
-    assert np.allclose(numlin.complex_unembed_vector(embedded), direct, atol=1e-12)
+    embedded = numlin.complex_embed_matrix(a) @ _stack(z)
+    assert np.allclose(embedded[:n] + 1j * embedded[n:], direct, atol=1e-12)
+
+
+def _kept_rank(a):
+    s = np.linalg.svd(a, compute_uv=False)
+    return int(np.count_nonzero(s > numlin.DEFAULT_RANK_TOL * s[0]))
+
+
+def _oracle_case(rng, case):
+    """A random complex system; cases 1 and 2 are rank deficient."""
+    n = int(rng.integers(1, 41))
+    m = int(rng.integers(max(1, n // 2), 2 * n + 3))
+    if case == 2:
+        # feature matrix exp(i X F^T) whose m > n frequency rows repeat
+        m = n + 1 + int(rng.integers(0, n + 2))
+        distinct = max(1, m // 3)
+        F = rng.standard_normal((distinct, 3))[rng.integers(0, distinct, m)]
+        a = np.exp(1j * (rng.standard_normal((n, 3)) @ F.T))
+    else:
+        a = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    if case == 1 and m > 1:
+        src = rng.integers(0, m, size=m // 2)
+        a[:, rng.permutation(m)[: m // 2]] = a[:, src]
+    b = rng.standard_normal(n)
+    if case == 0:
+        b = b + 1j * rng.standard_normal(n)
+    return a, b
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_embedded_minnorm_solve_matches_complex_lstsq(seed):
+    # complex pinv_apply against the real solve on the 2n x 2m embedding,
+    # with vectors stacked as (real part, imaginary part)
     rng = np.random.default_rng(600 + seed)
-    n, m = 8, 20
-    a = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-    b = rng.standard_normal(n)
-    emb = numlin.complex_embed_matrix(a)
-    w = numlin.complex_unembed_vector(
-        numlin.pinv_apply(emb, numlin.complex_embed_vector(b.astype(complex)))
-    )
-    oracle = np.linalg.lstsq(a, b.astype(complex), rcond=None)[0]
-    assert np.allclose(w, oracle, atol=1e-9)
+    for trial in range(12):
+        a, b = _oracle_case(rng, trial % 3)
+        n, m = a.shape
+        emb = numlin.complex_embed_matrix(a)
+        assert 2 * _kept_rank(a) == _kept_rank(emb)
+        x_emb = numlin.pinv_apply(emb, _stack(b.astype(complex)))
+        ref = x_emb[:m] + 1j * x_emb[m:]
+        got = numlin.pinv_apply(a, b)
+        assert np.iscomplexobj(got) and got.shape == (m,)
+        assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+        oracle = np.linalg.lstsq(a, b.astype(complex), rcond=None)[0]
+        assert np.allclose(got, oracle, atol=1e-9)
+        assert numlin.spectral_norm(a) == pytest.approx(
+            numlin.spectral_norm(emb), rel=1e-12)
