@@ -1,10 +1,14 @@
 """Experiment runner: every lab scenario behind one command-line tool.
 
 Configs are flat ``key = value`` text with dotted prefixes (``data.dim = 10``).
-Each experiment writes CSV files whose first line is a comment recording
-the config hash, the seed, and the format version, so outputs are
-self-describing and byte-identical across reruns. Plot scripts are plain
-gnuplot text; the CSVs stay authoritative when no plotting tool exists.
+``CONFIG_KEYS`` is the reference for the keys each command reads, with the
+type and the default of each; ``experiment_config`` casts every declared
+key once, so a misspelt key or a malformed value fails before any work.
+Each experiment writes CSV files (all through ``_csv``) whose first line is
+a comment recording the config hash, the seed, and the format version, so
+outputs are self-describing and byte-identical across reruns. Plot scripts
+are plain gnuplot text; the CSVs stay authoritative when no plotting tool
+exists.
 
 Exit codes: 0 success; 2 for configuration problems (unparseable or
 inconsistent config, bad values caught by module validation, data files
@@ -23,6 +27,7 @@ import numpy as np
 
 from . import datagen, direct, kernelmach, netmodels, numlin, optim
 from .errors import (
+    BadMagic,
     ConfigError,
     InterpLabError,
     InvalidInput,
@@ -31,6 +36,8 @@ from .errors import (
     NoCorruptedNeighbor,
     NotClassification,
     NumericalError,
+    TruncatedFile,
+    UnknownClass,
 )
 from .rng import substream
 
@@ -77,55 +84,107 @@ def config_hash(params: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
 
 
+def _list(cast):
+    """Cast for a comma-separated list key; an empty list is rejected."""
+    def parse(text):
+        items = tuple(cast(tok) for tok in text.split(",") if tok.strip())
+        if not items:
+            raise ValueError("empty list")
+        return items
+    return parse
+
+
+# Every config key a command reads, as key: (cast, default); the table is
+# the reference for types and defaults. experiment_config rejects any
+# other key, so a misspelt key fails before any work instead of silently
+# changing the config hash. A None default means the key is absent: the
+# idx paths are then rejected where idx data is loaded, and sgd-scaling
+# derives scan.spike and batch.grid from scan.d and scan.n. Range checks
+# stay where each value is consumed.
+GLOBAL_KEYS = {"seed": (int, 0), "version": (str, CONFIG_VERSION)}
+_DATA_KEYS = {                      # read by _train_test and _family_spec
+    "data.family": (str, "two_gaussians"), "data.dim": (int, 2),
+    "data.separation": (float, 3.0), "data.scale": (float, 1.0),
+    "data.images": (str, None), "data.labels": (str, None),
+    "data.classes": (_list(int), (0, 1))}
+_KERNEL_KEYS = {"kernel.family": (str, kernelmach.LAPLACE),
+                "kernel.bandwidth": (float, 1.0)}
+CONFIG_KEYS = {
+    "simplex": {"simplex.dims": (_list(int), (1, 2, 3, 6, 10)),
+                "simplex.draws": (int, 1_000_000)},
+    "noise-interp": {
+        **_DATA_KEYS, **_KERNEL_KEYS, "data.dim": (int, 20),
+        "data.train_n": (int, 2000), "data.test_n": (int, 2000),
+        "noise.grid": (_list(float), (0.0, 0.2, 0.5, 0.8)),
+        "seeds.count": (int, 10)},
+    "double-descent": {
+        **_DATA_KEYS, "data.dim": (int, 10),
+        "data.train_n": (int, 300), "data.test_n": (int, 2000),
+        "rff.grid": (_list(int), (30, 60, 120, 180, 240, 270, 300, 330, 390,
+                                  480, 600, 900, 1500, 2400, 3000)),
+        "rff.replicates": (int, 10), "noise.q": (float, 0.0)},
+    "raisin": {
+        **_DATA_KEYS, **_KERNEL_KEYS, "data.train_n": (int, 500),
+        "noise.q": (float, 0.2), "query.count": (int, 40),
+        "random.trials": (int, 20), "search.tol": (float, 1e-4),
+        "model.kind": (str, "kernel")},
+    "loss-compare": {
+        **_DATA_KEYS, "data.separation": (float, 5.0),
+        "data.train_n": (int, 80), "data.test_n": (int, 400),
+        "seeds.count": (int, 10), "train.iters": (int, 400),
+        "model.kind": (str, "linear"), "mlp.width": (int, 16)},
+    "sgd-scaling": {
+        "scan.n": (int, 512), "scan.d": (int, 1024),
+        "scan.spike": (float, None), "batch.grid": (_list(int), None),
+        "scan.target_factor": (float, 1e-8), "scan.seeds": (int, 5),
+        "scan.iter_cap": (int, optim.DEFAULT_ITER_CAP)},
+    "linearity": {
+        "lin.widths": (_list(int), (64, 91, 128, 181, 256, 362, 512, 724,
+                                    1024, 1448, 2048, 2896, 4096)),
+        "lin.probes": (int, 32), "lin.radius": (float, 1.0),
+        "lin.points": (int, 8), "lin.wrap": (str, "none"),
+        "lin.activation": (str, "tanh"), "lin.input_dim": (int, 1)},
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     name: str
-    params: dict
+    params: dict     # the raw config text values; config_hash reads these
     seed: int
     out_dir: str
+    values: dict     # every declared key, cast, or its default when absent
 
 
-def experiment_config(name: str, params: dict, seed: int,
+def experiment_config(name: str, params: dict, seed: int | None,
                       out_dir: str) -> ExperimentConfig:
-    version = params.get("version", CONFIG_VERSION)
-    if version != CONFIG_VERSION:
-        raise ConfigError(
-            f"config version {version!r} not supported (this build speaks "
-            f"{CONFIG_VERSION!r})")
+    """Validate a config for one command; ``seed=None`` takes the config's."""
     if name not in COMMANDS:
         raise ConfigError(f"unknown experiment {name!r}")
-    unknown = sorted(set(params) - set(GLOBAL_KEYS) - set(CONFIG_KEYS[name]))
+    declared = {**GLOBAL_KEYS, **CONFIG_KEYS[name]}
+    values = {}
+    for key, (cast, default) in declared.items():
+        if key not in params:
+            values[key] = default
+            continue
+        try:
+            values[key] = cast(params[key])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config key {key!r}: {exc}") from exc
+    if values["version"] != CONFIG_VERSION:
+        raise ConfigError(
+            f"config version {values['version']!r} not supported (this build "
+            f"speaks {CONFIG_VERSION!r})")
+    unknown = sorted(set(params) - set(declared))
     if unknown:
         raise ConfigError(f"unknown config key(s) for {name}: "
                           + ", ".join(map(repr, unknown)))
+    if seed is None:
+        seed = values["seed"]
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     return ExperimentConfig(name=name, params=dict(params), seed=int(seed),
-                            out_dir=out_dir)
-
-
-def _get(params, key, default=None, cast=str):
-    if key not in params:
-        if default is None:
-            raise ConfigError(f"missing required config key {key!r}")
-        return default
-    try:
-        return cast(params[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key {key!r}: {exc}") from exc
-
-
-def _get_list(params, key, default, cast=float):
-    raw = params.get(key)
-    if raw is None:
-        return list(default)
-    try:
-        items = [cast(tok) for tok in str(raw).split(",") if tok.strip()]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key {key!r}: {exc}") from exc
-    if not items:
-        raise ConfigError(f"config key {key!r}: empty list")
-    return items
+                            out_dir=out_dir, values=values)
 
 
 def _subseed(seed: int, *tags) -> int:
@@ -133,49 +192,61 @@ def _subseed(seed: int, *tags) -> int:
     return int(substream(seed, "labcli", *path).integers(1 << 62))
 
 
-def _comment(cfg: ExperimentConfig) -> str:
-    return (f"# config_hash={config_hash(cfg.params)} seed={cfg.seed} "
-            f"version={FORMAT_VERSION}")
-
-
 def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return _fmt(value)
+
+
+def _csv(cfg: ExperimentConfig, header: str, rows, *comment_lines) -> str:
+    """One CSV artifact, the only place the CSV format is written.
+
+    The provenance comment (config hash, seed, format version) comes
+    first, then ``comment_lines``, the header and one line per row.
+    Strings are written as is, integers in decimal, and every other cell
+    as the repr of a float, which reads back to the same float.
+    """
+    lines = [f"# config_hash={config_hash(cfg.params)} seed={cfg.seed} "
+             f"version={FORMAT_VERSION}", *comment_lines, header]
+    lines += [",".join(map(_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 # --- data construction ---
 
-def _family_spec(params, seed_tag_seed):
-    family = _get(params, "data.family", "two_gaussians")
+def _family_spec(values, seed_tag_seed):
+    family = values["data.family"]
     if family == "two_gaussians":
-        return datagen.TwoGaussians(
-            separation=_get(params, "data.separation", 3.0, float),
-            scale=_get(params, "data.scale", 1.0, float),
-            dim=_get(params, "data.dim", 2, int),
-            seed=seed_tag_seed)
+        return datagen.TwoGaussians(separation=values["data.separation"],
+                                    scale=values["data.scale"],
+                                    dim=values["data.dim"], seed=seed_tag_seed)
     if family == "uniform_simplex":
-        return datagen.UniformSimplex(dim=_get(params, "data.dim", 2, int),
-                                      seed=seed_tag_seed)
+        return datagen.UniformSimplex(dim=values["data.dim"], seed=seed_tag_seed)
     raise ConfigError(f"unsupported data.family {family!r}")
 
 
-def _train_test(cfg: ExperimentConfig, cell: int, train_n: int, test_n: int,
-                defaults: dict | None = None):
+def _train_test(cfg: ExperimentConfig, cell: int, train_n: int, test_n: int):
     """Fresh train/test draw for one experiment cell.
 
     Synthetic families resample per cell; IDX-backed data is fixed by the
     files, so only downstream randomness (corruption, queries) varies.
-    ``defaults`` supplies per-experiment fallbacks for missing data keys.
     Returns (train, test, family_spec_or_None).
     """
-    params = {**(defaults or {}), **cfg.params}
-    if _get(params, "data.family", "two_gaussians") == "idx":
-        classes = _get_list(params, "data.classes", None, int) \
-            if "data.classes" in params else [0, 1]
+    values = cfg.values
+    if values["data.family"] == "idx":
+        for key in ("data.images", "data.labels"):
+            if values[key] is None:
+                raise ConfigError(f"missing required config key {key!r}")
         try:
-            ds = datagen.load_idx(_get(params, "data.images"),
-                                  _get(params, "data.labels"),
-                                  classes, train_n + test_n)
-        except OSError as exc:
+            ds = datagen.load_idx(values["data.images"], values["data.labels"],
+                                  values["data.classes"], train_n + test_n)
+        except (OSError, BadMagic, TruncatedFile, UnknownClass) as exc:
             raise ConfigError(f"cannot read idx data: {exc}") from exc
         if ds.n < train_n + test_n:
             raise ConfigError(
@@ -183,16 +254,15 @@ def _train_test(cfg: ExperimentConfig, cell: int, train_n: int, test_n: int,
         train = datagen.make_dataset(ds.X[:train_n], ds.y[:train_n], ds.task)
         test = datagen.make_dataset(ds.X[train_n:], ds.y[train_n:], ds.task)
         return train, test, None
-    spec_train = _family_spec(params, _subseed(cfg.seed, "train", cell))
-    spec_test = _family_spec(params, _subseed(cfg.seed, "test", cell))
+    spec_train = _family_spec(values, _subseed(cfg.seed, "train", cell))
+    spec_test = _family_spec(values, _subseed(cfg.seed, "test", cell))
     return (datagen.sample(spec_train, train_n),
             datagen.sample(spec_test, test_n), spec_train)
 
 
-def _kernel_spec(params) -> kernelmach.KernelSpec:
-    return kernelmach.KernelSpec(
-        family=_get(params, "kernel.family", kernelmach.LAPLACE),
-        bandwidth=_get(params, "kernel.bandwidth", 1.0, float))
+def _kernel_spec(values) -> kernelmach.KernelSpec:
+    return kernelmach.KernelSpec(family=values["kernel.family"],
+                                 bandwidth=values["kernel.bandwidth"])
 
 
 def _zero_one(pred_values, labels) -> float:
@@ -200,37 +270,39 @@ def _zero_one(pred_values, labels) -> float:
     return float(np.mean(signs != np.asarray(labels)))
 
 
+def _seed_count(values) -> int:
+    n_seeds = values["seeds.count"]
+    if n_seeds < 1:
+        raise ConfigError(f"seeds.count must be at least 1, got {n_seeds}")
+    return n_seeds
+
+
 # --- experiments ---
 
 def run_simplex_blessing(cfg: ExperimentConfig) -> dict:
-    dims = _get_list(cfg.params, "simplex.dims", (1, 2, 3, 6, 10), int)
-    draws = _get(cfg.params, "simplex.draws", 1_000_000, int)
+    dims, draws = cfg.values["simplex.dims"], cfg.values["simplex.draws"]
+    if min(dims) < 1:
+        raise ConfigError(f"simplex.dims must be positive, got {min(dims)}")
 
     def cell(d):
         est, se = direct.simplex_minority_volume(
             d, draws, _subseed(cfg.seed, "simplex", d))
-        return d, est, se
+        return d, est, se, 2.0 ** -d
 
     rows = [cell(d) for d in dims]
-    lines = [_comment(cfg), "d,estimate,stderr,expected"]
-    for d, est, se in rows:
-        lines.append(f"{d},{_fmt(est)},{_fmt(se)},{_fmt(2.0 ** -d)}")
-    return {"simplex.csv": "\n".join(lines) + "\n"}
+    return {"simplex.csv": _csv(cfg, "d,estimate,stderr,expected", rows)}
 
 
 def run_noise_interp(cfg: ExperimentConfig) -> dict:
-    params = cfg.params
-    q_grid = _get_list(params, "noise.grid", (0.0, 0.2, 0.5, 0.8), float)
-    n_seeds = _get(params, "seeds.count", 10, int)
-    train_n = _get(params, "data.train_n", 2000, int)
-    test_n = _get(params, "data.test_n", 2000, int)
-    kspec = _kernel_spec(params)
+    values = cfg.values
+    n_seeds = _seed_count(values)
+    train_n, test_n = values["data.train_n"], values["data.test_n"]
+    kspec = _kernel_spec(values)
 
     def cell(job):
         q, s = job
         train, test, family = _train_test(cfg, _subseed(cfg.seed, "ni", q, s),
-                                          train_n, test_n,
-                                          defaults={"data.dim": "20"})
+                                          train_n, test_n)
         if family is None:
             raise NoAnalyticOracle(
                 "noise-interp needs a family with a closed-form risk")
@@ -247,51 +319,33 @@ def run_noise_interp(cfg: ExperimentConfig) -> dict:
                               test_c.y)
         return q, s, train_risk, test_risk, bayes, test_risk - train_risk
 
-    jobs = [(q, s) for q in q_grid for s in range(n_seeds)]
+    jobs = [(q, s) for q in values["noise.grid"] for s in range(n_seeds)]
     rows = [cell(job) for job in jobs]
-    lines = [_comment(cfg), "q,seed,train_risk,test_risk,bayes_risk,gap"]
-    for q, s, tr, te, by, gap in rows:
-        lines.append(f"{_fmt(q)},{s},{_fmt(tr)},{_fmt(te)},{_fmt(by)},{_fmt(gap)}")
-    return {"noise-interp.csv": "\n".join(lines) + "\n"}
-
-
-_DD_GRID = (30, 60, 120, 180, 240, 270, 300, 330, 390, 480, 600, 900,
-            1500, 2400, 3000)
+    return {"noise-interp.csv": _csv(
+        cfg, "q,seed,train_risk,test_risk,bayes_risk,gap", rows)}
 
 
 def run_double_descent(cfg: ExperimentConfig) -> dict:
-    params = cfg.params
-    train_n = _get(params, "data.train_n", 300, int)
-    test_n = _get(params, "data.test_n", 2000, int)
-    grid = _get_list(params, "rff.grid", _DD_GRID, int)
-    replicates = _get(params, "rff.replicates", 10, int)
-    q = _get(params, "noise.q", 0.0, float)
+    values = cfg.values
+    train_n = values["data.train_n"]
+    noise = datagen.CorruptionSpec(q=values["noise.q"],
+                                   seed=_subseed(cfg.seed, "dd-noise"))
 
-    train, test, _ = _train_test(cfg, 0, train_n, test_n,
-                                 defaults={"data.dim": "10"})
-    if q > 0.0:
-        train = datagen.corrupt(
-            train, datagen.CorruptionSpec(q=q, seed=_subseed(cfg.seed, "dd-noise")))
-    sweep = kernelmach.double_descent_sweep(train, test, grid, replicates,
+    train, test, _ = _train_test(cfg, 0, train_n, values["data.test_n"])
+    if noise.q > 0.0:
+        train = datagen.corrupt(train, noise)
+    sweep = kernelmach.double_descent_sweep(train, test, values["rff.grid"],
+                                            values["rff.replicates"],
                                             seed=_subseed(cfg.seed, "dd"))
 
-    lines = [_comment(cfg),
-             "m,replicate,train_mse,test_mse,test_01,coeff_norm,threshold"]
-    for m, rep, tr, te, t01, nrm, thr in sweep.rows:
-        lines.append(f"{int(m)},{int(rep)},{_fmt(tr)},{_fmt(te)},{_fmt(t01)},"
-                     f"{_fmt(nrm)},{int(thr)}")
-    csv_rows = "\n".join(lines) + "\n"
-
-    lines = [_comment(cfg),
-             "m,train_mean,test_mse_mean,test_mse_se,test_01_mean,test_01_se,"
-             "norm_mean,norm_se"]
-    for i, m in enumerate(sweep.m_grid):
-        lines.append(
-            f"{int(m)},{_fmt(sweep.train_mean[i])},{_fmt(sweep.test_mse_mean[i])},"
-            f"{_fmt(sweep.test_mse_se[i])},{_fmt(sweep.test_01_mean[i])},"
-            f"{_fmt(sweep.test_01_se[i])},{_fmt(sweep.norm_mean[i])},"
-            f"{_fmt(sweep.norm_se[i])}")
-    csv_summary = "\n".join(lines) + "\n"
+    csv_rows = _csv(cfg, "m,replicate,train_mse,test_mse,test_01,coeff_norm,"
+                         "threshold", sweep.rows)
+    csv_summary = _csv(
+        cfg, "m,train_mean,test_mse_mean,test_mse_se,test_01_mean,test_01_se,"
+             "norm_mean,norm_se",
+        zip(sweep.m_grid, sweep.train_mean, sweep.test_mse_mean,
+            sweep.test_mse_se, sweep.test_01_mean, sweep.test_01_se,
+            sweep.norm_mean, sweep.norm_se))
 
     reached = sweep.thresholds[sweep.thresholds > 0]
     marker = float(np.median(reached)) if reached.size else float(train_n)
@@ -315,16 +369,6 @@ def run_double_descent(cfg: ExperimentConfig) -> dict:
             "double-descent.gp": plot}
 
 
-@dataclass(frozen=True)
-class RaisinReport:
-    """Per-query targeted-perturbation search results."""
-
-    rows: tuple              # (query, clean_pred, dist_corrupt, radius, success, random_frac)
-    median_radius: float
-    success_rate: float
-    random_flip_rate: float
-
-
 def _bisect_flip(evaluate, base_sign, x, u, hi, tol):
     lo = 0.0
     while hi - lo > tol:
@@ -337,15 +381,16 @@ def _bisect_flip(evaluate, base_sign, x, u, hi, tol):
 
 
 def run_raisin_search(cfg: ExperimentConfig) -> dict:
-    params = cfg.params
-    train_n = _get(params, "data.train_n", 500, int)
-    q = _get(params, "noise.q", 0.2, float)
-    n_query = _get(params, "query.count", 40, int)
-    trials = _get(params, "random.trials", 20, int)
-    tol = _get(params, "search.tol", 1e-4, float)
-    kind = _get(params, "model.kind", "kernel")
+    values = cfg.values
+    train_n, q = values["data.train_n"], values["noise.q"]
+    trials, tol = values["random.trials"], values["search.tol"]
+    if trials < 1:
+        raise ConfigError(f"random.trials must be at least 1, got {trials}")
+    if not 0.0 < tol < math.inf:
+        raise ConfigError(f"search.tol must be positive and finite, got {tol}")
+    kind = values["model.kind"]
 
-    train, queries, _ = _train_test(cfg, 0, train_n, n_query)
+    train, queries, _ = _train_test(cfg, 0, train_n, values["query.count"])
     corrupted = datagen.corrupt(
         train, datagen.CorruptionSpec(q=q, seed=_subseed(cfg.seed, "raisin-noise")))
     flipped = corrupted.y != train.y
@@ -354,7 +399,7 @@ def run_raisin_search(cfg: ExperimentConfig) -> dict:
             f"corruption q={q} flipped no labels in {train_n} points")
 
     if kind == "kernel":
-        machine = kernelmach.fit_interpolating(_kernel_spec(params), corrupted)
+        machine = kernelmach.fit_interpolating(_kernel_spec(values), corrupted)
 
         def evaluate(x):
             return float(kernelmach.kernel_predict(machine, x[None, :])[0])
@@ -404,41 +449,29 @@ def run_raisin_search(cfg: ExperimentConfig) -> dict:
     finite = [r[3] for r in rows if math.isfinite(r[3])]
     succ = [r[4] for r in rows]
     rand = [r[5] for r in rows if not math.isnan(r[5])]
-    report = RaisinReport(
-        rows=tuple(rows),
-        median_radius=float(np.median(finite)) if finite else math.inf,
-        success_rate=float(np.mean(succ)) if succ else 0.0,
-        random_flip_rate=float(np.mean(rand)) if rand else 0.0)
-
-    lines = [_comment(cfg),
-             "query,clean_pred,dist_corrupt,flip_radius,success,random_flip_frac"]
-    for i, pred, dist, radius, success, frac in report.rows:
-        lines.append(f"{i},{_fmt(pred)},{_fmt(dist)},{_fmt(radius)},{success},"
-                     f"{_fmt(frac)}")
-    lines.append(f"summary,{_fmt(report.success_rate)},{_fmt(report.median_radius)},"
-                 f"{_fmt(report.random_flip_rate)},,")
-    return {"raisin.csv": "\n".join(lines) + "\n"}
+    summary = ("summary", float(np.mean(succ)) if succ else 0.0,
+               float(np.median(finite)) if finite else math.inf,
+               float(np.mean(rand)) if rand else 0.0, "", "")
+    return {"raisin.csv": _csv(
+        cfg, "query,clean_pred,dist_corrupt,flip_radius,success,random_flip_frac",
+        rows + [summary])}
 
 
 def run_loss_comparison(cfg: ExperimentConfig) -> dict:
-    params = cfg.params
-    train_n = _get(params, "data.train_n", 80, int)
-    test_n = _get(params, "data.test_n", 400, int)
-    n_seeds = _get(params, "seeds.count", 10, int)
-    iters = _get(params, "train.iters", 400, int)
-    kind = _get(params, "model.kind", "linear")
-    width = _get(params, "mlp.width", 16, int)
+    values = cfg.values
+    n_seeds = _seed_count(values)
+    train_n, test_n = values["data.train_n"], values["data.test_n"]
+    iters, kind = values["train.iters"], values["model.kind"]
 
     def cell(s):
         train, test, _ = _train_test(cfg, _subseed(cfg.seed, "lc", s),
-                                     train_n, test_n,
-                                     defaults={"data.separation": "5.0"})
+                                     train_n, test_n)
         if kind == "linear":
             w0 = np.zeros(train.dim)
             make = lambda loss: optim.linear_objective(train.X, train.y, loss=loss)
             K = train.X @ train.X.T
         elif kind == "mlp":
-            model = netmodels.init_mlp((train.dim, width), "tanh",
+            model = netmodels.init_mlp((train.dim, values["mlp.width"]), "tanh",
                                        seed=_subseed(cfg.seed, "lc-init", s))
             w0 = netmodels.flatten_params(model)
             make = lambda loss: optim.mlp_objective(model, train.X, train.y,
@@ -466,49 +499,50 @@ def run_loss_comparison(cfg: ExperimentConfig) -> dict:
                         float(np.median(train.y * f_train))))
         return out
 
-    cells = [cell(s) for s in range(n_seeds)]
-    lines = [_comment(cfg),
-             "seed,loss,init_hash,train_acc,test_acc,margin_median"]
-    for pair in cells:
-        for s, loss, ih, tra, tea, mm in pair:
-            lines.append(f"{s},{loss},{ih},{_fmt(tra)},{_fmt(tea)},{_fmt(mm)}")
-    csv_rows = "\n".join(lines) + "\n"
-
-    lines = [_comment(cfg), "loss,test_acc_mean,test_acc_se,train_acc_mean"]
+    rows = [row for s in range(n_seeds) for row in cell(s)]
+    summary = []
     for loss in (optim.SQUARE, optim.CROSS_ENTROPY):
-        accs = np.array([row[4] for pair in cells for row in pair
-                         if row[1] == loss])
-        tras = np.array([row[3] for pair in cells for row in pair
-                         if row[1] == loss])
+        accs = np.array([row[4] for row in rows if row[1] == loss])
+        tras = np.array([row[3] for row in rows if row[1] == loss])
         se = float(accs.std(ddof=1) / math.sqrt(accs.size)) if accs.size > 1 else 0.0
-        lines.append(f"{loss},{_fmt(accs.mean())},{_fmt(se)},{_fmt(tras.mean())}")
-    return {"loss-compare.csv": csv_rows,
-            "loss-compare-summary.csv": "\n".join(lines) + "\n"}
+        summary.append((loss, accs.mean(), se, tras.mean()))
+    return {"loss-compare.csv": _csv(
+                cfg, "seed,loss,init_hash,train_acc,test_acc,margin_median", rows),
+            "loss-compare-summary.csv": _csv(
+                cfg, "loss,test_acc_mean,test_acc_se,train_acc_mean", summary)}
+
+
+_BATCH_SIZES = (1, 2, 4, 16, 32, 64, 128)   # the default grid, then scan.n
 
 
 def run_sgd_scaling(cfg: ExperimentConfig) -> dict:
-    params = cfg.params
-    n = _get(params, "scan.n", 512, int)
-    d = _get(params, "scan.d", 1024, int)
-    spike = _get(params, "scan.spike", (d - 1) / 7.0, float)
-    grid = _get_list(params, "batch.grid", (1, 2, 4, 16, 32, 64, 128, n), int)
-    factor = _get(params, "scan.target_factor", 1e-8, float)
-    seeds = _get(params, "scan.seeds", 5, int)
-    cap = _get(params, "scan.iter_cap", optim.DEFAULT_ITER_CAP, int)
+    values = cfg.values
+    n, d = values["scan.n"], values["scan.d"]
+    if n < 1 or d < 1:
+        raise ConfigError(f"scan.n and scan.d must be at least 1, got {n} and {d}")
+    spike = values["scan.spike"]
+    if spike is None:
+        spike = (d - 1) / 7.0
+    if not spike >= 0.0:
+        raise ConfigError(f"scan.spike must be non-negative, got {spike}")
+    grid = values["batch.grid"]
+    if grid is None:
+        grid = tuple(m for m in _BATCH_SIZES if m < n) + (n,)
 
     rng = substream(cfg.seed, "labcli", "scan-data")
     cov_sqrt = np.sqrt(np.concatenate([[spike], np.ones(d - 1)]))
     X = rng.standard_normal((n, d)) * cov_sqrt
     y = X @ rng.standard_normal(d)
     obj = optim.linear_objective(X, y)
-    target = factor * 0.5 * float(y @ y)
-    report = optim.critical_batch_scan(obj, grid, target, seeds, iter_cap=cap)
+    target = values["scan.target_factor"] * 0.5 * float(y @ y)
+    report = optim.critical_batch_scan(obj, grid, target, values["scan.seeds"],
+                                       iter_cap=values["scan.iter_cap"])
 
-    body = optim.batch_report_csv(report)
     stats = (f"# tr_h={_fmt(report.tr_h)} lambda_max_h={_fmt(report.lambda_max_h)} "
              f"max_row_norm_sq={_fmt(report.max_row_norm_sq)} "
              f"target_loss={_fmt(report.target_loss)}")
-    csv_text = "\n".join([_comment(cfg), stats, body.rstrip("\n")]) + "\n"
+    rows = [(m, iters, regime, report.mstar) for m, iters, regime in
+            zip(report.batch_grid, report.median_iters, report.regimes)]
     plot = "\n".join([
         "set datafile separator \",\"",
         "set key autotitle columnhead",
@@ -519,31 +553,25 @@ def run_sgd_scaling(cfg: ExperimentConfig) -> dict:
             _fmt(report.mstar)),
         "plot \"sgd-scaling.csv\" using 1:2 with linespoints",
     ]) + "\n"
-    return {"sgd-scaling.csv": csv_text, "sgd-scaling.gp": plot}
-
-
-_LIN_WIDTHS = (64, 91, 128, 181, 256, 362, 512, 724, 1024, 1448, 2048,
-               2896, 4096)
+    return {"sgd-scaling.csv": _csv(cfg, "m,median_iters,regime,mstar_theory",
+                                    rows, stats),
+            "sgd-scaling.gp": plot}
 
 
 def run_linearity(cfg: ExperimentConfig) -> dict:
-    params = cfg.params
-    widths = _get_list(params, "lin.widths", _LIN_WIDTHS, int)
-    probes = _get(params, "lin.probes", 32, int)
-    radius = _get(params, "lin.radius", 1.0, float)
-    points = _get(params, "lin.points", 8, int)
-    wrap = _get(params, "lin.wrap", "none")
-    activation = _get(params, "lin.activation", "tanh")
-    input_dim = _get(params, "lin.input_dim", 1, int)
-
-    template = netmodels.ArchTemplate(input_dim=input_dim, activation=activation,
-                                      output_wrap=wrap)
-    report = netmodels.linearity_scan(template, widths, ball_radius=radius,
-                                      probes=probes,
+    values = cfg.values
+    template = netmodels.ArchTemplate(input_dim=values["lin.input_dim"],
+                                      activation=values["lin.activation"],
+                                      output_wrap=values["lin.wrap"])
+    report = netmodels.linearity_scan(template, values["lin.widths"],
+                                      ball_radius=values["lin.radius"],
+                                      probes=values["lin.probes"],
                                       seed=_subseed(cfg.seed, "linearity"),
-                                      kernel_points=points)
-    body = netmodels.linearity_report_csv(report)
-    csv_text = _comment(cfg) + "\n" + body
+                                      kernel_points=values["lin.points"])
+    rows = list(zip(report.widths, report.grad_norms, report.hess_norms,
+                    report.ntk_drifts))
+    rows.append(("slope", report.grad_slope, report.hess_slope,
+                 report.drift_slope))      # footer record: log-log slopes
     n_rows = len(report.widths)
     plot = "\n".join([
         "set datafile separator \",\"",
@@ -555,7 +583,8 @@ def run_linearity(cfg: ExperimentConfig) -> dict:
         f"with linespoints, \"\" every ::0::{n_rows - 1} using 1:2 "
         "with linespoints",
     ]) + "\n"
-    return {"linearity.csv": csv_text, "linearity.gp": plot}
+    return {"linearity.csv": _csv(cfg, "m,grad_norm,hess_norm_max,ntk_drift", rows),
+            "linearity.gp": plot}
 
 
 RUNNERS = {
@@ -566,29 +595,6 @@ RUNNERS = {
     "loss-compare": run_loss_comparison,
     "sgd-scaling": run_sgd_scaling,
     "linearity": run_linearity,
-}
-
-# Every config key a command reads; experiment_config rejects the rest, so
-# a misspelt key fails before any work instead of silently changing the
-# config hash. The data keys are read by _train_test and _family_spec.
-GLOBAL_KEYS = ("seed", "version")
-_DATA_KEYS = ("data.family", "data.dim", "data.separation", "data.scale",
-              "data.images", "data.labels", "data.classes", "data.train_n")
-_KERNEL_KEYS = ("kernel.family", "kernel.bandwidth")
-CONFIG_KEYS = {
-    "simplex": ("simplex.dims", "simplex.draws"),
-    "noise-interp": _DATA_KEYS + _KERNEL_KEYS + (
-        "data.test_n", "noise.grid", "seeds.count"),
-    "double-descent": _DATA_KEYS + (
-        "data.test_n", "rff.grid", "rff.replicates", "noise.q"),
-    "raisin": _DATA_KEYS + _KERNEL_KEYS + (
-        "noise.q", "query.count", "random.trials", "search.tol", "model.kind"),
-    "loss-compare": _DATA_KEYS + (
-        "data.test_n", "seeds.count", "train.iters", "model.kind", "mlp.width"),
-    "sgd-scaling": ("scan.n", "scan.d", "scan.spike", "batch.grid",
-                    "scan.target_factor", "scan.seeds", "scan.iter_cap"),
-    "linearity": ("lin.widths", "lin.probes", "lin.radius", "lin.points",
-                  "lin.wrap", "lin.activation", "lin.input_dim"),
 }
 
 
@@ -629,9 +635,7 @@ def main(argv=None) -> int:
         params = load_config(args.config) if args.config else {}
         if args.threads < 1:
             raise ConfigError("threads must be at least 1")
-        seed = args.seed if args.seed is not None else \
-            _get(params, "seed", 0, int)
-        cfg = experiment_config(args.command, params, seed, args.out)
+        cfg = experiment_config(args.command, params, args.seed, args.out)
         artifacts = RUNNERS[args.command](cfg)
         _write_artifacts(cfg.out_dir, artifacts)
         return 0

@@ -403,8 +403,11 @@ def linearity_scan(template: ArchTemplate, width_grid, ball_radius: float = 1.0,
     widths = np.asarray(sorted(set(int(m) for m in np.asarray(width_grid).ravel())))
     if widths.size < 2 or widths[0] < 1:
         raise InvalidSpec("need at least two positive widths")
-    if ball_radius <= 0 or probes < 1:
-        raise InvalidSpec("ball_radius must be positive and probes at least 1")
+    if not 0.0 < ball_radius < np.inf or probes < 1:
+        raise InvalidSpec("ball_radius must be positive and finite, and probes "
+                          "at least 1")
+    if kernel_points < 1 or template.input_dim < 1:
+        raise InvalidSpec("kernel_points and input_dim must be at least 1")
     X = substream(seed, "scan-inputs", template.input_dim).standard_normal(
         (kernel_points, template.input_dim))
     x = X[0]
@@ -436,13 +439,3 @@ def linearity_scan(template: ArchTemplate, width_grid, ball_radius: float = 1.0,
         drift_slope=_loglog_slope(widths, drifts),
     )
 
-
-def linearity_report_csv(report: LinearityReport) -> str:
-    """Rows per width plus a footer record carrying the fitted slopes."""
-    lines = ["m,grad_norm,hess_norm_max,ntk_drift"]
-    for i, m in enumerate(report.widths):
-        lines.append(f"{int(m)},{float(report.grad_norms[i])!r},"
-                     f"{float(report.hess_norms[i])!r},{float(report.ntk_drifts[i])!r}")
-    lines.append(f"slope,{float(report.grad_slope)!r},{float(report.hess_slope)!r},"
-                 f"{float(report.drift_slope)!r}")
-    return "\n".join(lines) + "\n"

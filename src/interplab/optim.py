@@ -334,7 +334,7 @@ def critical_batch_scan(obj: Objective, batch_grid, target_loss: float,
     grid = sorted({1} | {int(m) for m in np.asarray(batch_grid).ravel()})
     if grid[0] < 1 or grid[-1] > n:
         raise InvalidSpec(f"batch sizes must lie in [1, {n}]")
-    if seeds < 1 or target_loss <= 0.0:
+    if seeds < 1 or not target_loss > 0.0:
         raise InvalidSpec("need at least one seed and a positive target")
 
     row_sq = np.einsum("ij,ij->i", obj.X, obj.X)
@@ -370,22 +370,3 @@ def critical_batch_scan(obj: Objective, batch_grid, target_loss: float,
         mstar=float(mstar), tr_h=tr_h, lambda_max_h=float(lam),
         max_row_norm_sq=float(row_sq.max()), target_loss=float(target_loss))
 
-
-# --- serialization ---
-
-def trace_csv(trace: OptimTrace) -> str:
-    lines = ["iter,loss,grad_norm,param_norm,plstar_ratio,dist_ref"]
-    for i in range(trace.iters.size):
-        lines.append(
-            f"{int(trace.iters[i])},{float(trace.loss[i])!r},"
-            f"{float(trace.grad_norm[i])!r},{float(trace.param_norm[i])!r},"
-            f"{float(trace.plstar[i])!r},{float(trace.dist_ref[i])!r}")
-    return "\n".join(lines) + "\n"
-
-
-def batch_report_csv(report: BatchScalingReport) -> str:
-    lines = ["m,median_iters,regime,mstar_theory"]
-    for i in range(report.batch_grid.size):
-        lines.append(f"{int(report.batch_grid[i])},{float(report.median_iters[i])!r},"
-                     f"{report.regimes[i]},{float(report.mstar)!r}")
-    return "\n".join(lines) + "\n"

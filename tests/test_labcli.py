@@ -1,7 +1,9 @@
 """Experiment-runner tests: config plumbing, per-command output schemas,
 reproducibility, and the process exit contract."""
 
+import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -261,7 +263,23 @@ def test_sgd_scaling_csv():
     assert header == ["m", "median_iters", "regime", "mstar_theory"]
     assert [int(r[0]) for r in rows] == [1, 2, 8, 24]
     assert rows[0][2] == "linear"
+    assert all(r[2] in ("linear", "saturation") for r in rows)
+    assert all(float(r[1]) >= 1.0 for r in rows)
+    mstar = {float(r[3]) for r in rows}
+    assert len(mstar) == 1 and mstar.pop() >= 1.0
     assert "set arrow" in arts["sgd-scaling.gp"]
+
+
+def test_sgd_scaling_default_grid_follows_scan_n(tmp_path):
+    # without batch.grid the scan keeps the default sizes below scan.n,
+    # then scan.n itself
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("scan.n = 100\nscan.d = 8\nscan.seeds = 1\n"
+                   "scan.target_factor = 1e-2\n")
+    out = tmp_path / "o"
+    assert labcli.main(["sgd-scaling", "--config", str(cfg), "--out", str(out)]) == 0
+    _header, rows = _rows((out / "sgd-scaling.csv").read_text())
+    assert [int(r[0]) for r in rows] == [1, 2, 4, 16, 32, 64, 100]
 
 
 def test_linearity_csv_and_plot_range():
@@ -271,6 +289,9 @@ def test_linearity_csv_and_plot_range():
     assert header == ["m", "grad_norm", "hess_norm_max", "ntk_drift"]
     assert rows[-1][0] == "slope"
     assert len(rows) == 4
+    assert [int(r[0]) for r in rows[:-1]] == [24, 48, 96]
+    assert all(float(cell) > 0.0 for r in rows[:-1] for cell in r[1:])
+    assert all(math.isfinite(float(cell)) for cell in rows[-1][1:])
     # plot must stop before the slope footer row
     assert "every ::0::2" in arts["linearity.gp"]
 
@@ -336,6 +357,13 @@ def test_main_exit_codes(tmp_path):
     assert labcli.main(["simplex", "--config", str(tiny), "--out", str(out),
                         "--threads", "3"]) == 0
 
+    # the config's seed is cast even when --seed overrides it
+    bad_seed = tmp_path / "seed.cfg"
+    bad_seed.write_text("simplex.draws = 100\nsimplex.dims = 1\nseed = abc\n")
+    assert labcli.main(["simplex", "--config", str(bad_seed), "--seed", "1",
+                        "--out", str(tmp_path / "o4")]) == 2
+    assert not (tmp_path / "o4").exists()
+
     with pytest.raises(SystemExit) as exc:
         labcli.main(["warp-drive"])
     assert exc.value.code == 2
@@ -391,33 +419,144 @@ def test_main_rejects_unknown_key_before_writing(tmp_path, capsys, command):
     assert not out.exists()
 
 
+class _Reads(dict):
+    """Config values that record every key looked up."""
+
+    def __init__(self, values, seen):
+        super().__init__(values)
+        self.seen = seen
+
+    def __getitem__(self, key):
+        self.seen.add(key)
+        return super().__getitem__(key)
+
+
 def test_declared_keys_cover_every_key_read(tmp_path, monkeypatch):
-    # record what _get/_get_list are asked for while every command runs,
-    # once on synthetic data and once pointed at missing idx files
-    get, get_list = labcli._get, labcli._get_list
-    asked = set()
+    # every command runs once on synthetic data and once pointed at missing
+    # idx files; a read of an undeclared key escapes main as a KeyError, and
+    # every declared key is read by one of the two runs
+    make = labcli.experiment_config
+    read = set()
 
-    def spy(fn):
-        def wrapped(params, key, *args, **kwargs):
-            asked.add(key)
-            return fn(params, key, *args, **kwargs)
-        return wrapped
+    def recording(*args):
+        cfg = make(*args)
+        assert set(cfg.values) == \
+            set(labcli.CONFIG_KEYS[cfg.name]) | set(labcli.GLOBAL_KEYS)
+        return dataclasses.replace(cfg, values=_Reads(cfg.values, read))
 
-    monkeypatch.setattr(labcli, "_get", spy(get))
-    monkeypatch.setattr(labcli, "_get_list", spy(get_list))
+    monkeypatch.setattr(labcli, "experiment_config", recording)
     idx = ("data.family = idx\ndata.images = {0}/none\ndata.labels = {0}/none\n"
            "data.classes = 3, 8\n").format(tmp_path)
     for command in labcli.COMMANDS:
+        read.clear()
         for extra, code in (("", 0), (idx, 2)):
             if extra and "data.family" not in labcli.CONFIG_KEYS[command]:
                 continue
-            asked.clear()
             cfg = tmp_path / f"{command}.cfg"
             cfg.write_text(_TINY[command] + extra)
             assert labcli.main([command, "--config", str(cfg), "--seed", "1",
                                 "--out", str(tmp_path / command)]) == code
-            declared = set(labcli.CONFIG_KEYS[command]) | set(labcli.GLOBAL_KEYS)
-            assert asked and asked <= declared, (command, asked - declared)
+        assert read == set(labcli.CONFIG_KEYS[command]), \
+            (command, set(labcli.CONFIG_KEYS[command]) ^ read)
+
+
+def _write_idx(path, images, labels):
+    images = np.asarray(images, dtype=np.uint8)
+    n, rows, cols = images.shape
+    (path / "images").write_bytes(struct.pack(">IIII", 0x00000803, n, rows, cols)
+                                  + images.tobytes())
+    (path / "labels").write_bytes(struct.pack(">II", 0x00000801, n)
+                                  + np.asarray(labels, dtype=np.uint8).tobytes())
+
+
+def test_main_idx_file_errors_exit_two(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    _write_idx(tmp_path, rng.integers(0, 256, size=(60, 4, 4)),
+               np.arange(60) % 3)
+    base = ("data.family = idx\ndata.images = {0}/images\n"
+            "data.labels = {0}/labels\ndata.train_n = 20\ndata.test_n = 20\n"
+            "rff.grid = 10, 30\nrff.replicates = 1\n").format(tmp_path)
+    cfg = tmp_path / "dd.cfg"
+    cfg.write_text(base + "data.classes = 1, 2\n")
+    assert labcli.main(["double-descent", "--config", str(cfg),
+                        "--out", str(tmp_path / "ok")]) == 0
+
+    images = (tmp_path / "images").read_bytes()
+    cases = {
+        "magic": (b"\x00garbage", "data.classes = 1, 2\n"),
+        "truncated": (images[:-5], "data.classes = 1, 2\n"),
+        "absent-class": (images, "data.classes = 1, 7\n"),
+    }
+    for name, (payload, classes) in cases.items():
+        (tmp_path / "images").write_bytes(payload)
+        cfg.write_text(base + classes)
+        out = tmp_path / name
+        assert labcli.main(["double-descent", "--config", str(cfg),
+                            "--out", str(out)]) == 2, name
+        assert capsys.readouterr().err.startswith(
+            "config error: cannot read idx data: "), name
+        assert not out.exists()
+
+
+def test_csv_formats_cells_by_type():
+    cfg = _cfg("simplex", {"simplex.draws": "7"}, seed=3)
+    floats = [0.1, 1.0 / 3.0, 5e-324, 1.7976931348623157e308, -0.0,
+              float(np.float64(np.pi) * 1e-7)]
+    rows = [("label", 7, np.int64(-4), 2.5, np.float64(0.1), math.nan,
+             math.inf, "")]
+    rows += [(f"r{i}", i, np.int64(i), x, np.float64(x), -math.inf, x, "")
+             for i, x in enumerate(floats)]
+    text = labcli._csv(cfg, "name,i,j,x,y,u,v,blank", rows, "# one", "# two")
+    lines = text.split("\n")
+    _check_comment(text, {"simplex.draws": "7"}, 3)
+    assert lines[1:4] == ["# one", "# two", "name,i,j,x,y,u,v,blank"]
+    assert lines[4] == "label,7,-4,2.5,0.1,nan,inf,"
+    assert lines[-1] == "" and len(lines) == 5 + len(floats) + 1
+    for i, (line, x) in enumerate(zip(lines[5:-1], floats)):
+        cells = line.split(",")
+        assert cells[:3] == [f"r{i}", str(i), str(i)]
+        for cell in (cells[3], cells[4], cells[6]):
+            assert float(cell) == x
+            assert math.copysign(1.0, float(cell)) == math.copysign(1.0, x)
+        assert cells[5] == "-inf" and cells[7] == ""
+    assert labcli._csv(cfg, "h", []) == lines[0] + "\nh\n"
+
+
+# values tried for every declared key, and the cases among them that must be
+# rejected as config errors, not hang, trace back or write a degenerate CSV
+_FUZZ_VALUES = ("0", "-1", "nan", "1e400", "abc", ",")
+_MUST_REJECT = {
+    ("raisin", "search.tol", "0"), ("raisin", "search.tol", "-1"),
+    ("raisin", "random.trials", "0"), ("raisin", "random.trials", "-1"),
+    ("simplex", "simplex.dims", "-1"), ("linearity", "lin.input_dim", "-1"),
+    ("sgd-scaling", "scan.d", "0"), ("sgd-scaling", "scan.d", "-1"),
+    ("sgd-scaling", "scan.n", "-1"), ("sgd-scaling", "scan.target_factor", "nan"),
+    ("linearity", "lin.points", "0"), ("linearity", "lin.points", "-1"),
+    ("noise-interp", "seeds.count", "0"), ("loss-compare", "seeds.count", "0"),
+    ("loss-compare", "seeds.count", "-1"), ("double-descent", "noise.q", "-1"),
+    ("sgd-scaling", "scan.spike", "-1"), ("raisin", "search.tol", "1e400"),
+    ("linearity", "lin.radius", "1e400"),
+}
+
+
+@pytest.mark.parametrize("command", labcli.COMMANDS)
+def test_config_fuzz_over_key_table(tmp_path, capsys, command):
+    keys = list(labcli.GLOBAL_KEYS) + list(labcli.CONFIG_KEYS[command])
+    for key in keys:
+        base = [line for line in _TINY[command].splitlines()
+                if line.split("=")[0].strip() != key]
+        for i, value in enumerate(_FUZZ_VALUES):
+            cfg = tmp_path / "fuzz.cfg"
+            cfg.write_text("\n".join(base + [f"{key} = {value}"]) + "\n")
+            out = tmp_path / f"{key}-{i}"
+            code = labcli.main([command, "--config", str(cfg), "--out", str(out)])
+            err = capsys.readouterr().err
+            case = (command, key, value)
+            assert code in (0, 2, 3), case
+            if code:
+                assert not out.exists(), case
+            if case in _MUST_REJECT:
+                assert code == 2 and err.startswith("config error: "), (case, err)
 
 
 def test_main_raisin_exit_two_without_corruption(tmp_path):
