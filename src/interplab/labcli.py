@@ -183,7 +183,8 @@ def experiment_config(name: str, params: dict, seed: int | None,
         seed = values["seed"]
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
-    return ExperimentConfig(name=name, params=dict(params), seed=int(seed),
+    values["seed"] = seed = int(seed)     # the seed in use, --seed included
+    return ExperimentConfig(name=name, params=dict(params), seed=seed,
                             out_dir=out_dir, values=values)
 
 

@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from interplab import datagen, labcli
+from interplab import datagen, labcli, netmodels, optim
 from interplab.errors import ConfigError, NoCorruptedNeighbor
 
 
@@ -69,6 +69,14 @@ def test_experiment_config_version_gate():
         labcli.experiment_config("warp-drive", {}, 0, "out")
     with pytest.raises(ConfigError):
         labcli.experiment_config("simplex", {"typo.key": "3"}, 0, "out")
+
+
+def test_experiment_config_seed_has_one_value():
+    # --seed overrides the config's seed in values too
+    cfg = labcli.experiment_config("simplex", {"seed": "4"}, 9, "out")
+    assert cfg.seed == cfg.values["seed"] == 9
+    cfg = labcli.experiment_config("simplex", {"seed": "4"}, None, "out")
+    assert cfg.seed == cfg.values["seed"] == 4
 
 
 def test_bad_values_raise_config_error():
@@ -252,22 +260,39 @@ def test_loss_compare_mlp_arm():
 
 # --- sgd scaling and linearity wrappers ---
 
-def test_sgd_scaling_csv():
+def test_sgd_scaling_csv(monkeypatch):
+    calls = []
+    real_scan = optim.critical_batch_scan
+
+    def recording_scan(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real_scan(*args, **kwargs)
+
+    monkeypatch.setattr(optim, "critical_batch_scan", recording_scan)
     params = {"scan.n": "24", "scan.d": "48", "batch.grid": "1,2,8,24",
               "scan.seeds": "3"}
     arts = labcli.run_sgd_scaling(_cfg("sgd-scaling", params, seed=11))
     text = arts["sgd-scaling.csv"]
     _check_comment(text, params, 11)
-    assert text.splitlines()[1].startswith("# tr_h=")
     header, rows = _rows(text)
     assert header == ["m", "median_iters", "regime", "mstar_theory"]
-    assert [int(r[0]) for r in rows] == [1, 2, 8, 24]
-    assert rows[0][2] == "linear"
-    assert all(r[2] in ("linear", "saturation") for r in rows)
-    assert all(float(r[1]) >= 1.0 for r in rows)
-    mstar = {float(r[3]) for r in rows}
-    assert len(mstar) == 1 and mstar.pop() >= 1.0
     assert "set arrow" in arts["sgd-scaling.gp"]
+
+    # every cell is its field of a scan run again on the same inputs
+    (args, kwargs), = calls
+    assert list(args[1]) == [1, 2, 8, 24] and args[3] == 3
+    rep = real_scan(*args, **kwargs)
+    stats = dict(f.split("=") for f in text.splitlines()[1][2:].split())
+    assert list(stats) == ["tr_h", "lambda_max_h", "max_row_norm_sq",
+                           "target_loss"]
+    for key, value in stats.items():
+        assert float(value) == getattr(rep, key)
+    assert [int(r[0]) for r in rows] == list(rep.batch_grid)
+    assert [float(r[1]) for r in rows] == list(rep.median_iters)
+    assert [r[2] for r in rows] == list(rep.regimes)
+    assert rows[0][2] == "linear"
+    mstar = max(1.0, float(stats["tr_h"]) / float(stats["lambda_max_h"]))
+    assert all(float(r[3]) == mstar == rep.mstar for r in rows)
 
 
 def test_sgd_scaling_default_grid_follows_scan_n(tmp_path):
@@ -289,11 +314,20 @@ def test_linearity_csv_and_plot_range():
     assert header == ["m", "grad_norm", "hess_norm_max", "ntk_drift"]
     assert rows[-1][0] == "slope"
     assert len(rows) == 4
-    assert [int(r[0]) for r in rows[:-1]] == [24, 48, 96]
-    assert all(float(cell) > 0.0 for r in rows[:-1] for cell in r[1:])
-    assert all(math.isfinite(float(cell)) for cell in rows[-1][1:])
     # plot must stop before the slope footer row
     assert "every ::0::2" in arts["linearity.gp"]
+
+    # every cell is its field of a scan run again on the same inputs
+    rep = netmodels.linearity_scan(netmodels.ArchTemplate(input_dim=1),
+                                   (24, 48, 96), ball_radius=1.0, probes=3,
+                                   seed=labcli._subseed(2, "linearity"),
+                                   kernel_points=3)
+    assert [int(r[0]) for r in rows[:-1]] == list(rep.widths) == [24, 48, 96]
+    assert [float(r[1]) for r in rows[:-1]] == list(rep.grad_norms)
+    assert [float(r[2]) for r in rows[:-1]] == list(rep.hess_norms)
+    assert [float(r[3]) for r in rows[:-1]] == list(rep.ntk_drifts)
+    assert [float(c) for c in rows[-1][1:]] == [rep.grad_slope, rep.hess_slope,
+                                                rep.drift_slope]
 
 
 def test_linearity_small_widths_exit_zero(tmp_path):
