@@ -48,8 +48,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in (GAUSSIAN, LAPLACE):
             raise InvalidSpec(f"unknown kernel family {self.family!r}")
-        if not self.bandwidth > 0:
-            raise InvalidSpec("bandwidth must be positive")
+        if not 0.0 < self.bandwidth < np.inf:
+            raise InvalidSpec(f"bandwidth must be positive and finite, got {self.bandwidth}")
 
 
 def kernel_matrix(spec: KernelSpec, X, Z=None) -> np.ndarray:
@@ -80,48 +80,64 @@ def kernel_eval(spec: KernelSpec, x, z) -> float:
 class KernelMachine:
     spec: KernelSpec
     centers: np.ndarray
-    alpha: np.ndarray
+    alpha: np.ndarray        # (n,), or (n, k) for k label columns
     fit_jitter: float
-    fit_residual: float
+    fit_residual: float      # worst column's max_i |f(x_i) - y_i|
+    train_pred: np.ndarray   # f at the centers, K @ alpha, shaped like alpha
 
 
-def fit_interpolating(spec: KernelSpec, train: Dataset,
+def fit_interpolating(spec: KernelSpec, train: Dataset, labels=None,
                       jitter_ladder=JITTER_LADDER,
                       tol: float = INTERPOLATION_TOL) -> KernelMachine:
     """Solve K alpha = y and certify that the machine interpolates.
 
-    The kernel matrix gets each jitter from the ladder in turn until the
-    Cholesky factorization succeeds and the worst-case training residual
-    max_i |f(x_i) - y_i| stays within tol * (1 + max |y|). If no rung
-    manages that, IllConditioned is raised; a fit with a worse residual is
-    never silently accepted.
+    The targets are train.y, or ``labels``: an (n,) vector or an (n, k)
+    matrix whose columns are fitted on one kernel matrix and one Cholesky
+    factorization per jitter rung. The kernel matrix gets each jitter from
+    the ladder in turn until the factorization succeeds and, in every
+    column, the worst-case training residual max_i |f(x_i) - y_i| stays
+    within tol * (1 + max |y|) of that column. If no rung manages that,
+    IllConditioned is raised; a fit with a worse residual is never
+    silently accepted.
     """
+    labels = np.asarray(train.y if labels is None else labels, dtype=float)
+    if labels.ndim not in (1, 2) or labels.shape[0] != train.n:
+        raise DimensionMismatch(
+            f"labels have shape {labels.shape}, expected ({train.n},) or ({train.n}, k)")
     K = kernel_matrix(spec, train.X)
-    bound = tol * (1.0 + float(np.abs(train.y).max()))
-    best = np.inf
+    bound = tol * (1.0 + np.atleast_1d(np.abs(labels).max(axis=0)))   # per column
+    best = (np.inf, np.inf, float(bound.max()))   # (ratio, residual, bound)
     for jitter in jitter_ladder:
         try:
-            alpha = numlin.solve_spd(K, train.y, jitter=jitter)
+            alpha = numlin.solve_spd(K, labels, jitter=jitter)
         except NotPositiveDefinite:
             continue
-        residual = float(np.abs(K @ alpha - train.y).max())
-        if residual <= bound:
+        fitted = K @ alpha
+        residual = np.atleast_1d(np.abs(fitted - labels).max(axis=0))
+        if np.all(residual <= bound):
             return KernelMachine(spec=spec, centers=train.X, alpha=alpha,
-                                 fit_jitter=jitter, fit_residual=residual)
-        best = min(best, residual)
+                                 fit_jitter=jitter,
+                                 fit_residual=float(residual.max()),
+                                 train_pred=fitted)
+        worst = int(np.argmax(residual / bound))
+        best = min(best, (residual[worst] / bound[worst], residual[worst],
+                          bound[worst]))
     raise IllConditioned(
-        f"training residual {best:.3e} exceeds {bound:.3e} at every jitter in "
+        f"training residual {best[1]:.3e} exceeds {best[2]:.3e} at every jitter in "
         f"{tuple(jitter_ladder)}")
 
 
 def kernel_predict(machine: KernelMachine, X) -> np.ndarray:
-    """Evaluate f(x) = sum_i alpha_i K(x_i, x) at the rows of X."""
+    """Evaluate f(x) = sum_i alpha_i K(x_i, x) at the rows of X.
+
+    With k label columns the result has one column per label column.
+    """
     K = kernel_matrix(machine.spec, np.asarray(X, dtype=float), machine.centers)
     return K @ machine.alpha
 
 
 def rkhs_norm_sq(machine: KernelMachine) -> float:
-    """Squared native-space norm alpha^T K alpha of the fitted machine."""
+    """Squared native-space norm alpha^T K alpha of a one-column machine."""
     K = kernel_matrix(machine.spec, machine.centers)
     return float(machine.alpha @ (K @ machine.alpha))
 

@@ -42,7 +42,7 @@ from .errors import (
 from .rng import substream
 
 CONFIG_VERSION = "1"   # config files this build accepts
-FORMAT_VERSION = "3"   # CSV bytes; bumped whenever a result moves
+FORMAT_VERSION = "4"   # CSV bytes; bumped whenever a result moves
 COMMANDS = ("noise-interp", "double-descent", "raisin", "loss-compare",
             "simplex", "sgd-scaling", "linearity")
 
@@ -107,6 +107,12 @@ _DATA_KEYS = {                      # read by _train_test and _family_spec
     "data.separation": (float, 3.0), "data.scale": (float, 1.0),
     "data.images": (str, None), "data.labels": (str, None),
     "data.classes": (_list(int), (0, 1))}
+# the data.* keys each data.family reads; experiment_config rejects a
+# family-specific key that the chosen family does not read
+FAMILY_KEYS = {
+    "two_gaussians": ("data.dim", "data.separation", "data.scale"),
+    "uniform_simplex": ("data.dim",),
+    "idx": ("data.images", "data.labels", "data.classes")}
 _KERNEL_KEYS = {"kernel.family": (str, kernelmach.LAPLACE),
                 "kernel.bandwidth": (float, 1.0)}
 CONFIG_KEYS = {
@@ -179,6 +185,15 @@ def experiment_config(name: str, params: dict, seed: int | None,
     if unknown:
         raise ConfigError(f"unknown config key(s) for {name}: "
                           + ", ".join(map(repr, unknown)))
+    if "data.family" in declared:
+        family = values["data.family"]
+        if family not in FAMILY_KEYS:
+            raise ConfigError(f"unsupported data.family {family!r}")
+        unread = sorted({key for keys in FAMILY_KEYS.values() for key in keys
+                         if key in params and key not in FAMILY_KEYS[family]})
+        if unread:
+            raise ConfigError(f"config key(s) not read by data.family {family}: "
+                              + ", ".join(map(repr, unread)))
     if seed is None:
         seed = values["seed"]
     if seed < 0:
@@ -227,9 +242,8 @@ def _family_spec(values, seed_tag_seed):
         return datagen.TwoGaussians(separation=values["data.separation"],
                                     scale=values["data.scale"],
                                     dim=values["data.dim"], seed=seed_tag_seed)
-    if family == "uniform_simplex":
-        return datagen.UniformSimplex(dim=values["data.dim"], seed=seed_tag_seed)
-    raise ConfigError(f"unsupported data.family {family!r}")
+    # uniform_simplex: experiment_config admits no other synthetic family
+    return datagen.UniformSimplex(dim=values["data.dim"], seed=seed_tag_seed)
 
 
 def _train_test(cfg: ExperimentConfig, cell: int, train_n: int, test_n: int):
@@ -295,33 +309,43 @@ def run_simplex_blessing(cfg: ExperimentConfig) -> dict:
 
 
 def run_noise_interp(cfg: ExperimentConfig) -> dict:
+    """Risk of the interpolating kernel machine at each noise level.
+
+    Each seed draws one train/test pair, shared by every noise level, so
+    the comparison across q is paired. The labels are corrupted once per
+    level, and every level is fitted on the seed's one kernel matrix and
+    one factorization and predicted with its one test kernel matrix.
+    """
     values = cfg.values
     n_seeds = _seed_count(values)
     train_n, test_n = values["data.train_n"], values["data.test_n"]
+    grid = values["noise.grid"]
     kspec = _kernel_spec(values)
 
-    def cell(job):
-        q, s = job
-        train, test, family = _train_test(cfg, _subseed(cfg.seed, "ni", q, s),
+    def draw(s):
+        train, test, family = _train_test(cfg, _subseed(cfg.seed, "ni", s),
                                           train_n, test_n)
         if family is None:
             raise NoAnalyticOracle(
                 "noise-interp needs a family with a closed-form risk")
-        bayes = datagen.bayes_risk(family, q)
-        spec = datagen.CorruptionSpec(q=q, seed=_subseed(cfg.seed, "ni-noise", q, s))
-        test_spec = datagen.CorruptionSpec(q=q,
-                                           seed=_subseed(cfg.seed, "ni-tnoise", q, s))
-        train_c = datagen.corrupt(train, spec)
-        test_c = datagen.corrupt(test, test_spec)
-        machine = kernelmach.fit_interpolating(kspec, train_c)
-        train_risk = _zero_one(kernelmach.kernel_predict(machine, train_c.X),
-                               train_c.y)
-        test_risk = _zero_one(kernelmach.kernel_predict(machine, test_c.X),
-                              test_c.y)
-        return q, s, train_risk, test_risk, bayes, test_risk - train_risk
 
-    jobs = [(q, s) for q in values["noise.grid"] for s in range(n_seeds)]
-    rows = [cell(job) for job in jobs]
+        def labels(ds, tag):
+            return np.column_stack([datagen.corrupt(ds, datagen.CorruptionSpec(
+                q=q, seed=_subseed(cfg.seed, tag, q, s))).y for q in grid])
+
+        train_y, test_y = labels(train, "ni-noise"), labels(test, "ni-tnoise")
+        machine = kernelmach.fit_interpolating(kspec, train, train_y)
+        test_pred = kernelmach.kernel_predict(machine, test.X)
+        rows = []
+        for j, q in enumerate(grid):
+            train_risk = _zero_one(machine.train_pred[:, j], train_y[:, j])
+            test_risk = _zero_one(test_pred[:, j], test_y[:, j])
+            rows.append((q, s, train_risk, test_risk, datagen.bayes_risk(family, q),
+                         test_risk - train_risk))
+        return rows
+
+    per_seed = [draw(s) for s in range(n_seeds)]
+    rows = [seed_rows[j] for j in range(len(grid)) for seed_rows in per_seed]
     return {"noise-interp.csv": _csv(
         cfg, "q,seed,train_risk,test_risk,bayes_risk,gap", rows)}
 
@@ -402,15 +426,18 @@ def run_raisin_search(cfg: ExperimentConfig) -> dict:
     if kind == "kernel":
         machine = kernelmach.fit_interpolating(_kernel_spec(values), corrupted)
 
-        def evaluate(x):
-            return float(kernelmach.kernel_predict(machine, x[None, :])[0])
+        def predict(P):
+            return kernelmach.kernel_predict(machine, P)
     elif kind == "knn":
         predictor = direct.make_neighbor_predictor(corrupted, k=1)
 
-        def evaluate(x):
-            return float(direct.knn_predict(predictor, x))
+        def predict(P):
+            return np.array([direct.knn_predict(predictor, p) for p in P])
     else:
         raise ConfigError(f"model.kind must be kernel or knn, got {kind!r}")
+
+    def evaluate(x):
+        return float(predict(x[None, :])[0])
 
     rng = substream(cfg.seed, "raisin-random")
     rows = []
@@ -439,12 +466,13 @@ def run_raisin_search(cfg: ExperimentConfig) -> dict:
         radius = _bisect_flip(evaluate, pred, x, u, hi, tol)
         success = int(evaluate(x + radius * u) * pred < 0.0)
 
-        flips = 0
-        for _ in range(trials):
-            v = rng.standard_normal(x.size)
+        # the draws of trials successive directions, evaluated as one batch;
+        # each row is normalized on its own so its norm keeps the bits of a
+        # one-vector norm
+        V = rng.standard_normal((trials, x.size))
+        for v in V:
             v /= np.linalg.norm(v)
-            if evaluate(x + radius * v) * pred < 0.0:
-                flips += 1
+        flips = int(np.count_nonzero(predict(x + radius * V) * pred < 0.0))
         rows.append((i, pred, dist, radius, success, flips / trials))
 
     finite = [r[3] for r in rows if math.isfinite(r[3])]

@@ -1,7 +1,8 @@
 """Dense linear algebra kernels used everywhere else in the lab.
 
 Matrices are 2-D float64 numpy arrays in row-major order, vectors are 1-D
-float64 arrays (pinv_apply and spectral_norm also take complex128), and
+float64 arrays (pinv_apply and spectral_norm also take complex128; solve_spd
+also takes a matrix of right-hand sides), and
 every entry must be finite. Factorizations are delegated to LAPACK
 through numpy; this module pins down the conventions (eigenvalue ordering,
 pseudo-inverse rank cutoff, jitter handling) and the error surface, which
@@ -66,13 +67,14 @@ def solve_spd(a, b, jitter: float = 0.0) -> np.ndarray:
 
     Uses a Cholesky factorization. The jitter is added to the diagonal
     before factorizing; NotPositiveDefinite is raised if the shifted
-    matrix still fails to factor.
+    matrix still fails to factor. b is a vector, or a matrix whose columns
+    are solved on the one factorization; x has the shape of b.
     """
     a = as_matrix(a, "A")
-    b = as_vector(b, "b")
+    b = as_matrix(b, "b") if np.ndim(b) == 2 else as_vector(b, "b")
     require_symmetric(a, "A")
     if a.shape[0] != b.shape[0]:
-        raise DimensionMismatch(f"A is {a.shape} but b has length {b.shape[0]}")
+        raise DimensionMismatch(f"A is {a.shape} but b has {b.shape[0]} rows")
     if jitter < 0.0:
         raise InvalidInput("jitter must be non-negative")
     shifted = a if jitter == 0.0 else a + jitter * np.eye(a.shape[0])

@@ -70,8 +70,9 @@ def test_kernel_values_shrink_with_distance():
 def test_bad_kernel_family_rejected():
     with pytest.raises(InvalidSpec):
         km.kernel_matrix(km.KernelSpec("cubic", 1.0), np.zeros((2, 1)))
-    with pytest.raises(InvalidSpec):
-        km.kernel_matrix(km.KernelSpec("gaussian", 0.0), np.zeros((2, 1)))
+    for bandwidth in (0.0, -1.0, math.inf, math.nan, float("1e400")):
+        with pytest.raises(InvalidSpec):
+            km.KernelSpec("gaussian", bandwidth)
 
 
 # --- interpolating fits ---
@@ -128,6 +129,82 @@ def test_prediction_far_from_data_decays():
     mach = km.fit_interpolating(km.KernelSpec("laplace", 1.0), ds)
     far = km.kernel_predict(mach, np.array([[50.0]]))
     assert abs(far[0]) < 1e-15
+
+
+def _per_column_reference(spec, ds, labels):
+    """The multi-column rule from 1-D fits: the first rung of the ladder at
+    which every column's own fit passes its certificate, with those fits."""
+    for jitter in km.JITTER_LADDER:
+        fits = []
+        for column in labels.T:
+            try:
+                fits.append(km.fit_interpolating(spec, ds, column, jitter_ladder=(jitter,)))
+            except IllConditioned:
+                break
+        else:
+            return jitter, fits
+    return None, []
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_multi_column_fit_matches_per_column_fits(seed):
+    # 30 cases of scattered points, then 10 of a flat gaussian kernel on a
+    # tight 1-D grid, where the ladder climbs past jitter zero
+    rng = substream(seed, "km-multi-column")
+    compared, rungs = 0, set()
+    for case in range(40):
+        n, d, k = int(rng.integers(5, 201)), int(rng.integers(1, 21)), int(rng.integers(1, 5))
+        family = (km.GAUSSIAN, km.LAPLACE)[case % 2]
+        spec = km.KernelSpec(family, float(rng.uniform(0.5, 2.0)) * math.sqrt(d))
+        X = rng.standard_normal((n, d))
+        if case >= 30:
+            n, d = int(rng.integers(10, 40)), 1
+            spec = km.KernelSpec(km.GAUSSIAN, float(rng.uniform(0.2, 0.8)))
+            X = np.sort(rng.uniform(0.0, 1.0, size=(n, 1)), axis=0)
+        ds = datagen.make_dataset(X, np.ones(n), datagen.CLASSIFICATION)
+        labels = rng.choice([-1.0, 1.0], size=(ds.n, k))
+        if case >= 30:    # smooth columns, the last one rough half the time
+            labels = np.sin(rng.uniform(1.0, 5.0, size=k) * ds.X)
+            if rng.random() < 0.5:
+                labels[:, -1] = rng.choice([-1.0, 1.0], size=ds.n)
+        jitter, fits = _per_column_reference(spec, ds, labels)
+        if jitter is None:
+            with pytest.raises(IllConditioned):
+                km.fit_interpolating(spec, ds, labels)
+            continue
+        machine = km.fit_interpolating(spec, ds, labels)
+        assert machine.fit_jitter == jitter
+        assert machine.alpha.shape == machine.train_pred.shape == (ds.n, k)
+        assert machine.fit_residual == np.abs(machine.train_pred - labels).max()
+        # two backward-stable solves on one factor agree to the forward-error
+        # bound n * eps * cond(K + jitter I)
+        K = km.kernel_matrix(spec, ds.X) + jitter * np.eye(ds.n)
+        rtol = ds.n * np.finfo(float).eps * np.linalg.cond(K)
+        Z = rng.standard_normal((50, d))
+        pred = km.kernel_predict(machine, Z)
+        for j, fit in enumerate(fits):
+            assert np.abs(machine.alpha[:, j] - fit.alpha).max() <= \
+                rtol * np.abs(fit.alpha).max()
+            assert np.array_equal(np.sign(pred[:, j]), np.sign(km.kernel_predict(fit, Z)))
+            assert np.array_equal(np.sign(machine.train_pred[:, j]), np.sign(fit.train_pred))
+        compared += 1
+        rungs.add(jitter)
+    assert compared >= 20 and len(rungs) >= 2
+
+
+def test_fit_train_pred_is_prediction_at_centers():
+    # the 1-D fit keeps K @ alpha, which is the prediction at the centers
+    rng = substream(12, "km-train-pred")
+    ds = datagen.make_dataset(rng.standard_normal((30, 3)), rng.standard_normal(30),
+                              datagen.REGRESSION)
+    mach = km.fit_interpolating(km.KernelSpec("laplace", 1.0), ds)
+    assert np.array_equal(mach.train_pred, km.kernel_predict(mach, ds.X))
+    assert mach.fit_residual == np.abs(mach.train_pred - ds.y).max()
+    same = km.fit_interpolating(km.KernelSpec("laplace", 1.0), ds, ds.y)
+    assert np.array_equal(same.alpha, mach.alpha)
+    for bad in (np.ones(29), np.ones((30, 2, 1))):
+        with pytest.raises(DimensionMismatch):
+            km.fit_interpolating(km.KernelSpec("laplace", 1.0), ds, bad)
 
 
 # --- random feature models ---

@@ -3,13 +3,15 @@ reproducibility, and the process exit contract."""
 
 import dataclasses
 import math
+import shutil
 import struct
 
 import numpy as np
 import pytest
 
-from interplab import datagen, labcli, netmodels, optim
+from interplab import datagen, direct, kernelmach, labcli, netmodels, optim
 from interplab.errors import ConfigError, NoCorruptedNeighbor
+from interplab.rng import substream
 
 
 def _cfg(name, params, seed=5):
@@ -148,6 +150,70 @@ def test_noise_interp_thread_invariant():
     assert labcli.run_noise_interp(_cfg("noise-interp", params)) == first
 
 
+def _noise_interp_reference(cfg):
+    """The per-cell loop: each (q, seed) cell corrupts the seed's shared
+    draw and fits and predicts on its own kernel matrices."""
+    values = cfg.values
+    kspec = labcli._kernel_spec(values)
+    rows = []
+    for q in values["noise.grid"]:
+        for s in range(values["seeds.count"]):
+            train, test, family = labcli._train_test(
+                cfg, labcli._subseed(cfg.seed, "ni", s),
+                values["data.train_n"], values["data.test_n"])
+            train_c = datagen.corrupt(train, datagen.CorruptionSpec(
+                q=q, seed=labcli._subseed(cfg.seed, "ni-noise", q, s)))
+            test_c = datagen.corrupt(test, datagen.CorruptionSpec(
+                q=q, seed=labcli._subseed(cfg.seed, "ni-tnoise", q, s)))
+            machine = kernelmach.fit_interpolating(kspec, train_c)
+            train_risk = labcli._zero_one(
+                kernelmach.kernel_predict(machine, train_c.X), train_c.y)
+            test_risk = labcli._zero_one(
+                kernelmach.kernel_predict(machine, test_c.X), test_c.y)
+            rows.append((q, s, train_risk, test_risk, datagen.bayes_risk(family, q),
+                         test_risk - train_risk))
+    return labcli._csv(cfg, "q,seed,train_risk,test_risk,bayes_risk,gap", rows)
+
+
+@pytest.mark.parametrize("params", [
+    {"data.train_n": "120", "data.test_n": "150", "seeds.count": "3",
+     "noise.grid": "0, 0.3, 0.3, 1", "data.dim": "4"},
+    {"data.train_n": "90", "data.test_n": "60", "seeds.count": "2",
+     "noise.grid": "0.5, 0.1", "data.dim": "6", "kernel.family": "gaussian",
+     "kernel.bandwidth": "2.5"},
+    {"data.train_n": "70", "data.test_n": "80", "seeds.count": "2",
+     "noise.grid": "0.2, 0.8, 0.2", "data.family": "uniform_simplex",
+     "data.dim": "3", "kernel.bandwidth": "0.5"},
+])
+def test_noise_interp_matches_per_cell_reference(params):
+    # one fit per seed on the shared draw gives the rows of fitting every
+    # cell on its own, a duplicated noise level included
+    for seed in (3, 8):
+        cfg = _cfg("noise-interp", params, seed=seed)
+        text = labcli.run_noise_interp(cfg)["noise-interp.csv"]
+        assert text == _noise_interp_reference(cfg)
+        _header, rows = _rows(text)
+        grid = [float(q) for q in params["noise.grid"].split(",")]
+        assert [(float(r[0]), int(r[1])) for r in rows] == \
+            [(q, s) for q in grid for s in range(int(params["seeds.count"]))]
+
+
+def test_noise_interp_one_factorization_per_seed(monkeypatch):
+    calls = {"kernel_matrix": 0, "fit_interpolating": 0, "solve_spd": 0}
+    for module, name in ((kernelmach, "kernel_matrix"),
+                         (kernelmach, "fit_interpolating"),
+                         (kernelmach.numlin, "solve_spd")):
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    params = {"data.train_n": "60", "data.test_n": "40", "seeds.count": "3",
+              "noise.grid": "0.1, 0.4, 0.4, 0.9", "data.dim": "3"}
+    labcli.run_noise_interp(_cfg("noise-interp", params))
+    # one train and one test kernel matrix per seed; jitter zero suffices
+    assert calls == {"kernel_matrix": 6, "fit_interpolating": 3, "solve_spd": 3}
+
+
 # --- double descent ---
 
 def test_double_descent_threshold_and_schema():
@@ -205,6 +271,57 @@ def test_raisin_knn_model():
     for row in body:
         if int(row[4]) == 1:
             assert float(row[3]) <= float(row[2]) + 1e-3
+
+
+def test_direction_block_draws_like_successive_draws():
+    # raisin draws a query's random directions as one (trials, d) block in
+    # place of trials successive d-draws; both must take the same stream
+    for trials, d in ((1, 1), (20, 2), (7, 20), (12, 784)):
+        block = substream(4, "raisin-random").standard_normal((trials, d))
+        rng = substream(4, "raisin-random")
+        rows = np.array([rng.standard_normal(d) for _ in range(trials)])
+        assert np.array_equal(block, rows)
+
+
+@pytest.mark.parametrize("params", [
+    {"data.train_n": "250", "query.count": "12", "random.trials": "16"},
+    {"data.train_n": "200", "query.count": "10", "random.trials": "9",
+     "kernel.family": "gaussian", "data.dim": "5", "kernel.bandwidth": "2"},
+    {"data.train_n": "150", "query.count": "8", "random.trials": "6",
+     "model.kind": "knn"},
+])
+def test_raisin_random_flips_match_per_direction_loop(params):
+    # the per-direction loop, kept as the reference for the batched flips:
+    # replay the random-direction stream over the rows that reached it,
+    # drawing, normalizing and evaluating one direction at a time
+    cfg = _cfg("raisin", params, seed=9)
+    values = cfg.values
+    _header, rows = _rows(labcli.run_raisin_search(cfg)["raisin.csv"])
+    train, queries, _ = labcli._train_test(cfg, 0, values["data.train_n"],
+                                           values["query.count"])
+    corrupted = datagen.corrupt(train, datagen.CorruptionSpec(
+        q=values["noise.q"], seed=labcli._subseed(cfg.seed, "raisin-noise")))
+    if values["model.kind"] == "kernel":
+        machine = kernelmach.fit_interpolating(labcli._kernel_spec(values), corrupted)
+        evaluate = lambda p: kernelmach.kernel_predict(machine, p[None, :])[0]
+    else:
+        predictor = direct.make_neighbor_predictor(corrupted, k=1)
+        evaluate = lambda p: direct.knn_predict(predictor, p)
+    rng = substream(cfg.seed, "raisin-random")
+    trials = values["random.trials"]
+    replayed = 0
+    for row in rows[:-1]:
+        if not math.isfinite(float(row[3])):
+            continue
+        x, pred, radius = queries.X[int(row[0])], float(row[1]), float(row[3])
+        flips = 0
+        for _ in range(trials):
+            v = rng.standard_normal(x.size)
+            v /= np.linalg.norm(v)
+            flips += evaluate(x + radius * v) * pred < 0.0
+        assert float(row[5]) == flips / trials, row
+        replayed += 1
+    assert replayed >= 5
 
 
 def test_raisin_without_corruption_raises():
@@ -442,6 +559,15 @@ _TINY = {
 }
 
 
+_FAMILY_SPECIFIC = {key for keys in labcli.FAMILY_KEYS.values() for key in keys}
+
+
+def _tiny_without(command, keys):
+    """The tiny config of ``command`` without the given keys."""
+    return "".join(line + "\n" for line in _TINY[command].splitlines()
+                   if line.split("=")[0].strip() not in keys)
+
+
 @pytest.mark.parametrize("command", labcli.COMMANDS)
 def test_main_rejects_unknown_key_before_writing(tmp_path, capsys, command):
     cfg = tmp_path / "typo.cfg"
@@ -487,11 +613,53 @@ def test_declared_keys_cover_every_key_read(tmp_path, monkeypatch):
             if extra and "data.family" not in labcli.CONFIG_KEYS[command]:
                 continue
             cfg = tmp_path / f"{command}.cfg"
-            cfg.write_text(_TINY[command] + extra)
+            tiny = _tiny_without(command, _FAMILY_SPECIFIC if extra else ())
+            cfg.write_text(tiny + extra)
             assert labcli.main([command, "--config", str(cfg), "--seed", "1",
                                 "--out", str(tmp_path / command)]) == code
         assert read == set(labcli.CONFIG_KEYS[command]), \
             (command, set(labcli.CONFIG_KEYS[command]) ^ read)
+
+
+_FAMILY_VALUES = {"data.dim": "3", "data.separation": "2.5", "data.scale": "1.5",
+                  "data.images": "{0}/none", "data.labels": "{0}/none",
+                  "data.classes": "3, 8"}
+
+
+@pytest.mark.parametrize("family", sorted(labcli.FAMILY_KEYS))
+def test_data_family_reads_exactly_its_keys(tmp_path, capsys, monkeypatch, family):
+    # each command reads every data key its family lists, and rejects the
+    # other families' data keys before --out is created
+    make = labcli.experiment_config
+    read = set()
+
+    def recording(*args):
+        cfg = make(*args)
+        return dataclasses.replace(cfg, values=_Reads(cfg.values, read))
+
+    monkeypatch.setattr(labcli, "experiment_config", recording)
+    own = set(labcli.FAMILY_KEYS[family])
+    lines = [f"data.family = {family}"] + [
+        f"{key} = {_FAMILY_VALUES[key].format(tmp_path)}" for key in sorted(own)]
+    cfg, out = tmp_path / "f.cfg", tmp_path / "o"
+    for command in labcli.COMMANDS:
+        if "data.family" not in labcli.CONFIG_KEYS[command]:
+            continue
+        base = _tiny_without(command, _FAMILY_SPECIFIC) + "\n".join(lines) + "\n"
+        read.clear()
+        cfg.write_text(base)
+        code = labcli.main([command, "--config", str(cfg), "--out", str(out)])
+        assert code == (2 if family == "idx" else 0), (command, capsys.readouterr())
+        assert read & _FAMILY_SPECIFIC == own, command
+        for key in sorted(_FAMILY_SPECIFIC - own):
+            capsys.readouterr()
+            cfg.write_text(base + f"{key} = {_FAMILY_VALUES[key].format(tmp_path)}\n")
+            shutil.rmtree(out, ignore_errors=True)
+            assert labcli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                f"config error: config key(s) not read by data.family {family}: "
+                f"{key!r}\n"), (command, key)
+            assert not out.exists()
 
 
 def _write_idx(path, images, labels):
@@ -570,6 +738,8 @@ _MUST_REJECT = {
     ("loss-compare", "seeds.count", "-1"), ("double-descent", "noise.q", "-1"),
     ("sgd-scaling", "scan.spike", "-1"), ("raisin", "search.tol", "1e400"),
     ("linearity", "lin.radius", "1e400"),
+    ("noise-interp", "kernel.bandwidth", "1e400"),
+    ("raisin", "kernel.bandwidth", "1e400"),
 }
 
 

@@ -39,6 +39,39 @@ def test_solve_spd_residual_randomized(seed):
         assert resid <= 1e-8 * (np.linalg.norm(b) + 1.0)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_solve_spd_matrix_rhs_matches_column_solves(seed):
+    # a matrix of right-hand sides is solved on one factorization; each
+    # column must agree with its own vector solve to roundoff
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(1, 60)), int(rng.integers(1, 6))
+    b_mat = rng.standard_normal((n, n))
+    a = b_mat.T @ b_mat + 1e-3 * np.eye(n)
+    rhs = rng.standard_normal((n, k))
+    for jitter in (0.0, 1e-10):
+        x = numlin.solve_spd(a, rhs, jitter=jitter)
+        assert x.shape == (n, k)
+        for j in range(k):
+            col = numlin.solve_spd(a, rhs[:, j], jitter=jitter)
+            assert np.abs(x[:, j] - col).max() <= 1e-12 * np.abs(col).max()
+
+
+def test_solve_spd_rejects_bad_matrix_rhs():
+    a = np.eye(3)
+    with pytest.raises(InvalidInput):
+        numlin.solve_spd(a, np.array([[1.0, np.nan]] * 3))
+    with pytest.raises(InvalidInput):
+        numlin.solve_spd(a, np.full((3, 2), np.inf))
+    with pytest.raises(InvalidInput):
+        numlin.solve_spd(a, np.ones((3, 0)))
+    with pytest.raises(InvalidInput):
+        numlin.solve_spd(a, np.ones((3, 2, 1)))
+    with pytest.raises(DimensionMismatch):
+        numlin.solve_spd(a, np.ones((2, 2)))
+    with pytest.raises(NotSymmetric):
+        numlin.solve_spd(np.array([[1.0, 0.2], [0.0, 1.0]]), np.ones((2, 3)))
+
+
 def test_solve_spd_rejects_asymmetric():
     with pytest.raises(NotSymmetric):
         numlin.solve_spd(np.array([[1.0, 0.2], [0.0, 1.0]]), np.ones(2))
