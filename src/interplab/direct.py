@@ -235,19 +235,25 @@ def simplex_minority_volume(d: int, draws: int, seed: int) -> tuple[float, float
 
     Returns (fraction, standard error) over uniform draws from the
     standard d-simplex. The exact value is 2**-d.
+
+    A uniform point is x = e[:d] / sum(e) for d + 1 iid standard
+    exponentials e, and its -1 region 2 * sum(x) <= 1 is the event
+    e[d] >= sum(e[:d]). That event is counted directly, so no point is
+    ever normalized; the boundary counts as a hit, as a tie does in
+    simplex_example_predict.
     """
     if d < 1:
         raise InvalidSpec("d must be at least 1")
     if draws < 1:
         raise InvalidSpec("draws must be at least 1")
     rng = substream(seed, "simplex-volume", d)
+    ones = np.ones(d)
     hits = 0.0
     done = 0
     while done < draws:
         chunk = min(200_000, draws - done)
         e = rng.standard_exponential((chunk, d + 1))
-        coords = (e / e.sum(axis=1, keepdims=True))[:, :d]
-        hits += float(np.count_nonzero(2.0 * coords.sum(axis=1) - 1.0 <= 0.0))
+        hits += float(np.count_nonzero(e[:, d] >= e[:, :d] @ ones))
         done += chunk
     p = hits / draws
     se = float(np.sqrt(max(p * (1.0 - p), 0.0) / draws))

@@ -17,6 +17,7 @@ discovered mid-run (non-convergence, divergence, unreachable targets).
 """
 
 import argparse
+import contextlib
 import hashlib
 import math
 import os
@@ -196,8 +197,8 @@ def experiment_config(name: str, params: dict, seed: int | None,
                               + ", ".join(map(repr, unread)))
     if seed is None:
         seed = values["seed"]
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be non-negative and below 2**64, got {seed}")
     values["seed"] = seed = int(seed)     # the seed in use, --seed included
     return ExperimentConfig(name=name, params=dict(params), seed=seed,
                             out_dir=out_dir, values=values)
@@ -647,15 +648,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_artifacts(out_dir: str, artifacts: dict) -> None:
+    """Write the whole artifact set or none of it.
+
+    Each file is first written under a temporary name in ``out_dir``; only
+    after every write has succeeded is each renamed into place. On an
+    OSError the temporaries are removed and ConfigError is raised.
+    """
+    names = sorted(artifacts)
+    temps = [os.path.join(out_dir, f".{name}.{os.getpid()}.tmp") for name in names]
     try:
         os.makedirs(out_dir, exist_ok=True)
-        for name, text in sorted(artifacts.items()):
-            path = os.path.join(out_dir, name)
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-            print(path)
+        for name, tmp in zip(names, temps):
+            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(artifacts[name])
+        for name, tmp in zip(names, temps):
+            os.replace(tmp, os.path.join(out_dir, name))
     except OSError as exc:
+        for tmp in temps:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
         raise ConfigError(f"cannot write {out_dir!r}: {exc}") from exc
+    for name in names:
+        print(os.path.join(out_dir, name))
 
 
 def main(argv=None) -> int:

@@ -11,6 +11,7 @@ from interplab.errors import (
     OutsideHull,
     OutsideSimplex,
 )
+from interplab.rng import substream
 
 
 def _toy(X, y, task=datagen.REGRESSION):
@@ -244,6 +245,53 @@ def test_simplex_minority_volume_agrees_with_scalar_predictor():
     scalar = np.array([direct.simplex_example_predict(p) for p in pts])
     vector = np.where(2.0 * pts.sum(axis=1) - 1.0 > 0, 1.0, -1.0)
     assert np.array_equal(scalar, vector)
+
+
+def _normalized_hits(d, draws, seed, rng=None):
+    """Hit count of the normalize-then-sum form simplex_minority_volume
+    replaced, on the same stream; kept as its oracle."""
+    rng = substream(seed, "simplex-volume", d) if rng is None else rng
+    hits = done = 0
+    while done < draws:
+        chunk = min(200_000, draws - done)
+        e = rng.standard_exponential((chunk, d + 1))
+        coords = (e / e.sum(axis=1, keepdims=True))[:, :d]
+        hits += int(np.count_nonzero(2.0 * coords.sum(axis=1) - 1.0 <= 0.0))
+        done += chunk
+    return hits
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_simplex_hit_count_matches_normalized_form(seed):
+    draws = 200_007                       # a full chunk, then a partial one
+    for d in range(1, 17):
+        frac, _ = direct.simplex_minority_volume(d, draws, seed)
+        assert frac == _normalized_hits(d, draws, seed) / draws, d
+
+
+class _FixedRows:
+    """Stands in for the generator: every draw repeats the given rows."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=float)
+
+    def standard_exponential(self, shape):
+        assert shape[1] == self.rows.shape[1]
+        return np.resize(self.rows, shape)
+
+
+def test_simplex_boundary_counts_as_hit(monkeypatch):
+    # integer draws whose totals are powers of two, so the normalized form
+    # is exact too: a tie e[d] == sum(e[:d]) lies on 2 * sum(x) = 1, which
+    # simplex_example_predict classifies as -1, so it is a hit
+    cases = {1: [[1, 1], [2, 1], [1, 2], [3, 1]],
+             2: [[1, 1, 2], [1, 2, 1], [1, 3, 4], [2, 1, 1]],
+             3: [[1, 1, 2, 4], [2, 2, 3, 1], [1, 2, 5, 8], [2, 1, 1, 3]]}
+    for d, rows in cases.items():
+        monkeypatch.setattr(direct, "substream", lambda *path: _FixedRows(rows))
+        frac, _ = direct.simplex_minority_volume(d, len(rows), seed=0)
+        assert frac * len(rows) == 2
+        assert frac * len(rows) == _normalized_hits(d, len(rows), 0, _FixedRows(rows))
 
 
 # --- risk sanity ---

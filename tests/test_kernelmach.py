@@ -59,6 +59,62 @@ def test_kernel_matrix_symmetric_unit_diagonal_psd():
         assert w.min() > -1e-10
 
 
+def _kernel_matrix_one_expression(spec, X, Z=None):
+    """The unblocked form kernel_matrix replaced, kept as its oracle."""
+    Z = X if Z is None else Z
+    d2 = np.maximum(
+        (X * X).sum(axis=1)[:, None] + (Z * Z).sum(axis=1)[None, :] - 2.0 * X @ Z.T,
+        0.0,
+    )
+    if spec.family == "gaussian":
+        return np.exp(-d2 / (2.0 * spec.bandwidth**2))
+    return np.exp(-np.sqrt(d2) / spec.bandwidth)
+
+
+def _points(rng, n, dim):
+    # scattered points at mixed scales with repeated rows, so some squared
+    # distances round below zero and the clamp at 0 is exercised
+    X = rng.standard_normal((n, dim)) * rng.choice([1e-3, 1.0, 30.0], size=(n, 1))
+    X[rng.random(n) < 0.2] = X[0]
+    return X
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_blocked_kernel_matrix_matches_one_expression(seed, monkeypatch):
+    rng = substream(seed, "km-blocked")
+    specs = [km.KernelSpec(family, bw) for family in ("gaussian", "laplace")
+             for bw in (0.05, 0.9, 1.0, 7.3)]
+    dim = int(rng.integers(1, 25))
+
+    def check(X, Z=None):
+        # the epilogue is symmetric in i and j, so K equals its transpose
+        # exactly wherever the GEMM's 2 X X^T does; with one input column
+        # every GEMM entry is a single product, so that always holds
+        gemm_symmetric = False
+        if Z is None:
+            G = 2.0 * X @ X.T
+            gemm_symmetric = np.array_equal(G, G.T)
+            assert gemm_symmetric or X.shape[1] > 1
+        for spec in specs:
+            K = km.kernel_matrix(spec, X, Z)
+            assert np.array_equal(K, _kernel_matrix_one_expression(spec, X, Z)), spec
+            if gemm_symmetric:
+                assert np.array_equal(K, K.T), spec
+
+    # Z != X at the real block height: row counts around the block edges
+    Z = _points(rng, 300, dim)
+    block = km._BLOCK_BYTES // (8 * Z.shape[0])
+    for n in (1, block - 1, block, block + 1, 2 * block + 3):
+        check(_points(rng, n, dim), Z)
+    check(_points(rng, 1, dim), _points(rng, 2000, dim))  # one query, many centres
+    check(_points(rng, 500, dim))                          # Z is None, real height
+    # Z is None has as many columns as rows, so fix the block height at 8
+    for n in (1, 7, 8, 9, 19):
+        monkeypatch.setattr(km, "_BLOCK_BYTES", 8 * n * 8)
+        check(_points(rng, n, dim))
+        check(_points(rng, n, 1))
+
+
 def test_kernel_values_shrink_with_distance():
     spec = km.KernelSpec("laplace", 2.0)
     d = np.linspace(0.1, 5.0, 20)

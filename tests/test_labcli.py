@@ -2,7 +2,9 @@
 reproducibility, and the process exit contract."""
 
 import dataclasses
+import errno
 import math
+import os
 import shutil
 import struct
 
@@ -543,6 +545,42 @@ def test_main_unwritable_out_exits_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_failed_write_leaves_no_artifact(tmp_path, capsys, monkeypatch):
+    # the second of linearity's two files fails to write: neither file, nor
+    # any temporary, may be left behind
+    real_open = open
+
+    def failing_open(path, *args, **kwargs):
+        if "linearity.gp" in os.path.basename(path):
+            raise OSError(errno.ENOSPC, "No space left on device", path)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(labcli, "open", failing_open, raising=False)
+    cfg = tmp_path / "lin.cfg"
+    cfg.write_text("lin.widths = 4, 8\nlin.probes = 2\nlin.points = 2\n")
+    out = tmp_path / "out"
+    assert labcli.main(["linearity", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: cannot write {str(out)!r}")
+    assert captured.out == ""
+    assert os.listdir(out) == []
+
+
+def test_gaussian_raisin_on_dense_planar_data_exits_three(tmp_path, capsys):
+    # a gaussian kernel on 1000 points in the plane is numerically singular:
+    # no jitter rung certifies the fit, which is a numerical failure
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text("kernel.family = gaussian\ndata.train_n = 1000\nnoise.q = 0.3\n")
+    out = tmp_path / "o"
+    assert labcli.main(["raisin", "--config", str(cfg), "--seed", "1",
+                        "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: gaussian kernel, bandwidth 1, "
+                          "n=1000: training residual ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # one small config per command; each runs in well under a second
 _TINY = {
     "simplex": "simplex.draws = 200\nsimplex.dims = 1, 2\n",
@@ -761,6 +799,31 @@ def test_config_fuzz_over_key_table(tmp_path, capsys, command):
                 assert not out.exists(), case
             if case in _MUST_REJECT:
                 assert code == 2 and err.startswith("config error: "), (case, err)
+
+    # flags: each case is a config error or argparse's usage error, exit 2,
+    # and writes nothing
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(_TINY[command])
+    big_seed = tmp_path / "seed.cfg"
+    big_seed.write_text(_TINY[command] + f"seed = {2**64}\n")
+    existing = tmp_path / "existing"
+    existing.write_text("keep\n")
+    cases = [["--config", str(cfg), "--seed", v] for v in ("-1", "abc", str(2**64))]
+    cases += [["--config", str(cfg), "--threads", v] for v in ("0", "-1", "abc")]
+    cases += [["--config", str(big_seed)]]
+    for i, flags in enumerate(cases):
+        out = tmp_path / f"flag-{i}"
+        try:
+            code = labcli.main([command, "--out", str(out)] + flags)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2, (command, flags)
+        assert err.startswith(("config error: ", "usage: ")), (flags, err)
+        assert not out.exists(), flags
+    assert labcli.main([command, "--config", str(cfg), "--out", str(existing)]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot write ")
+    assert existing.read_text() == "keep\n"
 
 
 def test_main_raisin_exit_two_without_corruption(tmp_path):

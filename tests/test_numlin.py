@@ -77,6 +77,65 @@ def test_solve_spd_rejects_asymmetric():
         numlin.solve_spd(np.array([[1.0, 0.2], [0.0, 1.0]]), np.ones(2))
 
 
+def _require_symmetric_full_scan(a, name="matrix"):
+    """The untiled check require_symmetric replaced, kept as its oracle."""
+    if a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
+    scale = np.abs(a).max()
+    if scale == 0.0:
+        return
+    skew = np.abs(a - a.T).max()
+    if skew > numlin._SYM_RTOL * scale:
+        raise NotSymmetric(f"{name} asymmetry {skew:.3e} exceeds "
+                           f"{numlin._SYM_RTOL:.0e} * {scale:.3e}")
+
+
+def _symmetry_outcome(check, a):
+    try:
+        check(a, "A")
+    except (DimensionMismatch, NotSymmetric) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_tiled_symmetry_check_matches_full_scan(seed):
+    rng = np.random.default_rng(seed)
+    t = numlin._SYM_TILE
+
+    def same(a):
+        outcome = _symmetry_outcome(numlin.require_symmetric, a)
+        assert outcome == _symmetry_outcome(_require_symmetric_full_scan, a)
+        return outcome
+
+    for n in (1, t - 1, t, t + 1, 2 * t + 5):
+        b = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-3, 4)
+        a = b + b.T
+        assert same(a) is None
+        assert same(np.zeros((n, n))) is None
+        assert (same(b) is None) == (n == 1)
+        # one pair (i, j) off by just under and just over the tolerance, in a
+        # diagonal tile and in an off-diagonal one, so a tile the scan
+        # misses changes the outcome
+        scale = np.abs(a).max()
+        pairs = [(i, j) for i, j in ((0, 1), (t - 2, t - 1), (n - 2, n - 1),
+                                     (0, n - 1), (t - 1, t), (1, t + 3))
+                 if 0 <= i < j < n]
+        assert n < 2 or any(i // t == j // t for i, j in pairs)
+        assert n <= t or any(i // t != j // t for i, j in pairs)
+        for i, j in pairs:
+            for factor, fails in ((0.99, False), (1.01, True)):
+                bent = a.copy()
+                bent[j, i] = bent[i, j] + factor * numlin._SYM_RTOL * scale
+                outcome = same(bent)
+                assert (outcome is not None) == fails, (n, i, j, factor)
+                if fails:
+                    assert outcome[0] is NotSymmetric
+    for shape in ((3, 5), (5, 3), (1, 2)):
+        a = rng.standard_normal(shape)
+        assert same(a) == (DimensionMismatch, f"A must be square, got shape {shape}")
+
+
 def test_solve_spd_rejects_indefinite():
     with pytest.raises(NotPositiveDefinite):
         numlin.solve_spd(np.diag([1.0, -1.0]), np.ones(2))
