@@ -113,6 +113,25 @@ def sym_eig(a) -> tuple[np.ndarray, np.ndarray]:
     return vals[order], vecs[:, order]
 
 
+def max_eig(a) -> float:
+    """Largest eigenvalue of a symmetric matrix.
+
+    The critical-batch scan reads lambda_max(X^T X) this way from the Gram
+    matrix X X^T, which has the same nonzero spectrum. numpy's eigvalsh
+    computes no eigenvectors. scipy's eigh can compute the top eigenvalue
+    alone, a few ms sooner at n = 512, but scipy links its own OpenBLAS,
+    whose idle worker threads then compete with numpy's BLAS calls in the
+    scan; on two cores that cost the scan more than it saved.
+    """
+    a = as_matrix(a, "A")
+    require_symmetric(a, "A")
+    try:
+        vals = np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"symmetric eigensolver did not converge: {exc}") from exc
+    return float(vals[-1])
+
+
 def _svd(a: np.ndarray):
     try:
         return np.linalg.svd(a, full_matrices=False)

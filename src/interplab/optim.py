@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dtrsv
 from scipy.special import expit
 
 from . import netmodels, numlin
@@ -281,27 +282,67 @@ def scan_step_rule(m: int, n: int, max_row_norm_sq: float, lambda_max_h: float) 
 
 
 _BATCH_ONE_BLOCK = 4096   # batch-1 indices drawn per generator call
+_STEP_BLOCK = 64          # batch-1 steps taken as one triangular solve
 
 
 def _batches(rng, n: int, m: int):
-    """Endless row selectors for the batch scan at batch size m.
+    """Endless row selectors for the batch scan at batch size 1 < m <= n.
 
-    Step t selects the rows that the t-th np.sort(rng.choice(n, size=m,
-    replace=False)) would. At m = n that sorted draw is always
-    arange(n), so no draw is made. At m = 1 choice makes exactly the one
-    bounded draw rng.integers(0, n) makes (Floyd's algorithm with one
-    element, no shuffle), so indices are drawn in blocks and each step
-    gets a basic slice, a view rather than a copy.
+    Step t selects the rows of the t-th np.sort(rng.choice(n, size=m,
+    replace=False)). At m = n that sorted draw is always arange(n), so no
+    draw is made.
     """
     if m == n:
         while True:
             yield slice(None)
-    if m == 1:
-        while True:
-            for i in rng.integers(0, n, size=_BATCH_ONE_BLOCK).tolist():
-                yield slice(i, i + 1)
     while True:
         yield np.sort(rng.choice(n, size=m, replace=False))
+
+
+def _batch_one_steps(G, G2, r, c: float, target: float, iter_cap: int, rng):
+    """Steps of batch-1 SGD until 0.5 |r|^2 <= target, or None at iter_cap.
+
+    Step t picks row i_t and sets r <- r - c r[i_t] G[i_t]; r is updated
+    in place. choice(n, 1, replace=False) spends the stream exactly as
+    integers(0, n) does, so the indices are drawn _BATCH_ONE_BLOCK at a
+    time, and taken B = _STEP_BLOCK steps at a time. Within a block with
+    rows ii, the scaled step coefficients a_t = c r_{t-1}[i_t] solve the
+    unit lower triangular system (I + c strict_lower(G[ii][:, ii])) a =
+    c r[ii], and the block ends at r - a @ G[ii]. With h = G[ii] @ r and
+    H = G2[ii][:, ii] (G2 = G G), the loss after step t of the block is
+    0.5 (|r|^2 - 2 sum_{s<=t} a_s h_s + sum_{s,u<=t} a_s a_u H_su).
+
+    That screen is rounded differently from the per-step loop. So when a
+    screened loss comes within a slack of the target, the block is
+    replayed one step at a time, and the count is taken from the replay.
+    The slack is B eps (|r| + sum_s |a_s| |G[i_s]|)^2, a bound on every
+    term of the expansion: at least B eps |r|^2, however small the target.
+    """
+    n = G.shape[0]
+    eps = np.finfo(float).eps
+    t = 0
+    while t < iter_cap:
+        for ii in rng.integers(0, n, size=_BATCH_ONE_BLOCK).reshape(-1, _STEP_BLOCK):
+            ii = ii[:iter_cap - t]
+            Gi = G[ii]
+            H = G2[ii][:, ii]
+            a = dtrsv(c * Gi[:, ii], c * r[ii], lower=1, diag=1)
+            r_sq = float(r @ r)
+            # tril(H) @ a in numpy: scipy's dtrmv wakes BLAS threads at B = 64
+            two_loss = r_sq + np.cumsum(
+                a * (2.0 * (np.tril(H) @ a) - np.diagonal(H) * a - 2.0 * (Gi @ r)))
+            bound = math.sqrt(r_sq) + float(np.abs(a) @ np.sqrt(np.diagonal(H)))
+            if two_loss.min() <= 2.0 * target + ii.size * eps * bound * bound:
+                for k, i in enumerate(ii.tolist(), start=t + 1):
+                    r -= c * (r[i:i + 1] @ G[i:i + 1])
+                    if 0.5 * float(r @ r) <= target:
+                        return k
+            else:
+                r -= a @ Gi
+            t += ii.size
+            if t == iter_cap:
+                break
+    return None
 
 
 def critical_batch_scan(obj: Objective, batch_grid, target_loss: float,
@@ -310,23 +351,27 @@ def critical_batch_scan(obj: Objective, batch_grid, target_loss: float,
     """Median steps-to-target per batch size on an interpolated linear fit.
 
     Starts every run at zero and tracks the residual directly through
-    the n-by-n Gram matrix (cheap per step). Batch size 1 is always
-    scanned, even if absent from the grid: it anchors the
+    the n-by-n Gram matrix G = X X^T (cheap per step). Batch size 1 is
+    always scanned, even if absent from the grid: it anchors the
     classification, which calls a batch size linear while its total
     sample budget stays within twice the single-sample budget and
     saturated after. The predicted crossover is tr(H)/lambda_max(H) for
-    H = X^T X.
+    H = X^T X; lambda_max(H) is the top eigenvalue of G (one
+    numlin.max_eig call), and tr(H) the sum of squared row norms.
 
-    A step multiplies the batch residual by the batch rows of G = X X^T.
-    numpy forms G with a symmetric rank-k update, so G equals its
-    transpose exactly. The row gather G[idx] then holds the same bytes
-    as the F-ordered column gather G[:, idx], and both products make the
-    same BLAS call; but a row gather copies contiguous memory, several
-    times faster than the strided column gather. The selectors from
+    A step multiplies the batch residual by the batch rows of G. numpy
+    forms G with a symmetric rank-k update, so G equals its transpose
+    exactly. The row gather G[idx] then holds the same bytes as the
+    F-ordered column gather G[:, idx], and both products make the same
+    BLAS call; but a row gather copies contiguous memory, several times
+    faster than the strided column gather. For m > 1 the selectors from
     _batches reproduce the batches of a sorted rng.choice draw per step,
-    so every step, and every count in the report, is bit for bit what
-    gathering columns of a fresh sorted draw gives (tests keep that loop
-    as the reference).
+    so every step is bit for bit what gathering columns of a fresh
+    sorted draw gives (tests keep that loop as the reference). Batch 1
+    runs in blocks of steps (_batch_one_steps) on the same draws. Its
+    residual differs from the per-step loop's only by rounding, so its
+    count differs only if a loss falls within that rounding of the
+    target; tests compare its counts with the per-step loop's.
     """
     if obj.mlp is not None or obj.loss != SQUARE:
         raise InvalidSpec("batch scan is defined for linear square-loss fits")
@@ -336,24 +381,34 @@ def critical_batch_scan(obj: Objective, batch_grid, target_loss: float,
         raise InvalidSpec(f"batch sizes must lie in [1, {n}]")
     if seeds < 1 or not target_loss > 0.0:
         raise InvalidSpec("need at least one seed and a positive target")
+    if iter_cap < 1:
+        raise InvalidSpec(f"iter_cap must be at least 1, got {iter_cap}")
+    if 0.5 * float(obj.y @ obj.y) <= target_loss:
+        raise InvalidSpec("target not below the starting loss")
 
     row_sq = np.einsum("ij,ij->i", obj.X, obj.X)
     tr_h = float(row_sq.sum())
-    lam = numlin.spectral_norm(obj.X) ** 2
-    mstar = max(1.0, tr_h / lam)
-    G = obj.X @ obj.X.T
-    if 0.5 * float(obj.y @ obj.y) <= target_loss:
-        raise InvalidSpec("target not below the starting loss")
     max_row = float(row_sq.max())
+    if tr_h == 0.0:
+        raise TargetUnreachable("every feature is zero, so the loss cannot fall")
+    G = obj.X @ obj.X.T
+    lam = numlin.max_eig(G)
+    mstar = max(1.0, tr_h / lam)
+    G2 = G @ G.T                        # G G, one symmetric rank-k update
 
     def run_cell(m, s):
         c = scan_step_rule(m, n, max_row, lam) * (n / m)
-        batches = _batches(substream(s, "batch-scan", m), n, m)
+        rng = substream(s, "batch-scan", m)
         r = -obj.y.copy()               # residual X w - y at w = 0
-        for t, idx in zip(range(1, iter_cap + 1), batches):
-            r -= c * (r[idx] @ G[idx])
-            if 0.5 * float(r @ r) <= target_loss:
+        if m == 1:
+            t = _batch_one_steps(G, G2, r, c, target_loss, iter_cap, rng)
+            if t is not None:
                 return t
+        else:
+            for t, idx in zip(range(1, iter_cap + 1), _batches(rng, n, m)):
+                r -= c * (r[idx] @ G[idx])
+                if 0.5 * float(r @ r) <= target_loss:
+                    return t
         raise TargetUnreachable(
             f"batch {m}, seed {s}: loss {0.5 * float(r @ r):.3e} above "
             f"target {target_loss:.3e} after {iter_cap} steps")
@@ -367,6 +422,5 @@ def critical_batch_scan(obj: Objective, batch_grid, target_loss: float,
         for m, it in zip(grid, med))
     return BatchScalingReport(
         batch_grid=np.array(grid), median_iters=np.array(med), regimes=regimes,
-        mstar=float(mstar), tr_h=tr_h, lambda_max_h=float(lam),
-        max_row_norm_sq=float(row_sq.max()), target_loss=float(target_loss))
-
+        mstar=float(mstar), tr_h=tr_h, lambda_max_h=lam,
+        max_row_norm_sq=max_row, target_loss=float(target_loss))

@@ -775,6 +775,7 @@ _MUST_REJECT = {
     ("noise-interp", "seeds.count", "0"), ("loss-compare", "seeds.count", "0"),
     ("loss-compare", "seeds.count", "-1"), ("double-descent", "noise.q", "-1"),
     ("sgd-scaling", "scan.spike", "-1"), ("raisin", "search.tol", "1e400"),
+    ("sgd-scaling", "scan.iter_cap", "0"), ("sgd-scaling", "scan.iter_cap", "-1"),
     ("linearity", "lin.radius", "1e400"),
     ("noise-interp", "kernel.bandwidth", "1e400"),
     ("raisin", "kernel.bandwidth", "1e400"),

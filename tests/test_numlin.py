@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from interplab import numlin
 from interplab.errors import (
@@ -323,6 +324,81 @@ def test_spectral_norm_near_tied_singular_values():
     q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
     a = q @ np.diag([3.0, 3.0 * (1 - 1e-9), 1.0, 0.5, 0.1, 0.0]) @ q.T
     assert numlin.spectral_norm(a) == pytest.approx(3.0, rel=1e-6)
+
+
+# --- max_eig ---
+
+def _top_eig(a):
+    """The top eigenvalue alone, from a second LAPACK routine (scipy's)."""
+    n = a.shape[0]
+    return float(eigh(a, eigvals_only=True, subset_by_index=[n - 1, n - 1])[0])
+
+
+def _spectrum_matrix(rng, vals):
+    """Q diag(vals) Q^T for a random orthogonal Q, made exactly symmetric."""
+    q, _ = np.linalg.qr(rng.standard_normal((len(vals), len(vals))))
+    a = (q * vals) @ q.T
+    return 0.5 * (a + a.T)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_max_eig_of_gram_matches_top_eig_and_spectral_norm(seed):
+    # G = X X^T as the critical-batch scan forms it; the top eigenvalue
+    # must agree with scipy's top-eigenvalue-only solver and with the
+    # squared top singular value of X, including when the top eigenvalues
+    # are clustered or tied
+    rng = np.random.default_rng(800 + seed)
+    n, d = (int(v) for v in rng.integers(1, 60, size=2))
+    k = min(n, d)
+    plain = rng.standard_normal((n, d))
+    svals = rng.uniform(0.1, 5.0, size=k)
+    svals[: min(3, k)] = 5.0                        # tied top values
+    clustered = svals.copy()
+    clustered[: min(3, k)] = 5.0 * (1.0 - 1e-12 * np.arange(min(3, k)))
+    for X in (plain,
+              (np.linalg.qr(rng.standard_normal((n, n)))[0][:, :k] * svals)
+              @ np.linalg.qr(rng.standard_normal((d, d)))[0][:k],
+              (np.linalg.qr(rng.standard_normal((n, n)))[0][:, :k] * clustered)
+              @ np.linalg.qr(rng.standard_normal((d, d)))[0][:k]):
+        G = X @ X.T
+        got = numlin.max_eig(G)
+        assert abs(got - _top_eig(G)) <= 1e-13 * got
+        assert abs(got - numlin.spectral_norm(X) ** 2) <= 1e-13 * got
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_max_eig_indefinite(seed):
+    # relative to the spectral radius: the top eigenvalue itself may be
+    # negative or near zero
+    rng = np.random.default_rng(850 + seed)
+    n = int(rng.integers(2, 40))
+    for vals in (rng.uniform(-3.0, 3.0, size=n),
+                 -rng.uniform(0.5, 2.0, size=n),
+                 np.concatenate([[2.0, 2.0], rng.uniform(-4.0, 2.0, size=n)])):
+        a = _spectrum_matrix(rng, vals)
+        radius = np.abs(vals).max()
+        assert abs(numlin.max_eig(a) - _top_eig(a)) <= 1e-13 * radius
+        assert abs(numlin.max_eig(a) - vals.max()) <= 1e-13 * radius * len(vals)
+
+
+def test_max_eig_small_and_zero():
+    assert numlin.max_eig(np.array([[-2.5]])) == -2.5
+    assert numlin.max_eig(np.array([[7.0]])) == 7.0
+    assert numlin.max_eig(np.zeros((5, 5))) == 0.0
+
+
+def test_max_eig_rejects_bad_input():
+    with pytest.raises(DimensionMismatch):
+        numlin.max_eig(np.ones((3, 4)))
+    with pytest.raises(NotSymmetric):
+        numlin.max_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    for bad in (np.nan, np.inf):
+        a = np.eye(3)
+        a[1, 1] = bad
+        with pytest.raises(InvalidInput):
+            numlin.max_eig(a)
+    with pytest.raises(InvalidInput):
+        numlin.max_eig(np.ones(3))
 
 
 # --- complex embedding ---

@@ -387,6 +387,144 @@ def test_single_choice_draws_like_integers():
         assert picks == b.integers(0, n, size=300).tolist(), n
 
 
+def _batch_one_step_loop(G, y, c, target, iter_cap, rng):
+    """Reference for the blocked batch-1 steps: one step and one loss
+    check per index, the indices drawn 4096 at a time. Returns the count
+    (None at the cap) and the per-step losses."""
+    n = G.shape[0]
+    r = -y.copy()
+    losses = []
+    while len(losses) < iter_cap:
+        for i in rng.integers(0, n, size=4096).tolist():
+            r -= c * (r[i:i + 1] @ G[i:i + 1])
+            losses.append(0.5 * float(r @ r))
+            if losses[-1] <= target:
+                return len(losses), losses
+            if len(losses) == iter_cap:
+                break
+    return None, losses
+
+
+def _batch_one_case(rng, n, d, near_orthogonal=False):
+    if near_orthogonal:
+        # rows nearly orthonormal: one block of steps takes the loss from
+        # about 1 to far below 1e-10 of its start
+        d = max(d, n)
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        X = q[:n] + 1e-7 * rng.standard_normal((n, d))
+        y = X @ rng.standard_normal(d)
+        y /= np.linalg.norm(y)
+    else:
+        X = rng.standard_normal((n, d))
+        y = X @ rng.standard_normal(d)
+    G = X @ X.T
+    row = float(np.einsum("ij,ij->i", X, X).max())
+    c = optim.scan_step_rule(1, n, row, numlin.max_eig(G)) * n
+    return G, y, c
+
+
+def _blocked_count(G, y, c, target, iter_cap, seed):
+    r = -y.copy()
+    t = optim._batch_one_steps(G, G @ G.T, r, c, target, iter_cap,
+                               substream(seed, "blocked-vs-loop"))
+    return t, r
+
+
+def test_blocked_batch_one_matches_step_loop():
+    rng = substream(31, "probe-blocked")
+    for trial in range(24):
+        # d well below or well above n keeps X well conditioned, so every
+        # run reaches the target within a few thousand steps
+        n = int(rng.integers(1, 90))
+        if trial % 2:
+            d = int(rng.integers(1, max(2, n // 2)))
+        else:
+            d = int(rng.integers(2 * n, 3 * n + 2))
+        G, y, c = _batch_one_case(rng, n, d)
+        target = 1e-10 * 0.5 * float(y @ y)
+        want, _ = _batch_one_step_loop(G, y, c, target, 20_000,
+                                       substream(trial, "blocked-vs-loop"))
+        got, _ = _blocked_count(G, y, c, target, 20_000, trial)
+        assert want is not None and got == want, (trial, n, d)
+
+
+def test_blocked_batch_one_single_block_drop():
+    rng = substream(32, "probe-blocked-drop")
+    for trial in range(12):
+        n = int(rng.integers(2, 9))     # 64 draws hit every row
+        G, y, c = _batch_one_case(rng, n, n + int(rng.integers(0, 20)),
+                                  near_orthogonal=True)
+        start = 0.5 * float(y @ y)
+        target = 1e-10 * start
+        want, losses = _batch_one_step_loop(G, y, c, target, 64,
+                                            substream(trial, "blocked-vs-loop"))
+        assert want is not None and min(losses) < 1e-12 * start, trial
+        assert _blocked_count(G, y, c, target, 64, trial)[0] == want, trial
+
+
+def test_blocked_batch_one_crossing_at_the_target():
+    # the target is the smallest per-step loss of the first block, so the
+    # loop crosses exactly there; a screen rounded the other way must
+    # still send the block to the replay
+    rng = substream(33, "probe-blocked-edge")
+    for trial in range(40):
+        n = int(rng.integers(2, 70))
+        G, y, c = _batch_one_case(rng, n, int(rng.integers(1, 100)),
+                                  near_orthogonal=trial % 2 == 1)
+        _, losses = _batch_one_step_loop(G, y, c, 0.0, 64,
+                                         substream(trial, "blocked-vs-loop"))
+        target = min(losses)
+        want = losses.index(target) + 1
+        assert _blocked_count(G, y, c, target, 10_000, trial)[0] == want, trial
+
+
+def test_blocked_batch_one_respects_iter_cap():
+    rng = substream(34, "probe-blocked-cap")
+    G, y, c = _batch_one_case(rng, 30, 50)
+    target = 1e-10 * 0.5 * float(y @ y)
+    want, losses = _batch_one_step_loop(G, y, c, target, 20_000,
+                                        substream(0, "blocked-vs-loop"))
+    assert want is not None and want > 200
+    assert _blocked_count(G, y, c, target, want, 0)[0] == want
+    for cap in (want - 1, 1, 63, 64, 65, 130):
+        got, r = _blocked_count(G, y, c, target, cap, 0)
+        assert got is None, cap
+        assert 0.5 * float(r @ r) == pytest.approx(losses[cap - 1], rel=1e-9), cap
+
+
+def test_scan_takes_one_top_eigenvalue_and_no_svd(monkeypatch):
+    calls = {"max_eig": 0, "svd": 0}
+    real_max_eig, real_svd = numlin.max_eig, np.linalg.svd
+
+    def counting_max_eig(a):
+        calls["max_eig"] += 1
+        return real_max_eig(a)
+
+    def counting_svd(*args, **kwargs):
+        calls["svd"] += 1
+        return real_svd(*args, **kwargs)
+
+    def no_spectral_norm(a):
+        raise AssertionError("spectral_norm called")
+
+    monkeypatch.setattr(numlin, "max_eig", counting_max_eig)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(numlin, "spectral_norm", no_spectral_norm)
+    rng = substream(35, "probe-scan-calls")
+    X = rng.standard_normal((40, 60))
+    y = X @ rng.standard_normal(60)
+    obj = optim.linear_objective(X, y)
+    rep = optim.critical_batch_scan(obj, [1, 4, 40], 1e-6 * 0.5 * float(y @ y),
+                                    seeds=2)
+    assert calls == {"max_eig": 1, "svd": 0}
+    assert rep.mstar == max(1.0, rep.tr_h / rep.lambda_max_h)
+
+    # a target at or above the starting loss fails before any eigensolve
+    with pytest.raises(InvalidSpec, match="target not below"):
+        optim.critical_batch_scan(obj, [1], 0.5 * float(y @ y), seeds=1)
+    assert calls == {"max_eig": 1, "svd": 0}
+
+
 def test_scan_unreachable_target_raises():
     X = np.diag([1.0, 0.01])
     obj = optim.linear_objective(X, np.array([1.0, 1.0]))
@@ -468,6 +606,12 @@ def test_validation_errors():
         optim.critical_batch_scan(obj, [1, 9], 1e-8, seeds=2)
     with pytest.raises(InvalidSpec):
         optim.critical_batch_scan(obj, [1], 1e6, seeds=2)
+    for cap in (0, -1):
+        with pytest.raises(InvalidSpec, match="iter_cap"):
+            optim.critical_batch_scan(obj, [1], 1e-8, seeds=2, iter_cap=cap)
+    with pytest.raises(TargetUnreachable, match="every feature is zero"):
+        optim.critical_batch_scan(optim.linear_objective(np.zeros_like(X), y),
+                                  [1], 1e-8, seeds=2)
     model = netmodels.init_mlp((4, 4), "tanh", seed=0)
     mobj = optim.mlp_objective(model, X, y)
     with pytest.raises(InvalidSpec):
