@@ -43,7 +43,7 @@ from .errors import (
 from .rng import substream
 
 CONFIG_VERSION = "1"   # config files this build accepts
-FORMAT_VERSION = "5"   # CSV bytes; bumped whenever a result moves
+FORMAT_VERSION = "6"   # CSV bytes; bumped whenever a result moves
 COMMANDS = ("noise-interp", "double-descent", "raisin", "loss-compare",
             "simplex", "sgd-scaling", "linearity")
 

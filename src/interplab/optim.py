@@ -283,33 +283,55 @@ def scan_step_rule(m: int, n: int, max_row_norm_sq: float, lambda_max_h: float) 
 
 _BATCH_ONE_BLOCK = 4096   # batch-1 indices drawn per generator call
 _STEP_BLOCK = 64          # batch-1 steps taken as one triangular solve
+_SUBSET_BLOCK = 256       # batch subsets drawn per block for 1 < m < n
+
+
+def _floyd_subsets(rng, n: int, m: int, rows: int) -> np.ndarray:
+    """rows independent uniform m-subsets of range(n), each sorted.
+
+    Floyd's sampler, vectorized over rows: for j = n-m, ..., n-1 it draws
+    one column v = rng.integers(0, j + 1, size=rows), and each row takes
+    v, or j when v is already in that row's set (j never is yet).
+    Membership lives in one flat rows*n mask, whose nonzero positions
+    come back row by row and sorted, as a (rows, m) array.
+    """
+    offs = np.arange(0, rows * n, n)
+    mask = np.zeros(rows * n, dtype=bool)
+    for j in range(n - m, n):
+        pos = offs + rng.integers(0, j + 1, size=rows)
+        np.putmask(pos, mask[pos], offs + j)
+        mask[pos] = True
+    return np.flatnonzero(mask).reshape(rows, m) - offs[:, None]
 
 
 def _batches(rng, n: int, m: int):
     """Endless row selectors for the batch scan at batch size 1 < m <= n.
 
-    Step t selects the rows of the t-th np.sort(rng.choice(n, size=m,
-    replace=False)). At m = n that sorted draw is always arange(n), so no
-    draw is made.
+    Below n, the selectors are the rows of successive _floyd_subsets
+    blocks of _SUBSET_BLOCK draws: iid uniform m-subsets, sorted, the law
+    of a sorted rng.choice(n, m, replace=False) draw per step at a
+    fraction of its cost. At m = n every subset is range(n), so no draw
+    is made.
     """
     if m == n:
         while True:
             yield slice(None)
     while True:
-        yield np.sort(rng.choice(n, size=m, replace=False))
+        yield from _floyd_subsets(rng, n, m, _SUBSET_BLOCK)
 
 
 def _batch_one_steps(G, G2, r, c: float, target: float, iter_cap: int, rng):
     """Steps of batch-1 SGD until 0.5 |r|^2 <= target, or None at iter_cap.
 
     Step t picks row i_t and sets r <- r - c r[i_t] G[i_t]; r is updated
-    in place. choice(n, 1, replace=False) spends the stream exactly as
-    integers(0, n) does, so the indices are drawn _BATCH_ONE_BLOCK at a
-    time, and taken B = _STEP_BLOCK steps at a time. Within a block with
-    rows ii, the scaled step coefficients a_t = c r_{t-1}[i_t] solve the
-    unit lower triangular system (I + c strict_lower(G[ii][:, ii])) a =
-    c r[ii], and the block ends at r - a @ G[ii]. With h = G[ii] @ r and
-    H = G2[ii][:, ii] (G2 = G G), the loss after step t of the block is
+    in place. The indices are drawn _BATCH_ONE_BLOCK at a time by
+    integers(0, n), which is Floyd's sampler at m = 1 and spends the
+    stream as choice(n, 1, replace=False) does, and taken B = _STEP_BLOCK
+    steps at a time. Within a block with rows ii, the scaled step
+    coefficients a_t = c r_{t-1}[i_t] solve the unit lower triangular
+    system (I + c strict_lower(G[ii][:, ii])) a = c r[ii], and the block
+    ends at r - a @ G[ii]. With h = G[ii] @ r and H = G2[ii][:, ii]
+    (G2 = G G), the loss after step t of the block is
     0.5 (|r|^2 - 2 sum_{s<=t} a_s h_s + sum_{s,u<=t} a_s a_u H_su).
 
     That screen is rounded differently from the per-step loop. So when a
@@ -317,6 +339,7 @@ def _batch_one_steps(G, G2, r, c: float, target: float, iter_cap: int, rng):
     replayed one step at a time, and the count is taken from the replay.
     The slack is B eps (|r| + sum_s |a_s| |G[i_s]|)^2, a bound on every
     term of the expansion: at least B eps |r|^2, however small the target.
+    A screen that is not finite, as when G2 overflowed, replays too.
     """
     n = G.shape[0]
     eps = np.finfo(float).eps
@@ -328,11 +351,13 @@ def _batch_one_steps(G, G2, r, c: float, target: float, iter_cap: int, rng):
             H = G2[ii][:, ii]
             a = dtrsv(c * Gi[:, ii], c * r[ii], lower=1, diag=1)
             r_sq = float(r @ r)
-            # tril(H) @ a in numpy: scipy's dtrmv wakes BLAS threads at B = 64
-            two_loss = r_sq + np.cumsum(
-                a * (2.0 * (np.tril(H) @ a) - np.diagonal(H) * a - 2.0 * (Gi @ r)))
-            bound = math.sqrt(r_sq) + float(np.abs(a) @ np.sqrt(np.diagonal(H)))
-            if two_loss.min() <= 2.0 * target + ii.size * eps * bound * bound:
+            with np.errstate(over="ignore", invalid="ignore"):
+                # tril(H) @ a in numpy: scipy's dtrmv wakes BLAS threads at B = 64
+                two_loss = r_sq + np.cumsum(
+                    a * (2.0 * (np.tril(H) @ a) - np.diagonal(H) * a - 2.0 * (Gi @ r)))
+                bound = math.sqrt(r_sq) + float(np.abs(a) @ np.sqrt(np.diagonal(H)))
+            # negated, so that a screen gone inf or nan (G2 overflowed) replays
+            if not two_loss.min() > 2.0 * target + ii.size * eps * bound * bound:
                 for k, i in enumerate(ii.tolist(), start=t + 1):
                     r -= c * (r[i:i + 1] @ G[i:i + 1])
                     if 0.5 * float(r @ r) <= target:
@@ -364,13 +389,14 @@ def critical_batch_scan(obj: Objective, batch_grid, target_loss: float,
     exactly. The row gather G[idx] then holds the same bytes as the
     F-ordered column gather G[:, idx], and both products make the same
     BLAS call; but a row gather copies contiguous memory, several times
-    faster than the strided column gather. For m > 1 the selectors from
-    _batches reproduce the batches of a sorted rng.choice draw per step,
-    so every step is bit for bit what gathering columns of a fresh
-    sorted draw gives (tests keep that loop as the reference). Batch 1
-    runs in blocks of steps (_batch_one_steps) on the same draws. Its
-    residual differs from the per-step loop's only by rounding, so its
-    count differs only if a loss falls within that rounding of the
+    faster than the strided column gather. For 1 < m < n, _batches draws
+    the sorted batches _SUBSET_BLOCK at a time with Floyd's sampler
+    (_floyd_subsets), so every step is bit for bit what gathering columns
+    of the same sorted subsets gives (tests keep that loop, fed by a
+    scalar Floyd loop, as the reference); no step calls rng.choice.
+    Batch 1 runs in blocks of steps (_batch_one_steps) on integer draws.
+    Its residual differs from the per-step loop's only by rounding, so
+    its count differs only if a loss falls within that rounding of the
     target; tests compare its counts with the per-step loop's.
     """
     if obj.mlp is not None or obj.loss != SQUARE:
@@ -394,7 +420,8 @@ def critical_batch_scan(obj: Objective, batch_grid, target_loss: float,
     G = obj.X @ obj.X.T
     lam = numlin.max_eig(G)
     mstar = max(1.0, tr_h / lam)
-    G2 = G @ G.T                        # G G, one symmetric rank-k update
+    with np.errstate(over="ignore"):    # an inf in G G only sends blocks to replay
+        G2 = G @ G.T                    # G G, one symmetric rank-k update
 
     def run_cell(m, s):
         c = scan_step_rule(m, n, max_row, lam) * (n / m)

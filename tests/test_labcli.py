@@ -3,10 +3,12 @@ reproducibility, and the process exit contract."""
 
 import dataclasses
 import errno
+import itertools
 import math
 import os
 import shutil
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -414,6 +416,18 @@ def test_sgd_scaling_csv(monkeypatch):
     assert all(float(r[3]) == mstar == rep.mstar for r in rows)
 
 
+def test_sgd_scaling_overflowing_gram_square_exits_zero(tmp_path, capsys):
+    # a feature spiked by 1e200 overflows G G; the batch-1 screen must not
+    # keep the scan from the target, nor warn
+    cfg = tmp_path / "spike.cfg"
+    cfg.write_text("scan.n = 16\nscan.d = 32\nscan.spike = 1e200\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = labcli.main(["sgd-scaling", "--config", str(cfg), "--seed", "1",
+                            "--out", str(tmp_path / "o")])
+    assert code == 0 and capsys.readouterr().err == ""
+
+
 def test_sgd_scaling_default_grid_follows_scan_n(tmp_path):
     # without batch.grid the scan keeps the default sizes below scan.n,
     # then scan.n itself
@@ -782,24 +796,44 @@ _MUST_REJECT = {
 }
 
 
+def _fuzz_case(tmp_path, capsys, command, settings, name):
+    """Run command on its tiny config with settings overriding keys. A
+    run exits 0, 2 or 3, writes nothing when it fails, and exits 2 with
+    a config error when any one setting is in _MUST_REJECT."""
+    base = [line for line in _TINY[command].splitlines()
+            if line.split("=")[0].strip() not in settings]
+    cfg = tmp_path / "fuzz.cfg"
+    cfg.write_text("\n".join(base + [f"{k} = {v}" for k, v in settings.items()]) + "\n")
+    out = tmp_path / name
+    code = labcli.main([command, "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    cases = [(command, k, v) for k, v in settings.items()]
+    assert code in (0, 2, 3), cases
+    if code:
+        assert not out.exists(), cases
+    if any(case in _MUST_REJECT for case in cases):
+        assert code == 2 and err.startswith("config error: "), (cases, err)
+    return code
+
+
 @pytest.mark.parametrize("command", labcli.COMMANDS)
 def test_config_fuzz_over_key_table(tmp_path, capsys, command):
     keys = list(labcli.GLOBAL_KEYS) + list(labcli.CONFIG_KEYS[command])
+    accepted = {}
     for key in keys:
-        base = [line for line in _TINY[command].splitlines()
-                if line.split("=")[0].strip() != key]
-        for i, value in enumerate(_FUZZ_VALUES):
-            cfg = tmp_path / "fuzz.cfg"
-            cfg.write_text("\n".join(base + [f"{key} = {value}"]) + "\n")
-            out = tmp_path / f"{key}-{i}"
-            code = labcli.main([command, "--config", str(cfg), "--out", str(out)])
-            err = capsys.readouterr().err
-            case = (command, key, value)
-            assert code in (0, 2, 3), case
-            if code:
-                assert not out.exists(), case
-            if case in _MUST_REJECT:
-                assert code == 2 and err.startswith("config error: "), (case, err)
+        accepted[key] = [value for i, value in enumerate(_FUZZ_VALUES)
+                         if _fuzz_case(tmp_path, capsys, command, {key: value},
+                                       f"{key}-{i}") == 0]
+
+    # pairs of keys: the p-th pair tries each value of its first key against
+    # the value p places further on for its second, so every shift is met,
+    # and every pair of values that the two keys each accept alone
+    nv = len(_FUZZ_VALUES)
+    for p, (a, b) in enumerate(itertools.combinations(keys, 2)):
+        shifted = [(v, _FUZZ_VALUES[(i + p) % nv]) for i, v in enumerate(_FUZZ_VALUES)]
+        both = itertools.product(accepted[a], accepted[b])
+        for i, (u, v) in enumerate(sorted(set(shifted).union(both))):
+            _fuzz_case(tmp_path, capsys, command, {a: u, b: v}, f"{a}-{b}-{i}")
 
     # flags: each case is a config error or argparse's usage error, exit 2,
     # and writes nothing

@@ -1,6 +1,8 @@
 """Optimizer behavior: descent certificates, min-norm limits, batch scaling."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -332,9 +334,29 @@ def test_scan_always_anchors_at_batch_one():
     assert rep.batch_grid.tolist() == [1, 2, 4]
 
 
+def _floyd_oracle(rng, n, m, rows):
+    """Reference for optim._floyd_subsets: Floyd's sampler one row at a
+    time with a Python set, on the same rng.integers columns."""
+    cols = [rng.integers(0, j + 1, size=rows).tolist() for j in range(n - m, n)]
+    out = []
+    for k in range(rows):
+        chosen = set()
+        for j, col in zip(range(n - m, n), cols):
+            chosen.add(j if col[k] in chosen else col[k])
+        out.append(sorted(chosen))
+    return np.array(out, dtype=np.int64).reshape(rows, m)
+
+
+def _floyd_oracle_rows(rng, n, m):
+    while True:
+        yield from _floyd_oracle(rng, n, m, 256)
+
+
 def _column_gather_scan(obj, grid, target, seeds):
-    """Reference for critical_batch_scan: a fresh sorted draw and a
-    column gather of the Gram matrix at every step."""
+    """Reference for critical_batch_scan: sorted subsets from the scalar
+    Floyd loop, 256 per block, and a column gather of the Gram matrix at
+    every step. At m = 1 the blocks are integers(0, n) draws, the stream
+    of the scan's batch-1 blocks; at m = n every subset is range(n)."""
     X, y = obj.X, obj.y
     n = X.shape[0]
     row_sq = np.einsum("ij,ij->i", X, X)
@@ -344,12 +366,12 @@ def _column_gather_scan(obj, grid, target, seeds):
     for m in grid:
         c = optim.scan_step_rule(m, n, float(row_sq.max()), lam) * (n / m)
         for s in range(seeds):
-            rng = substream(s, "batch-scan", m)
+            rows = _floyd_oracle_rows(substream(s, "batch-scan", m), n, m)
             r = -y.copy()
             t = 0
             while True:
                 t += 1
-                idx = np.sort(rng.choice(n, size=m, replace=False))
+                idx = next(rows)
                 r -= c * (G[:, idx] @ r[idx])
                 if 0.5 * float(r @ r) <= target:
                     break
@@ -375,6 +397,62 @@ def test_scan_matches_column_gather_reference():
         rep = optim.critical_batch_scan(obj, grid, target, seeds=3)
         assert np.array_equal(rep.median_iters, want_med), (n, d)
         assert rep.regimes == want_reg, (n, d)
+
+
+def test_floyd_subsets_sorted_and_in_range():
+    for n in (2, 3, 7, 40, 512):
+        for m in sorted({2, 3, n // 2, n - 1} & set(range(2, n))):
+            idx = optim._floyd_subsets(substream(n, "floyd-range", m), n, m, 300)
+            assert idx.shape == (300, m) and idx.dtype.kind == "i", (n, m)
+            assert idx.min() >= 0 and idx.max() < n, (n, m)
+            assert np.all(np.diff(idx, axis=1) > 0), (n, m)
+
+
+def test_floyd_subsets_uniform():
+    # each m-subset is one of C(n, m) equally likely outcomes: every count
+    # lies within 5 binomial standard deviations of its expectation
+    for n, m in [(6, 3), (5, 2), (4, 3), (7, 5)]:
+        rows = 40_000
+        idx = optim._floyd_subsets(substream(n, "floyd-uniform", m), n, m, rows)
+        codes = (1 << idx).sum(axis=1)
+        counts = np.bincount(codes, minlength=2 ** n)[
+            [sum(1 << i for i in c) for c in itertools.combinations(range(n), m)]]
+        p = 1.0 / math.comb(n, m)
+        assert counts.sum() == rows, (n, m)
+        assert np.all(np.abs(counts - rows * p) <= 5.0 * math.sqrt(rows * p * (1 - p))), (n, m)
+
+
+def test_floyd_subsets_match_scalar_oracle():
+    for n, m in [(2, 1), (2, 2), (3, 2), (6, 3), (7, 6), (40, 17), (64, 63),
+                 (512, 2), (512, 128)]:
+        got = optim._floyd_subsets(substream(n, "floyd-oracle", m), n, m, 256)
+        want = _floyd_oracle(substream(n, "floyd-oracle", m), n, m, 256)
+        assert np.array_equal(got, want), (n, m)
+
+
+def test_scan_makes_no_choice_call(monkeypatch):
+    calls = {}
+
+    class CountingGenerator:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def __getattr__(self, name):
+            calls[name] = calls.get(name, 0) + 1
+            return getattr(self.rng, name)
+
+    rng = substream(36, "probe-scan-choice")
+    X = rng.standard_normal((24, 40))
+    y = X @ rng.standard_normal(40)
+    obj = optim.linear_objective(X, y)
+    args = (obj, [1, 2, 5, 23, 24], 1e-8 * 0.5 * float(y @ y))
+    want = optim.critical_batch_scan(*args, seeds=3)
+    real_substream = optim.substream
+    monkeypatch.setattr(optim, "substream",
+                        lambda *key: CountingGenerator(real_substream(*key)))
+    got = optim.critical_batch_scan(*args, seeds=3)
+    assert "choice" not in calls and calls["integers"] > 0, calls
+    assert np.array_equal(got.median_iters, want.median_iters)
 
 
 def test_single_choice_draws_like_integers():
@@ -490,6 +568,31 @@ def test_blocked_batch_one_respects_iter_cap():
         got, r = _blocked_count(G, y, c, target, cap, 0)
         assert got is None, cap
         assert 0.5 * float(r @ r) == pytest.approx(losses[cap - 1], rel=1e-9), cap
+
+
+def test_blocked_batch_one_overflowing_gram_square():
+    # with a spiked feature G G overflows, so every screen is inf or nan:
+    # each block replays, with the loop's counts and no RuntimeWarning
+    rng = substream(37, "probe-blocked-overflow")
+    for spike in (1e160, 1e200):
+        X = rng.standard_normal((16, 32)) * np.sqrt(
+            np.concatenate([[spike], np.ones(31)]))
+        y = X @ rng.standard_normal(32)
+        G = X @ X.T
+        with np.errstate(over="ignore"):
+            G2 = G @ G.T
+        assert not np.isfinite(G2).all()
+        row = float(np.einsum("ij,ij->i", X, X).max())
+        c = optim.scan_step_rule(1, 16, row, numlin.max_eig(G)) * 16
+        target = 1e-8 * 0.5 * float(y @ y)
+        for seed in range(5):
+            want, _ = _batch_one_step_loop(G, y, c, target, 20_000,
+                                           substream(seed, "blocked-vs-loop"))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = optim._batch_one_steps(G, G2, -y.copy(), c, target, 20_000,
+                                             substream(seed, "blocked-vs-loop"))
+            assert want is not None and got == want, (spike, seed)
 
 
 def test_scan_takes_one_top_eigenvalue_and_no_svd(monkeypatch):
