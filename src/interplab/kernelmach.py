@@ -9,18 +9,23 @@ training residual certifies interpolation.
 Random Fourier feature models tell the same story at finite width:
 f(w, x) = sum_k w_k exp(i <v_k, x>) with iid standard normal frequency
 rows v_k, fitted by the minimum-norm least-squares rule on the complex
-feature matrix. One code path covers both regimes, because the
-pseudo-inverse solution is the least-squares fit below the interpolation
-threshold and the minimum-norm interpolant above it. Predictions use the
-real part of f; the recorded training residual is the complex one, which
-bounds the real-part residual from above.
+feature matrix: the pseudo-inverse solution, which is the least-squares
+fit below the interpolation threshold and the minimum-norm interpolant
+above it. Predictions use the real part of f; the recorded training
+residual is the complex one, which bounds the real-part residual from
+above.
 
 The width sweep reuses one frequency draw per replicate and takes nested
 prefixes of its rows, so the spanned feature spaces grow with m and the
 feature matrices of every width are column prefixes of one matrix. That
 makes the per-replicate training residual non-increasing in m and the
 coefficient norm non-increasing beyond the interpolation threshold, not
-just on average but path by path.
+just on average but path by path. It also makes the Gram matrices of the
+widths nest, so numlin.minnorm_prefixes solves every width of a replicate
+from one eigendecomposition of a Gram matrix per width. A width takes
+that solution only when its eigenvalues certify the Gram matrix as well
+conditioned; any other width, such as one near m = n where the norm
+spikes, is solved through the SVD (numlin.pinv_apply).
 """
 
 from __future__ import annotations
@@ -222,6 +227,7 @@ class SweepResult:
     m_grid: np.ndarray
     replicates: int
     rows: tuple              # (m, rep, train_mse, test_mse, test_01, coeff_norm, threshold)
+    paths: tuple             # per row: numlin.GRAM_PATH or SVD_PATH, the solve it took
     thresholds: np.ndarray   # per replicate; -1 when never below threshold
     train_mean: np.ndarray
     test_mse_mean: np.ndarray
@@ -239,10 +245,12 @@ def double_descent_sweep(train: Dataset, test: Dataset, m_grid, replicates: int,
     For each replicate a single stack of frequency rows is drawn and each
     width m uses its first m rows, so the train and test features are
     computed once per replicate and each width fits on their first m
-    columns. Records per (m, replicate): complex training MSE, real-part
-    test square loss, test 0-1 loss, coefficient norm, and the replicate's
-    empirical interpolation threshold (the smallest m in the grid whose
-    training MSE is at most 1e-6; -1 if none).
+    columns, all widths in one numlin.minnorm_prefixes call. Records per
+    (m, replicate): complex training MSE, real-part test square loss, test
+    0-1 loss, coefficient norm, and the replicate's empirical
+    interpolation threshold (the smallest m in the grid whose training MSE
+    is at most 1e-6; -1 if none); ``paths`` records which solve each row
+    took, "gram" or "svd".
     """
     m_grid = np.asarray(sorted(set(int(m) for m in np.asarray(m_grid).ravel())))
     if m_grid.size == 0 or m_grid[0] < 1:
@@ -252,7 +260,7 @@ def double_descent_sweep(train: Dataset, test: Dataset, m_grid, replicates: int,
     if train.task != CLASSIFICATION or test.task != CLASSIFICATION:
         raise InvalidSpec("sweep expects two-class datasets")
     m_max = int(m_grid[-1])
-    rows = []
+    rows, paths = [], []
     thresholds = np.full(replicates, -1, dtype=int)
     per_m = {m: {"train": [], "test": [], "zo": [], "norm": []} for m in m_grid}
     for rep in range(replicates):
@@ -260,14 +268,15 @@ def double_descent_sweep(train: Dataset, test: Dataset, m_grid, replicates: int,
         phi_train = rff_features(stack, train.X)
         phi_test = rff_features(stack, test.X)
         rep_rows = []
-        for m in m_grid:
-            w = numlin.pinv_apply(phi_train[:, :m], train.y)
+        solves = numlin.minnorm_prefixes(phi_train, train.y, m_grid)
+        for m, (w, path) in zip(m_grid, solves):
             tr = float(np.mean(np.abs(phi_train[:, :m] @ w - train.y) ** 2))
             pred = np.real(phi_test[:, :m] @ w)
             te = float(np.mean((pred - test.y) ** 2))
             zo = float(np.mean(np.where(pred > 0, 1.0, -1.0) != test.y))
             nrm = float(np.linalg.norm(w))
             rep_rows.append([int(m), rep, tr, te, zo, nrm])
+            paths.append(path)
             if thresholds[rep] < 0 and tr <= TRAIN_MSE_THRESHOLD:
                 thresholds[rep] = int(m)
             per_m[m]["train"].append(tr)
@@ -292,6 +301,7 @@ def double_descent_sweep(train: Dataset, test: Dataset, m_grid, replicates: int,
         m_grid=m_grid,
         replicates=replicates,
         rows=tuple(rows),
+        paths=tuple(paths),
         thresholds=thresholds,
         train_mean=_mean("train"),
         test_mse_mean=_mean("test"),

@@ -43,7 +43,7 @@ from .errors import (
 from .rng import substream
 
 CONFIG_VERSION = "1"   # config files this build accepts
-FORMAT_VERSION = "6"   # CSV bytes; bumped whenever a result moves
+FORMAT_VERSION = "7"   # CSV bytes; bumped whenever a result moves
 COMMANDS = ("noise-interp", "double-descent", "raisin", "loss-compare",
             "simplex", "sgd-scaling", "linearity")
 
@@ -553,8 +553,8 @@ def run_sgd_scaling(cfg: ExperimentConfig) -> dict:
     spike = values["scan.spike"]
     if spike is None:
         spike = (d - 1) / 7.0
-    if not spike >= 0.0:
-        raise ConfigError(f"scan.spike must be non-negative, got {spike}")
+    if not 0.0 <= spike < np.inf:
+        raise ConfigError(f"scan.spike must be non-negative and finite, got {spike}")
     grid = values["batch.grid"]
     if grid is None:
         grid = tuple(m for m in _BATCH_SIZES if m < n) + (n,)
@@ -564,7 +564,8 @@ def run_sgd_scaling(cfg: ExperimentConfig) -> dict:
     X = rng.standard_normal((n, d)) * cov_sqrt
     y = X @ rng.standard_normal(d)
     obj = optim.linear_objective(X, y)
-    target = values["scan.target_factor"] * 0.5 * float(y @ y)
+    with np.errstate(over="ignore"):    # the scan rejects an overflowed y @ y
+        target = values["scan.target_factor"] * 0.5 * float(y @ y)
     report = optim.critical_batch_scan(obj, grid, target, values["scan.seeds"],
                                        iter_cap=values["scan.iter_cap"])
 

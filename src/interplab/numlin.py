@@ -1,12 +1,19 @@
 """Dense linear algebra kernels used everywhere else in the lab.
 
 Matrices are 2-D float64 numpy arrays in row-major order, vectors are 1-D
-float64 arrays (pinv_apply and spectral_norm also take complex128; solve_spd
-also takes a matrix of right-hand sides), and
+float64 arrays (pinv_apply, minnorm_prefixes and spectral_norm also take
+complex128; solve_spd also takes a matrix of right-hand sides), and
 every entry must be finite. Factorizations are delegated to LAPACK
 through numpy; this module pins down the conventions (eigenvalue ordering,
 pseudo-inverse rank cutoff, jitter handling) and the error surface, which
 the rest of the package relies on.
+
+minnorm_prefixes gives pinv_apply's solution for every column prefix of
+one matrix in a list of widths. It solves each width through the nested
+Gram matrices with one Hermitian eigh, and keeps that solution only when
+the eigenvalues certify it (lambda_min > GRAM_CERT * lambda_max). Any
+other width falls back to pinv_apply's SVD, which also serves as the
+tests' reference.
 """
 
 from __future__ import annotations
@@ -24,6 +31,8 @@ from .errors import (
 from .rng import substream
 
 DEFAULT_RANK_TOL = 1e-10
+GRAM_CERT = 1e-8     # minnorm_prefixes keeps a Gram solve when lambda_min > this * lambda_max
+GRAM_PATH, SVD_PATH = "gram", "svd"
 _SYM_RTOL = 1e-10
 _SYM_TILE = 128      # require_symmetric tile edge; a tile pair fits in L2
 
@@ -176,6 +185,75 @@ def pinv_apply(a, b, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     k = int(np.count_nonzero(s > rank_tol * s[0]))
     coeff = np.conj(np.conj(b) @ u[:, :k]) / s[:k]
     return np.conj(np.conj(coeff) @ vt[:k])
+
+
+def _gram_solve(gram: np.ndarray, rhs: np.ndarray):
+    """V Lambda^-1 V^H rhs from one eigh of a Hermitian Gram matrix.
+
+    None unless the Gram matrix is finite (it overflows on huge entries
+    that the SVD scales away) and its eigenvalues satisfy lambda_min >
+    GRAM_CERT * lambda_max. numpy's eigh, not scipy's: scipy's runs on its
+    own BLAS thread pool, whose idle workers slow numpy's GEMMs that follow.
+    """
+    if not np.all(np.isfinite(gram)):
+        return None
+    try:
+        vals, vecs = np.linalg.eigh(gram)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"Hermitian eigensolver did not converge: {exc}") from exc
+    if not vals[0] > GRAM_CERT * vals[-1]:
+        return None
+    return vecs @ (np.conj(np.conj(rhs) @ vecs) / vals)
+
+
+def minnorm_prefixes(a, b, widths) -> list:
+    """pinv_apply(A[:, :m], b) for each width m, and the path that solved it.
+
+    Returns one (x, path) pair per width, path GRAM_PATH or SVD_PATH;
+    widths must increase strictly. Every width's matrix A_m is a column
+    prefix of A (n rows), so the Gram matrices nest. Below n, A_m^H A_m is
+    the leading m x m block of the Gram at the largest such width, and
+    x = V Lambda^-1 V^H (A_m^H b). From n up, the n x n Gram A_m A_m^H is
+    a running sum over the column blocks between widths, and
+    x = A_m^H V Lambda^-1 V^H b. A width takes its Gram solution only when
+    lambda_min > GRAM_CERT * lambda_max. Then every singular value of A_m
+    lies within a factor 1e-4 of the largest, far above DEFAULT_RANK_TOL,
+    so the SVD keeps the same full rank. Any other width, such as an
+    ill-conditioned one near m = n or one whose Gram overflows, is solved
+    by pinv_apply.
+    """
+    a = as_matrix(a, "A", allow_complex=True)
+    b = as_vector(b, "b", allow_complex=True)
+    n, cols = a.shape
+    if b.shape[0] != n:
+        raise DimensionMismatch(f"A is {a.shape} but b has length {b.shape[0]}")
+    widths = [int(m) for m in widths]
+    if (not widths or widths[0] < 1 or widths[-1] > cols
+            or any(p >= q for p, q in zip(widths, widths[1:]))):
+        raise InvalidInput(f"widths must increase strictly within [1, {cols}], got {widths}")
+
+    def solved(m, x):
+        if x is None:
+            return pinv_apply(a[:, :m], b), SVD_PATH
+        return x, GRAM_PATH
+
+    out = []
+    below = [m for m in widths if m < n]
+    with np.errstate(over="ignore", invalid="ignore"):   # overflow fails the certificate
+        if below:
+            top = a[:, :below[-1]]
+            gram = np.conj(top).T @ top
+            atb = np.conj(np.conj(b) @ top)
+            out += [solved(m, _gram_solve(gram[:m, :m], atb[:m])) for m in below]
+        gram = np.zeros((n, n), dtype=a.dtype)
+        start = 0
+        for m in widths[len(below):]:
+            block = a[:, start:m]
+            gram += block @ np.conj(block).T
+            start = m
+            z = _gram_solve(gram, b)
+            out.append(solved(m, None if z is None else np.conj(np.conj(z) @ a[:, :m])))
+    return out
 
 
 def spectral_norm(a) -> float:

@@ -397,7 +397,13 @@ def critical_batch_scan(obj: Objective, batch_grid, target_loss: float,
     Batch 1 runs in blocks of steps (_batch_one_steps) on integer draws.
     Its residual differs from the per-step loop's only by rounding, so
     its count differs only if a loss falls within that rounding of the
-    target; tests compare its counts with the per-step loop's.
+    target; tests compare its counts with the per-step loop's. The full
+    batch (m = n) draws no random numbers, so its cell runs once and its
+    count stands for every seed.
+
+    Targets whose y @ y overflows, and data whose first step could
+    overflow (n max|y| max_i |x_i|^2 beyond the float range), raise
+    InvalidSpec before any step is taken.
     """
     if obj.mlp is not None or obj.loss != SQUARE:
         raise InvalidSpec("batch scan is defined for linear square-loss fits")
@@ -409,7 +415,11 @@ def critical_batch_scan(obj: Objective, batch_grid, target_loss: float,
         raise InvalidSpec("need at least one seed and a positive target")
     if iter_cap < 1:
         raise InvalidSpec(f"iter_cap must be at least 1, got {iter_cap}")
-    if 0.5 * float(obj.y @ obj.y) <= target_loss:
+    with np.errstate(over="ignore"):
+        y_sq = float(obj.y @ obj.y)
+    if not np.isfinite(y_sq):
+        raise InvalidSpec("the targets' squared norm y @ y overflows")
+    if 0.5 * y_sq <= target_loss:
         raise InvalidSpec("target not below the starting loss")
 
     row_sq = np.einsum("ij,ij->i", obj.X, obj.X)
@@ -417,6 +427,12 @@ def critical_batch_scan(obj: Objective, batch_grid, target_loss: float,
     max_row = float(row_sq.max())
     if tr_h == 0.0:
         raise TargetUnreachable("every feature is zero, so the loss cannot fall")
+    # |G_ij| <= |x_i| |x_j| (Cauchy-Schwarz), so every entry of the first
+    # step's r[idx] @ G[idx] (r = -y, at most n terms) is at most this
+    first_step = n * float(np.abs(obj.y).max()) * max_row
+    if not first_step < np.finfo(float).max:
+        raise InvalidSpec(f"a first step could overflow: n max|y| max_i |x_i|^2 = "
+                          f"{first_step:.3e}")
     G = obj.X @ obj.X.T
     lam = numlin.max_eig(G)
     mstar = max(1.0, tr_h / lam)
@@ -440,7 +456,12 @@ def critical_batch_scan(obj: Objective, batch_grid, target_loss: float,
             f"batch {m}, seed {s}: loss {0.5 * float(r @ r):.3e} above "
             f"target {target_loss:.3e} after {iter_cap} steps")
 
-    counts = [run_cell(m, s) for m in grid for s in range(seeds)]
+    counts = []
+    for m in grid:
+        if m == n:      # the full batch draws nothing: one count serves every seed
+            counts += [run_cell(m, 0)] * seeds
+        else:
+            counts += [run_cell(m, s) for s in range(seeds)]
     by_m = np.array(counts, dtype=float).reshape(len(grid), seeds)
     med = [float(np.median(row)) for row in by_m]
     ref = med[0]

@@ -406,6 +406,26 @@ def test_sweep_matches_per_width_fit_reference():
             assert abs(g - r) <= 1e-10 * max(1.0, abs(r))
 
 
+def test_sweep_records_the_solve_path():
+    train, test, grid = _sweep_fixture()
+    res = km.double_descent_sweep(train, test, grid, 3, seed=5)
+    assert res.paths == (numlin.GRAM_PATH,) * len(res.rows)
+    # two nearly equal training points leave every width from n up
+    # ill-conditioned, so those widths take the SVD, as pinv_apply solves them
+    X = train.X.copy()
+    X[1] = X[0] + 1e-7
+    near = datagen.make_dataset(X, train.y, train.task)
+    res = km.double_descent_sweep(near, test, grid, 3, seed=5)
+    assert len(res.paths) == len(res.rows)
+    for (m, rep, *_rest, nrm, _thr), path in zip(res.rows, res.paths):
+        if m < near.n:
+            assert path == numlin.GRAM_PATH
+            continue
+        assert path == numlin.SVD_PATH
+        phi = km.rff_features(km.draw_rff_freqs(grid[-1], near.dim, 5, replicate=rep), near.X)
+        assert nrm == float(np.linalg.norm(numlin.pinv_apply(phi[:, :m], near.y)))
+
+
 def test_sweep_train_mse_monotone_per_replicate():
     train, test, grid = _sweep_fixture()
     res = km.double_descent_sweep(train, test, grid, 3, seed=5)

@@ -428,6 +428,22 @@ def test_sgd_scaling_overflowing_gram_square_exits_zero(tmp_path, capsys):
     assert code == 0 and capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("spike", ["1e220", "1e250", "1e308"])
+def test_sgd_scaling_overflowing_spike_is_a_config_error(tmp_path, capsys, spike):
+    # 1e220 and 1e250 could overflow the first step's r[idx] @ G[idx];
+    # at 1e308 y @ y overflows. Each is refused before a step, unwarned.
+    cfg = tmp_path / "spike.cfg"
+    cfg.write_text(f"scan.n = 16\nscan.d = 32\nscan.spike = {spike}\n")
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = labcli.main(["sgd-scaling", "--config", str(cfg), "--seed", "1",
+                            "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("config error: ") and "Warning" not in err
+    assert not out.exists()
+
+
 def test_sgd_scaling_default_grid_follows_scan_n(tmp_path):
     # without batch.grid the scan keeps the default sizes below scan.n,
     # then scan.n itself
@@ -788,7 +804,8 @@ _MUST_REJECT = {
     ("linearity", "lin.points", "0"), ("linearity", "lin.points", "-1"),
     ("noise-interp", "seeds.count", "0"), ("loss-compare", "seeds.count", "0"),
     ("loss-compare", "seeds.count", "-1"), ("double-descent", "noise.q", "-1"),
-    ("sgd-scaling", "scan.spike", "-1"), ("raisin", "search.tol", "1e400"),
+    ("sgd-scaling", "scan.spike", "-1"), ("sgd-scaling", "scan.spike", "1e400"),
+    ("raisin", "search.tol", "1e400"),
     ("sgd-scaling", "scan.iter_cap", "0"), ("sgd-scaling", "scan.iter_cap", "-1"),
     ("linearity", "lin.radius", "1e400"),
     ("noise-interp", "kernel.bandwidth", "1e400"),

@@ -719,3 +719,34 @@ def test_validation_errors():
     mobj = optim.mlp_objective(model, X, y)
     with pytest.raises(InvalidSpec):
         optim.critical_batch_scan(mobj, [1], 1e-8, seeds=2)
+
+
+def test_scan_runs_the_full_batch_cell_once(monkeypatch):
+    # the per-seed loop at m = n gives every seed the count the scan reports
+    rng = substream(22, "probe-full-batch")
+    n, d, seeds = 24, 40, 5
+    X = rng.standard_normal((n, d))
+    y = X @ rng.standard_normal(d)
+    obj = optim.linear_objective(X, y)
+    target = 1e-10 * 0.5 * float(y @ y)
+    batches, calls = optim._batches, []
+
+    def counted(rng, n, m):
+        calls.append(m)
+        return batches(rng, n, m)
+
+    monkeypatch.setattr(optim, "_batches", counted)
+    rep = optim.critical_batch_scan(obj, [1, 4, n], target, seeds=seeds)
+    assert calls.count(n) == 1 and calls.count(4) == seeds
+    G = X @ X.T
+    c = optim.scan_step_rule(n, n, float(np.einsum("ij,ij->i", X, X).max()),
+                             numlin.max_eig(G))
+    counts = []
+    for s in range(seeds):
+        r = -y.copy()
+        for t, idx in enumerate(batches(substream(s, "batch-scan", n), n, n), start=1):
+            r -= c * (r[idx] @ G[idx])
+            if 0.5 * float(r @ r) <= target:
+                break
+        counts.append(t)
+    assert counts == [rep.median_iters[-1]] * seeds
