@@ -18,7 +18,6 @@ general method and its test oracle.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 from . import numlin
 from .errors import InvalidSpec, ShapeMismatch, TooLarge
@@ -56,11 +55,13 @@ def _softplus(z):
 
 
 def _softplus_d(z):
+    from scipy.special import expit
+
     return expit(z)
 
 
 def _softplus_dd(z):
-    s = expit(z)
+    s = _softplus_d(z)
     return s * (1.0 - s)
 
 

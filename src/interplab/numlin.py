@@ -3,10 +3,13 @@
 Matrices are 2-D float64 numpy arrays in row-major order, vectors are 1-D
 float64 arrays (pinv_apply, minnorm_prefixes and spectral_norm also take
 complex128; solve_spd also takes a matrix of right-hand sides), and
-every entry must be finite. Factorizations are delegated to LAPACK
-through numpy; this module pins down the conventions (eigenvalue ordering,
-pseudo-inverse rank cutoff, jitter handling) and the error surface, which
-the rest of the package relies on.
+every entry must be finite. Factorizations and eigensolvers are
+delegated to LAPACK through numpy. The one exception is solve_spd's pair
+of triangular solves, which use scipy.linalg.solve_triangular, imported
+inside solve_spd so that importing this module loads no scipy. This
+module pins down the conventions (eigenvalue ordering, pseudo-inverse
+rank cutoff, jitter handling) and the error surface, which the rest of
+the package relies on.
 
 minnorm_prefixes gives pinv_apply's solution for every column prefix of
 one matrix in a list of widths. It solves each width through the nested
@@ -19,7 +22,6 @@ tests' reference.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import (
     DimensionMismatch,
@@ -102,6 +104,8 @@ def solve_spd(a, b, jitter: float = 0.0) -> np.ndarray:
         chol = np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"Cholesky failed at jitter={jitter:g}: {exc}") from exc
+    from scipy.linalg import solve_triangular
+
     y = solve_triangular(chol, b, lower=True, check_finite=False)
     return solve_triangular(chol.T, y, lower=False, check_finite=False)
 

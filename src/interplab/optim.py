@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dtrsv
-from scipy.special import expit
 
 from . import netmodels, numlin
 from .errors import (
@@ -94,6 +92,8 @@ def _loss_residual(obj: Objective, f) -> tuple:
     if obj.loss == SQUARE:
         r = f - obj.y
         return 0.5 * float(r @ r), r
+    from scipy.special import expit
+
     margins = -obj.y * f
     return float(np.sum(np.logaddexp(0.0, margins))), -obj.y * expit(margins)
 
@@ -117,6 +117,8 @@ def _batch_grad(obj: Objective, w, idx) -> np.ndarray:
     if obj.loss == SQUARE:
         dldf = fb - yb
     else:
+        from scipy.special import expit
+
         dldf = -yb * expit(-yb * fb)
     return J.T @ dldf
 
@@ -341,6 +343,8 @@ def _batch_one_steps(G, G2, r, c: float, target: float, iter_cap: int, rng):
     term of the expansion: at least B eps |r|^2, however small the target.
     A screen that is not finite, as when G2 overflowed, replays too.
     """
+    from scipy.linalg.blas import dtrsv
+
     n = G.shape[0]
     eps = np.finfo(float).eps
     t = 0
@@ -401,8 +405,8 @@ def critical_batch_scan(obj: Objective, batch_grid, target_loss: float,
     batch (m = n) draws no random numbers, so its cell runs once and its
     count stands for every seed.
 
-    Targets whose y @ y overflows, and data whose first step could
-    overflow (n max|y| max_i |x_i|^2 beyond the float range), raise
+    Targets whose y @ y overflows or is zero, and data whose first step
+    could overflow (n max|y| max_i |x_i|^2 beyond the float range), raise
     InvalidSpec before any step is taken.
     """
     if obj.mlp is not None or obj.loss != SQUARE:
@@ -411,14 +415,19 @@ def critical_batch_scan(obj: Objective, batch_grid, target_loss: float,
     grid = sorted({1} | {int(m) for m in np.asarray(batch_grid).ravel()})
     if grid[0] < 1 or grid[-1] > n:
         raise InvalidSpec(f"batch sizes must lie in [1, {n}]")
-    if seeds < 1 or not target_loss > 0.0:
-        raise InvalidSpec("need at least one seed and a positive target")
+    if seeds < 1:
+        raise InvalidSpec(f"need at least one seed, got {seeds}")
     if iter_cap < 1:
         raise InvalidSpec(f"iter_cap must be at least 1, got {iter_cap}")
     with np.errstate(over="ignore"):
         y_sq = float(obj.y @ obj.y)
     if not np.isfinite(y_sq):
         raise InvalidSpec("the targets' squared norm y @ y overflows")
+    if y_sq == 0.0:
+        zero = "every feature and target" if not obj.X.any() else "every target"
+        raise InvalidSpec(f"{zero} is zero, so the starting loss is already zero")
+    if not target_loss > 0.0:
+        raise InvalidSpec(f"the target loss must be positive, got {target_loss:g}")
     if 0.5 * y_sq <= target_loss:
         raise InvalidSpec("target not below the starting loss")
 

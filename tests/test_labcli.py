@@ -1,5 +1,5 @@
 """Experiment-runner tests: config plumbing, per-command output schemas,
-reproducibility, and the process exit contract."""
+reproducibility, the process exit contract, and which commands load scipy."""
 
 import dataclasses
 import errno
@@ -8,11 +8,14 @@ import math
 import os
 import shutil
 import struct
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import interplab
 from interplab import datagen, direct, kernelmach, labcli, netmodels, optim
 from interplab.errors import ConfigError, NoCorruptedNeighbor
 from interplab.rng import substream
@@ -441,6 +444,23 @@ def test_sgd_scaling_overflowing_spike_is_a_config_error(tmp_path, capsys, spike
                             "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("config error: ") and "Warning" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("settings, message", [
+    # scan.d = 1 leaves only the spiked feature, and the default spike
+    # (scan.d - 1) / 7 is zero, so every feature and target is zero
+    ("scan.d = 1\n", "every feature and target is zero"),
+    ("scan.d = 1\nscan.spike = 0\n", "every feature and target is zero"),
+    ("scan.target_factor = 0\n", "the target loss must be positive, got 0"),
+])
+def test_sgd_scaling_zero_target_names_its_cause(tmp_path, capsys, settings, message):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("scan.n = 16\n" + settings)
+    out = tmp_path / "o"
+    code = labcli.main(["sgd-scaling", "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("config error: ") and message in err
     assert not out.exists()
 
 
@@ -892,3 +912,62 @@ def test_every_csv_carries_provenance_comment(tmp_path):
         if name.endswith(".csv"):
             assert text.startswith("# config_hash=")
             assert "seed=8" in text.splitlines()[0]
+
+
+# --- start-up: scipy is imported only inside the functions that call it ---
+
+def _fresh_python(tmp_path, code):
+    """Run code in a new interpreter, which imports interplab from this tree;
+    this test process loaded scipy long ago."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(interplab.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+
+
+def _main_source(command, text):
+    """Source lines that run command on config text through labcli.main."""
+    return (f"open('{command}.cfg', 'w').write({text!r})\n"
+            f"code = labcli.main([{command!r}, '--config', '{command}.cfg', "
+            f"'--out', 'out-{command}'])\n"
+            f"assert code == 0, ({command!r}, code)\n")
+
+
+def test_commands_without_scipy_never_load_it(tmp_path):
+    code = ("import sys\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "import interplab\n"
+            "from interplab import labcli\n"
+            "print('import', scipy_modules())\n"
+            + "".join(_main_source(c, _TINY[c])
+                      for c in ("simplex", "double-descent", "linearity"))
+            + "print('runs', scipy_modules())\n")
+    proc = _fresh_python(tmp_path, code)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "import []" and lines[-1] == "runs []"
+
+
+# a run that reaches each lazy scipy import, so a broken import fails its run
+_LAZY_SCIPY_SITES = {
+    "numlin.solve_spd": _main_source("noise-interp", _TINY["noise-interp"]),
+    "optim._batch_one_steps": _main_source("sgd-scaling", _TINY["sgd-scaling"]),
+    "netmodels._softplus_d": _main_source(
+        "linearity", _TINY["linearity"] + "lin.wrap = softplus\n"),
+    "optim._loss_residual": _main_source("loss-compare", _TINY["loss-compare"]),
+    "optim._batch_grad": (
+        "import numpy as np\n"
+        "X = np.arange(12.0).reshape(4, 3) / 10.0\n"
+        "obj = optim.linear_objective(X, np.array([1.0, -1.0, 1.0, -1.0]),\n"
+        "                             loss=optim.CROSS_ENTROPY)\n"
+        "optim.sgd(obj, np.zeros(3), 0.1, batch=2, iters=3, seed=0)\n"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_LAZY_SCIPY_SITES))
+def test_lazy_scipy_import_sites_run(tmp_path, site):
+    proc = _fresh_python(tmp_path, "from interplab import labcli, optim\n"
+                         + _LAZY_SCIPY_SITES[site])
+    assert proc.returncode == 0, proc.stderr

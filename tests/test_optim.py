@@ -715,6 +715,18 @@ def test_validation_errors():
     with pytest.raises(TargetUnreachable, match="every feature is zero"):
         optim.critical_batch_scan(optim.linear_objective(np.zeros_like(X), y),
                                   [1], 1e-8, seeds=2)
+    with pytest.raises(InvalidSpec, match="need at least one seed, got 0"):
+        optim.critical_batch_scan(obj, [1], 1e-8, seeds=0)
+    for target in (0.0, -1.0, np.nan):
+        with pytest.raises(InvalidSpec, match="target loss must be positive"):
+            optim.critical_batch_scan(obj, [1], target, seeds=2)
+    with pytest.raises(InvalidSpec, match="^every target is zero"):
+        optim.critical_batch_scan(optim.linear_objective(X, np.zeros_like(y)),
+                                  [1], 1e-8, seeds=2)
+    with pytest.raises(InvalidSpec, match="every feature and target is zero"):
+        optim.critical_batch_scan(optim.linear_objective(np.zeros_like(X),
+                                                         np.zeros_like(y)),
+                                  [1], 0.0, seeds=2)
     model = netmodels.init_mlp((4, 4), "tanh", seed=0)
     mobj = optim.mlp_objective(model, X, y)
     with pytest.raises(InvalidSpec):
