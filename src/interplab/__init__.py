@@ -4,9 +4,9 @@ Modules
 -------
 rng         deterministic per-purpose random substreams
 numlin      validated dense linear algebra (eig, svd, pinv, solves)
-datagen     synthetic classification/regression sources, label corruption
+datagen     synthetic two-class sources, IDX loading, label corruption
 kernelmach  interpolating kernel machines and random-feature sweeps
-direct      nearest-neighbor, simplicial, and simplex-geometry predictors
+direct      nearest-neighbor predictors and the simplex minority volume
 netmodels   small dense nets: exact jacobians, hessians, tangent kernels
 optim       full/mini-batch gradient descent with convergence certificates
 labcli      experiment runner behind the ``interplab`` command
@@ -16,23 +16,19 @@ from . import datagen, direct, errors, kernelmach, labcli, netmodels, numlin, op
 from .datagen import (
     CorruptionSpec,
     Dataset,
-    NoisyLine,
     TwoGaussians,
     UniformSimplex,
     bayes_risk,
-    bayes_rule,
     corrupt,
     load_idx,
     make_dataset,
     sample,
 )
 from .direct import (
-    build_simplicial,
     knn_predict,
     knn_predict_batch,
     make_neighbor_predictor,
     simplex_minority_volume,
-    simplicial_predict,
 )
 from .errors import InterpLabError
 from .kernelmach import (
@@ -45,7 +41,6 @@ from .kernelmach import (
     kernel_predict,
     rff_fit_minnorm,
     rff_predict,
-    rkhs_norm_sq,
 )
 from .labcli import ExperimentConfig, main
 from .netmodels import (
@@ -62,7 +57,6 @@ from .optim import (
     gd,
     linear_objective,
     mlp_objective,
-    plstar_ratio,
     rate_fit,
     sgd,
 )
@@ -79,14 +73,11 @@ __all__ = [
     "KernelMachine",
     "KernelSpec",
     "MLPModel",
-    "NoisyLine",
     "OptimTrace",
     "RFFModel",
     "TwoGaussians",
     "UniformSimplex",
     "bayes_risk",
-    "bayes_rule",
-    "build_simplicial",
     "corrupt",
     "critical_batch_scan",
     "datagen",
@@ -112,16 +103,13 @@ __all__ = [
     "netmodels",
     "numlin",
     "optim",
-    "plstar_ratio",
     "rate_fit",
     "rff_fit_minnorm",
     "rff_predict",
-    "rkhs_norm_sq",
     "rng",
     "sample",
     "sgd",
     "simplex_minority_volume",
-    "simplicial_predict",
     "substream",
     "tangent_kernel",
 ]

@@ -22,7 +22,6 @@ from .errors import (
     BadMagic,
     InvalidInput,
     InvalidSpec,
-    NoAnalyticOracle,
     NotClassification,
     TruncatedFile,
     UnknownClass,
@@ -112,20 +111,7 @@ class UniformSimplex:
             raise InvalidSpec("dim must be at least 1")
 
 
-@dataclass(frozen=True)
-class NoisyLine:
-    """Scalar regression y = slope * x + Gaussian noise, x uniform on [0, 1]."""
-
-    slope: float = 1.0
-    noise_sd: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.noise_sd < 0:
-            raise InvalidSpec("noise_sd must be non-negative")
-
-
-DistributionSpec = TwoGaussians | UniformSimplex | NoisyLine
+DistributionSpec = TwoGaussians | UniformSimplex
 
 
 def sample(spec: DistributionSpec, n: int) -> Dataset:
@@ -143,11 +129,6 @@ def sample(spec: DistributionSpec, n: int) -> Dataset:
         e = rng.standard_exponential((n, spec.dim + 1))
         X = (e / e.sum(axis=1, keepdims=True))[:, : spec.dim]
         return make_dataset(X, np.ones(n), CLASSIFICATION)
-    if isinstance(spec, NoisyLine):
-        rng = substream(spec.seed, "sample-noisy-line", n)
-        x = rng.random(n)
-        y = spec.slope * x + spec.noise_sd * rng.standard_normal(n)
-        return make_dataset(x[:, None], y, REGRESSION)
     raise InvalidSpec(f"unknown distribution spec {type(spec)!r}")
 
 
@@ -189,8 +170,7 @@ def _phi(t: float) -> float:
 def bayes_risk(spec: DistributionSpec, q: float) -> float:
     """Risk of the optimal rule under q-corrupted labels: q/2 + (1-q) R*.
 
-    R* is the clean Bayes risk of the family. Raises NotClassification for
-    regression families.
+    R* is the clean Bayes risk of the family.
     """
     if not 0.0 <= q <= 1.0:
         raise InvalidSpec("q must lie in [0, 1]")
@@ -198,21 +178,9 @@ def bayes_risk(spec: DistributionSpec, q: float) -> float:
         r_star = _phi(-spec.separation / (2.0 * spec.scale))
     elif isinstance(spec, UniformSimplex):
         r_star = 0.0
-    elif isinstance(spec, NoisyLine):
-        raise NotClassification("bayes_risk applies to classification families")
     else:
         raise InvalidSpec(f"unknown distribution spec {type(spec)!r}")
     return q / 2.0 + (1.0 - q) * r_star
-
-
-def bayes_rule(spec: DistributionSpec, X: np.ndarray) -> np.ndarray:
-    """Evaluate the clean optimal classifier of the family at rows of X."""
-    X = np.asarray(X, dtype=float)
-    if isinstance(spec, TwoGaussians):
-        return np.where(X[:, 0] > 0, 1.0, -1.0)
-    if isinstance(spec, UniformSimplex):
-        return np.ones(X.shape[0])
-    raise NoAnalyticOracle(f"no closed-form rule for {type(spec).__name__}")
 
 
 # --- IDX loading ---

@@ -1,13 +1,12 @@
 """Local interpolating predictors built directly from the training set.
 
-Three families live here:
+Two families live here:
 
 * nearest-neighbor rules (1-NN, uniform k-NN, and singular-kernel weighted
   k-NN whose weights blow up at zero distance, so the rule interpolates);
-* simplicial interpolation, linear on each cell of a triangulation of the
-  training inputs (dimension 3 or lower);
-* a closed-form special case of the simplicial rule on the standard
-  simplex, used to measure how much volume a single bad label can claim.
+* the simplicial interpolant (linear on each cell of a triangulation) of
+  one canonical training set on the standard simplex, in closed form, used
+  to measure how much volume a single bad label can claim.
 
 All neighbor searches are brute force; at the problem sizes this lab
 targets the O(n) scan is cheaper than building any index. Distance ties
@@ -22,15 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import CLASSIFICATION, Dataset
-from .errors import (
-    DegeneratePosition,
-    DimensionMismatch,
-    DimensionTooHigh,
-    EmptyTrainingSet,
-    InvalidSpec,
-    OutsideHull,
-    OutsideSimplex,
-)
+from .errors import DimensionMismatch, EmptyTrainingSet, InvalidSpec, OutsideSimplex
 from .rng import substream
 
 COINCIDENCE_TOL = 1e-12
@@ -130,84 +121,6 @@ def knn_predict(p: NeighborPredictor, x) -> float:
     if x.ndim != 1:
         raise DimensionMismatch(f"query must be 1-D, got shape {x.shape}")
     return float(knn_predict_batch(p, x[None, :])[0])
-
-
-# --- simplicial interpolation ---
-
-@dataclass(frozen=True)
-class SimplicialInterpolant:
-    train: Dataset
-    simplices: tuple
-    _tri: object = None  # scipy Delaunay for dim >= 2
-    _order: np.ndarray | None = None  # sorted point order for dim 1
-
-
-def build_simplicial(train: Dataset) -> SimplicialInterpolant:
-    """Triangulate the training inputs for piecewise-linear interpolation.
-
-    Supports input dimension 1 to 3. In dimension 1 cells are the sorted
-    consecutive segments; in higher dimension a Delaunay triangulation is
-    used, so every cell satisfies the empty-circumsphere property up to
-    degeneracy tolerance. Raises DegeneratePosition when the points admit
-    no full-dimensional triangulation (for example, collinear points in
-    the plane) and DimensionTooHigh above dimension 3.
-    """
-    if train.n == 0:
-        raise EmptyTrainingSet("triangulation needs training points")
-    d = train.dim
-    if d > 3:
-        raise DimensionTooHigh(f"simplicial interpolation supports dim <= 3, got {d}")
-    if train.n < d + 1:
-        raise DegeneratePosition(f"need at least {d + 1} points in dimension {d}")
-    if d == 1:
-        order = np.argsort(train.X[:, 0], kind="stable")
-        simplices = tuple(
-            (int(order[i]), int(order[i + 1])) for i in range(train.n - 1)
-        )
-        return SimplicialInterpolant(train=train, simplices=simplices, _order=order)
-    from scipy.spatial import Delaunay, QhullError
-
-    try:
-        tri = Delaunay(train.X)
-    except QhullError as exc:
-        raise DegeneratePosition(f"no valid triangulation: {exc}") from exc
-    simplices = tuple(tuple(int(v) for v in row) for row in tri.simplices)
-    return SimplicialInterpolant(train=train, simplices=simplices, _tri=tri)
-
-
-def simplicial_predict(interp: SimplicialInterpolant, x) -> float:
-    """Linearly interpolate inside the containing cell of the query.
-
-    The value is the barycentric mix of the cell's vertex labels;
-    classification takes its sign. Queries outside the convex hull of the
-    training inputs raise OutsideHull.
-    """
-    x = np.asarray(x, dtype=float)
-    train = interp.train
-    if x.ndim != 1 or x.shape[0] != train.dim:
-        raise DimensionMismatch(f"query must have shape ({train.dim},), got {x.shape}")
-    if train.dim == 1:
-        xs = train.X[interp._order, 0]
-        ys = train.y[interp._order]
-        t = x[0]
-        if t < xs[0] or t > xs[-1]:
-            raise OutsideHull(f"query {t} outside [{xs[0]}, {xs[-1]}]")
-        j = int(np.searchsorted(xs, t, side="right"))
-        j = min(max(j, 1), xs.size - 1)
-        lam = (t - xs[j - 1]) / (xs[j] - xs[j - 1])
-        value = (1.0 - lam) * ys[j - 1] + lam * ys[j]
-    else:
-        tri = interp._tri
-        idx = int(tri.find_simplex(x[None, :])[0])
-        if idx < 0:
-            raise OutsideHull("query outside the convex hull of the training inputs")
-        T = tri.transform[idx]
-        b = T[: train.dim] @ (x - T[train.dim])
-        weights = np.append(b, 1.0 - b.sum())
-        value = float(weights @ train.y[list(interp.simplices[idx])])
-    if train.task == CLASSIFICATION:
-        return float(_classify(np.array([value]))[0])
-    return float(value)
 
 
 # --- standard-simplex worked example ---

@@ -60,18 +60,6 @@ class EmptyTrainingSet(InterpLabError):
     """Predictor built over zero training points."""
 
 
-class DegeneratePosition(InterpLabError):
-    """Point configuration admits no valid triangulation."""
-
-
-class DimensionTooHigh(InterpLabError):
-    """Triangulated interpolation is only supported in low dimension."""
-
-
-class OutsideHull(InterpLabError):
-    """Query point lies outside the convex hull of the training inputs."""
-
-
 class OutsideSimplex(InterpLabError):
     """Query point lies outside the standard simplex."""
 

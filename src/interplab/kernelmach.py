@@ -98,15 +98,6 @@ def kernel_matrix(spec: KernelSpec, X, Z=None) -> np.ndarray:
     return K
 
 
-def kernel_eval(spec: KernelSpec, x, z) -> float:
-    """Kernel value for a single pair of points."""
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if x.shape != z.shape or x.ndim != 1:
-        raise DimensionMismatch(f"points must be 1-D of equal length, got {x.shape}, {z.shape}")
-    return float(kernel_matrix(spec, x[None, :], z[None, :])[0, 0])
-
-
 @dataclass(frozen=True)
 class KernelMachine:
     spec: KernelSpec
@@ -166,12 +157,6 @@ def kernel_predict(machine: KernelMachine, X) -> np.ndarray:
     """
     K = kernel_matrix(machine.spec, np.asarray(X, dtype=float), machine.centers)
     return K @ machine.alpha
-
-
-def rkhs_norm_sq(machine: KernelMachine) -> float:
-    """Squared native-space norm alpha^T K alpha of a one-column machine."""
-    K = kernel_matrix(machine.spec, machine.centers)
-    return float(machine.alpha @ (K @ machine.alpha))
 
 
 # --- random Fourier feature models ---

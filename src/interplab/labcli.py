@@ -86,12 +86,14 @@ def config_hash(params: dict) -> str:
 
 
 def _list(cast):
-    """Cast for a comma-separated list key; an empty list is rejected."""
+    """Cast for a comma-separated list key; an empty list or item is rejected."""
     def parse(text):
-        items = tuple(cast(tok) for tok in text.split(",") if tok.strip())
-        if not items:
+        if not text.strip():
             raise ValueError("empty list")
-        return items
+        tokens = text.split(",")
+        if not all(tok.strip() for tok in tokens):
+            raise ValueError(f"empty item in list {text!r}")
+        return tuple(cast(tok) for tok in tokens)
     return parse
 
 

@@ -10,12 +10,12 @@ networks are expected to look nearly linear around a random init, and
 that effect is quantified here by spectral curvature norms, gradient
 norms, and tangent-kernel drift over a parameter ball.
 
-For one hidden layer with a fixed read-out, hessian_norm gives the
-curvature norm in closed form; numlin.spectral_norm(hessian(...)) is the
-general method and its test oracle.
+For one hidden layer, hessian_norm gives the curvature norm in closed
+form; numlin.spectral_norm(hessian(...)) is the general method and its
+test oracle.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,15 +79,14 @@ _WRAP = {
 
 @dataclass(frozen=True)
 class MLPModel:
-    """Feedforward net: hidden stack, then a scalar linear read-out.
+    """Feedforward net: hidden stack, then a fixed scalar linear read-out.
 
     widths lists the input dimension followed by every hidden width; the
     scalar output is implicit. weights[l] maps layer l to layer l+1 and
-    out_weights is the read-out vector. With output_scale set the
-    read-out is divided by sqrt(last hidden width). out_weights only
-    count as trainable parameters when second_layer_trainable is set;
-    output_wrap optionally passes the scalar output through a smooth
-    nonlinearity, which is the standard way to destroy the
+    holds the trainable parameters; out_weights is the read-out vector,
+    which stays fixed, and the read-out is divided by sqrt(last hidden
+    width). output_wrap optionally passes the scalar output through a
+    smooth nonlinearity, which is the standard way to destroy the
     width-induced flatness without touching anything else.
     """
 
@@ -95,8 +94,6 @@ class MLPModel:
     activation: str
     weights: tuple
     out_weights: np.ndarray
-    output_scale: bool = True
-    second_layer_trainable: bool = False
     output_wrap: str = "none"
 
     @property
@@ -105,14 +102,12 @@ class MLPModel:
 
     @property
     def scale(self) -> float:
-        return 1.0 / np.sqrt(float(self.widths[-1])) if self.output_scale else 1.0
+        return 1.0 / np.sqrt(float(self.widths[-1]))
 
 
 def init_mlp(widths, activation: str, seed: int,
-             second_layer_trainable: bool = False,
              output_wrap: str = "none") -> MLPModel:
-    """Standard-normal hidden weights; read-out is random signs when it
-    stays fixed and standard normal when it trains."""
+    """Standard-normal hidden weights and a read-out of random signs."""
     widths = tuple(int(w) for w in widths)
     if len(widths) < 2 or any(w < 1 for w in widths):
         raise InvalidSpec(f"need input plus at least one hidden width, got {widths}")
@@ -124,32 +119,21 @@ def init_mlp(widths, activation: str, seed: int,
     for layer in range(1, len(widths)):
         rng = substream(seed, "mlp-init", layer)
         weights.append(rng.standard_normal((widths[layer], widths[layer - 1])))
-    rng = substream(seed, "mlp-out")
-    if second_layer_trainable:
-        v = rng.standard_normal(widths[-1])
-    else:
-        v = rng.choice(np.array([-1.0, 1.0]), size=widths[-1])
+    v = substream(seed, "mlp-out").choice(np.array([-1.0, 1.0]), size=widths[-1])
     return MLPModel(widths=widths, activation=activation, weights=tuple(weights),
-                    out_weights=v, second_layer_trainable=second_layer_trainable,
-                    output_wrap=output_wrap)
+                    out_weights=v, output_wrap=output_wrap)
 
 
 def param_count(model: MLPModel) -> int:
-    n = sum(w.size for w in model.weights)
-    if model.second_layer_trainable:
-        n += model.out_weights.size
-    return n
+    return sum(w.size for w in model.weights)
 
 
 def flatten_params(model: MLPModel) -> np.ndarray:
-    """Layer blocks in order, row-major, read-out block last when trainable."""
-    parts = [w.ravel() for w in model.weights]
-    if model.second_layer_trainable:
-        parts.append(model.out_weights)
-    return np.concatenate(parts)
+    """Layer blocks in order, row-major."""
+    return np.concatenate([w.ravel() for w in model.weights])
 
 
-def _unflatten(model: MLPModel, w) -> tuple:
+def _unflatten(model: MLPModel, w) -> list:
     w = np.asarray(w, dtype=float)
     if w.shape != (param_count(model),):
         raise ShapeMismatch(
@@ -159,21 +143,13 @@ def _unflatten(model: MLPModel, w) -> tuple:
     for mat in model.weights:
         mats.append(w[pos:pos + mat.size].reshape(mat.shape))
         pos += mat.size
-    v = w[pos:] if model.second_layer_trainable else model.out_weights
-    return mats, v
+    return mats
 
 
-def with_params(model: MLPModel, w) -> MLPModel:
-    """Rebuild the model at a new flat parameter point."""
-    mats, v = _unflatten(model, w)
-    if model.second_layer_trainable:
-        return replace(model, weights=tuple(mats), out_weights=np.array(v))
-    return replace(model, weights=tuple(mats))
-
-
-def _resolve(model: MLPModel, w):
+def _resolve(model: MLPModel, w) -> list:
+    """The weight matrices at w; w=None gives the stored point."""
     if w is None:
-        return list(model.weights), model.out_weights
+        return list(model.weights)
     return _unflatten(model, w)
 
 
@@ -193,22 +169,22 @@ def _as_point(model: MLPModel, x) -> np.ndarray:
     return x
 
 
-def _forward_stack(model: MLPModel, mats, v, X):
+def _forward_stack(model: MLPModel, mats, X):
     act = _ACT[model.activation][0]
     A = [X]
     Z = []
     for W in mats:
         Z.append(A[-1] @ W.T)
         A.append(act(Z[-1]))
-    s = model.scale * (A[-1] @ v)
+    s = model.scale * (A[-1] @ model.out_weights)
     return A, Z, s
 
 
 def forward_batch(model: MLPModel, w, X) -> np.ndarray:
     """Scalar outputs at every row of X; w=None evaluates the stored point."""
-    mats, v = _resolve(model, w)
+    mats = _resolve(model, w)
     X = _as_batch(model, X)
-    _, _, s = _forward_stack(model, mats, v, X)
+    _, _, s = _forward_stack(model, mats, X)
     return _WRAP[model.output_wrap][0](s)
 
 
@@ -218,20 +194,18 @@ def forward(model: MLPModel, w, x) -> float:
 
 def jacobian(model: MLPModel, w, X) -> np.ndarray:
     """Per-row gradient of the scalar output, one flat row per input."""
-    mats, v = _resolve(model, w)
+    mats = _resolve(model, w)
     X = _as_batch(model, X)
     actd = _ACT[model.activation][1]
-    A, Z, s = _forward_stack(model, mats, v, X)
+    A, Z, s = _forward_stack(model, mats, X)
     wrapd = _WRAP[model.output_wrap][1](s)
-    E = wrapd[:, None] * (model.scale * v)[None, :]
+    E = wrapd[:, None] * (model.scale * model.out_weights)[None, :]
     blocks = [None] * len(mats)
     for layer in range(len(mats) - 1, -1, -1):
         D = E * actd(Z[layer])
         blocks[layer] = np.einsum("ni,nj->nij", D, A[layer]).reshape(X.shape[0], -1)
         if layer > 0:
             E = D @ mats[layer]
-    if model.second_layer_trainable:
-        blocks.append(wrapd[:, None] * model.scale * A[-1])
     return np.hstack(blocks)
 
 
@@ -247,11 +221,9 @@ def hvp(model: MLPModel, w, x, vec) -> np.ndarray:
     is differentiated in the tangent direction; cost is a small constant
     times one gradient.
     """
-    mats, v = _resolve(model, w)
+    mats, v = _resolve(model, w), model.out_weights
     x = _as_point(model, x)
-    dmats, dv = _unflatten(model, np.asarray(vec, dtype=float))
-    if not model.second_layer_trainable:
-        dv = np.zeros_like(model.out_weights)
+    dmats = _unflatten(model, vec)
     act, actd, actdd = _ACT[model.activation]
     wrap_d, wrap_dd = _WRAP[model.output_wrap][1], _WRAP[model.output_wrap][2]
     c = model.scale
@@ -267,11 +239,11 @@ def hvp(model: MLPModel, w, x, vec) -> np.ndarray:
         A.append(a)
         Adot.append(adot)
     s = c * float(v @ A[-1])
-    sdot = c * (float(dv @ A[-1]) + float(v @ Adot[-1]))
+    sdot = c * float(v @ Adot[-1])
     gp, gpp = float(wrap_d(s)), float(wrap_dd(s))
 
     e = gp * c * v
-    edot = gpp * sdot * c * v + gp * c * dv
+    edot = gpp * sdot * c * v
     out_blocks = [None] * len(mats)
     for layer in range(len(mats) - 1, -1, -1):
         d = e * actd(Zs[layer])
@@ -280,10 +252,7 @@ def hvp(model: MLPModel, w, x, vec) -> np.ndarray:
         if layer > 0:
             e = mats[layer].T @ d
             edot = mats[layer].T @ ddot + dmats[layer].T @ d
-    parts = out_blocks
-    if model.second_layer_trainable:
-        parts = out_blocks + [gpp * sdot * c * A[-1] + gp * c * Adot[-1]]
-    return np.concatenate(parts)
+    return np.concatenate(out_blocks)
 
 
 def hessian(model: MLPModel, w, x) -> np.ndarray:
@@ -325,19 +294,18 @@ def _diag_rank_one_extremes(d, u, rho: float):
 
 
 def hessian_norm(model: MLPModel, w, x) -> float:
-    """Exact spectral norm of the output Hessian, for one hidden layer with
-    a fixed read-out; other models raise InvalidSpec (the general method
-    is numlin.spectral_norm(hessian(...))).
+    """Exact spectral norm of the output Hessian, for one hidden layer;
+    deeper models raise InvalidSpec (the general method is
+    numlin.spectral_norm(hessian(...))).
 
     The Hessian is A kron x x^T with A = g'(s) c diag(v act''(z)) +
     g''(s) c^2 u u^T, u = v act'(z), z = W x and g the output wrap, so the
     norm is |x|^2 max |eig(A)|: a maximum over the diagonal for a plain
     output, and a diagonal-plus-rank-one bisection with the wrap. O(m).
     """
-    if len(model.widths) != 2 or model.second_layer_trainable:
-        raise InvalidSpec("closed-form curvature needs one hidden layer "
-                          "and a fixed read-out")
-    mats, v = _resolve(model, w)
+    if len(model.widths) != 2:
+        raise InvalidSpec("closed-form curvature needs one hidden layer")
+    mats, v = _resolve(model, w), model.out_weights
     x = _as_point(model, x)
     act, actd, actdd = _ACT[model.activation]
     _, wrap_d, wrap_dd = _WRAP[model.output_wrap]

@@ -7,10 +7,10 @@ the 1-d quadratic in one move. Mini-batch gradients are rescaled by n/m
 to stay unbiased for the full gradient, which makes the full-batch
 special case coincide with plain gradient descent bit for bit.
 
-Alongside the optimizers: the instantaneous gradient-domination ratio
-(a running lower bound for the exponential-rate constant), tangent
-kernel smallest eigenvalues, log-linear rate fits, and a batch-size
-scan that locates where SGD stops scaling linearly.
+Alongside the optimizers: traces that record the instantaneous
+gradient-domination ratio (a running lower bound for the
+exponential-rate constant), log-linear rate fits, and a batch-size scan
+that locates where SGD stops scaling linearly.
 """
 
 import math
@@ -77,14 +77,14 @@ def param_dim(obj: Objective) -> int:
     return netmodels.param_count(obj.mlp)
 
 
-def predictions(obj: Objective, w) -> np.ndarray:
+def _predictions(obj: Objective, w) -> np.ndarray:
     if obj.mlp is None:
         return obj.X @ np.asarray(w, dtype=float)
     return netmodels.forward_batch(obj.mlp, w, obj.X)
 
 
 def loss_value(obj: Objective, w) -> float:
-    return _loss_residual(obj, predictions(obj, w))[0]
+    return _loss_residual(obj, _predictions(obj, w))[0]
 
 
 def _loss_residual(obj: Objective, f) -> tuple:
@@ -99,7 +99,7 @@ def _loss_residual(obj: Objective, f) -> tuple:
 
 
 def loss_grad(obj: Objective, w) -> np.ndarray:
-    f = predictions(obj, w)
+    f = _predictions(obj, w)
     _, dldf = _loss_residual(obj, f)
     if obj.mlp is None:
         return obj.X.T @ dldf
@@ -130,27 +130,23 @@ class OptimTrace:
     grad_norm: np.ndarray
     param_norm: np.ndarray
     plstar: np.ndarray      # 0.5 * grad_norm^2 / loss, +inf at zero loss
-    dist_ref: np.ndarray    # nan when no reference point was given
     final_w: np.ndarray
 
 
 class _Recorder:
-    def __init__(self, ref):
-        self.ref = None if ref is None else np.asarray(ref, dtype=float)
+    def __init__(self):
         self.rows = []
 
     def add(self, t, w, lv, g):
         gn = float(np.linalg.norm(g))
         ratio = 0.5 * gn * gn / lv if lv > 0.0 else math.inf
-        dref = float(np.linalg.norm(w - self.ref)) if self.ref is not None else math.nan
-        self.rows.append((t, lv, gn, float(np.linalg.norm(w)), ratio, dref))
+        self.rows.append((t, lv, gn, float(np.linalg.norm(w)), ratio))
 
     def done(self, w):
         a = np.array(self.rows)
         return OptimTrace(
             iters=a[:, 0].astype(int), loss=a[:, 1], grad_norm=a[:, 2],
-            param_norm=a[:, 3], plstar=a[:, 4], dist_ref=a[:, 5],
-            final_w=np.array(w))
+            param_norm=a[:, 3], plstar=a[:, 4], final_w=np.array(w))
 
 
 def _check_run_args(obj, w0, step, iters, record_every):
@@ -166,10 +162,10 @@ def _check_run_args(obj, w0, step, iters, record_every):
 
 
 def gd(obj: Objective, w0, step: float, iters: int,
-       record_every: int = 1, ref=None) -> OptimTrace:
+       record_every: int = 1) -> OptimTrace:
     """Full-gradient descent; records every record_every steps plus the ends."""
     w = _check_run_args(obj, w0, step, iters, record_every).copy()
-    rec = _Recorder(ref)
+    rec = _Recorder()
     for t in range(iters + 1):
         if obj.mlp is None:
             f, J = obj.X @ w, obj.X
@@ -188,7 +184,7 @@ def gd(obj: Objective, w0, step: float, iters: int,
 
 
 def sgd(obj: Objective, w0, step: float, batch: int, iters: int, seed: int,
-        record_every: int = 1, ref=None) -> OptimTrace:
+        record_every: int = 1) -> OptimTrace:
     """Mini-batch descent, batches uniform without replacement each step.
 
     The batch gradient is scaled by n/batch so it estimates the full
@@ -203,7 +199,7 @@ def sgd(obj: Objective, w0, step: float, batch: int, iters: int, seed: int,
         raise InvalidSpec(f"batch must lie in [1, {n}], got {batch}")
     rng = substream(seed, "sgd-batches")
     scale = n / batch
-    rec = _Recorder(ref)
+    rec = _Recorder()
     for t in range(iters + 1):
         if t % record_every == 0 or t == iters:
             lv = loss_value(obj, w)
@@ -214,26 +210,6 @@ def sgd(obj: Objective, w0, step: float, batch: int, iters: int, seed: int,
             idx = np.sort(rng.choice(n, size=batch, replace=False))
             w -= step * scale * _batch_grad(obj, w, idx)
     return rec.done(w)
-
-
-def plstar_ratio(obj: Objective, w) -> float:
-    """Instantaneous gradient-domination certificate 0.5*||grad||^2 / L."""
-    lv = loss_value(obj, w)
-    if lv <= 0.0:
-        return math.inf
-    g = loss_grad(obj, w)
-    return 0.5 * float(g @ g) / lv
-
-
-def tangent_kernel_min_eig(obj: Objective, w) -> float:
-    """Smallest eigenvalue of the n-by-n gradient Gram matrix at w."""
-    if obj.mlp is None:
-        K = obj.X @ obj.X.T
-        K = 0.5 * (K + K.T)
-    else:
-        K = netmodels.tangent_kernel(obj.mlp, w, obj.X)
-    vals, _ = numlin.sym_eig(K)
-    return float(vals[-1])
 
 
 def rate_fit(trace: OptimTrace, window: tuple) -> tuple:

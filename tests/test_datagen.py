@@ -7,7 +7,6 @@ import pytest
 from interplab import datagen
 from interplab.datagen import (
     CorruptionSpec,
-    NoisyLine,
     TwoGaussians,
     UniformSimplex,
 )
@@ -19,6 +18,7 @@ from interplab.errors import (
     TruncatedFile,
     UnknownClass,
 )
+from interplab.rng import substream
 
 
 # --- sampling ---
@@ -63,17 +63,6 @@ def test_uniform_simplex_is_uniform_in_mean():
     # Uniform on the standard simplex in R^d has coordinate mean 1/(d+1).
     ds = datagen.sample(UniformSimplex(dim=3, seed=9), 20000)
     assert np.allclose(ds.X.mean(axis=0), 0.25, atol=0.01)
-
-
-def test_noisy_line_slope_recovered_by_least_squares():
-    spec = NoisyLine(slope=2.5, noise_sd=0.2, seed=3)
-    ds = datagen.sample(spec, 2000)
-    x = ds.X[:, 0]
-    xc = x - x.mean()
-    slope = float(xc @ ds.y) / float(xc @ xc)
-    se = spec.noise_sd / math.sqrt(float(xc @ xc))
-    assert abs(slope - 2.5) < 3 * se
-    assert ds.task == datagen.REGRESSION
 
 
 def test_make_dataset_dedups_with_report():
@@ -124,7 +113,10 @@ def test_corrupt_flip_rate_is_half_q():
 
 
 def test_corrupt_requires_classification():
-    ds = datagen.sample(NoisyLine(seed=0), 50)
+    rng = substream(0, "sample-noisy-line", 50)
+    x = rng.random(50)
+    ds = datagen.make_dataset(x[:, None], x + 0.1 * rng.standard_normal(50),
+                              datagen.REGRESSION)
     with pytest.raises(NotClassification):
         datagen.corrupt(ds, CorruptionSpec(q=0.5))
 
@@ -165,16 +157,10 @@ def test_bayes_risk_deterministic_family():
 
 
 def test_bayes_risk_error_paths():
-    with pytest.raises(NotClassification):
-        datagen.bayes_risk(NoisyLine(), 0.1)
+    with pytest.raises(InvalidSpec):
+        datagen.bayes_risk(object(), 0.1)
     with pytest.raises(InvalidSpec):
         datagen.bayes_risk(TwoGaussians(), -0.1)
-
-
-def test_bayes_rule_two_gaussians():
-    spec = TwoGaussians(separation=2.0, dim=2)
-    X = np.array([[0.5, -9.0], [-0.5, 9.0]])
-    assert np.array_equal(datagen.bayes_rule(spec, X), [1.0, -1.0])
 
 
 # --- IDX loading ---

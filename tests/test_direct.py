@@ -2,20 +2,20 @@ import numpy as np
 import pytest
 
 from interplab import datagen, direct
-from interplab.datagen import NoisyLine, TwoGaussians
-from interplab.errors import (
-    DegeneratePosition,
-    DimensionMismatch,
-    DimensionTooHigh,
-    InvalidSpec,
-    OutsideHull,
-    OutsideSimplex,
-)
+from interplab.datagen import TwoGaussians
+from interplab.errors import DimensionMismatch, InvalidSpec, OutsideSimplex
 from interplab.rng import substream
 
 
 def _toy(X, y, task=datagen.REGRESSION):
     return datagen.make_dataset(np.asarray(X, dtype=float), np.asarray(y, dtype=float), task)
+
+
+def _noisy_line(n, slope=1.0, noise_sd=0.1, seed=0):
+    """y = slope * x + Gaussian noise at n points x uniform on [0, 1]."""
+    rng = substream(seed, "sample-noisy-line", n)
+    x = rng.random(n)
+    return _toy(x[:, None], slope * x + noise_sd * rng.standard_normal(n))
 
 
 # --- nearest neighbor rules ---
@@ -48,7 +48,7 @@ def test_singular_interpolates_for_any_k():
 
 
 def test_singular_near_coincidence_returns_label():
-    ds = datagen.sample(NoisyLine(seed=4), 50)
+    ds = _noisy_line(50, seed=4)
     p = direct.make_neighbor_predictor(ds, k=5, weighting=direct.SINGULAR)
     x = ds.X[17] + 1e-13
     assert direct.knn_predict(p, x) == ds.y[17]
@@ -74,7 +74,7 @@ def test_singular_regression_tracks_clean_line():
     errs = []
     grid = np.linspace(0.05, 0.95, 101)[:, None]
     for seed in range(20):
-        ds = datagen.sample(NoisyLine(slope=1.0, noise_sd=0.25, seed=seed), 200)
+        ds = _noisy_line(200, slope=1.0, noise_sd=0.25, seed=seed)
         p = direct.make_neighbor_predictor(ds, k=10, weighting=direct.SINGULAR)
         pred = direct.knn_predict_batch(p, grid)
         errs.append(float(np.mean((pred - grid[:, 0]) ** 2)))
@@ -89,129 +89,6 @@ def test_neighbor_predictor_validation():
         direct.make_neighbor_predictor(ds, weighting="gauss")
     with pytest.raises(DimensionMismatch):
         direct.knn_predict(direct.make_neighbor_predictor(ds), np.zeros(3))
-
-
-# --- simplicial interpolation ---
-
-def test_build_simplicial_dim1_segments():
-    ds = _toy([[2.0], [0.0], [1.0]], [4.0, 0.0, 1.0])
-    interp = direct.build_simplicial(ds)
-    assert set(interp.simplices) == {(1, 2), (2, 0)}
-    assert direct.simplicial_predict(interp, np.array([0.5])) == pytest.approx(0.5)
-    assert direct.simplicial_predict(interp, np.array([1.5])) == pytest.approx(2.5)
-
-
-def test_simplicial_interpolates_vertices():
-    rng = np.random.default_rng(0)
-    ds = _toy(rng.standard_normal((30, 2)), rng.standard_normal(30))
-    interp = direct.build_simplicial(ds)
-    for i in range(0, 30, 5):
-        got = direct.simplicial_predict(interp, ds.X[i])
-        assert got == pytest.approx(ds.y[i], abs=1e-9)
-
-
-def _circumcircle(a, b, c):
-    m = 2.0 * np.array([b - a, c - a])
-    rhs = np.array([b @ b - a @ a, c @ c - a @ a])
-    center = np.linalg.solve(m, rhs)
-    return center, np.linalg.norm(a - center)
-
-
-def test_square_triangulation_and_empty_circumcircle():
-    ds = _toy([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 1.0, 1.0, -1.0])
-    interp = direct.build_simplicial(ds)
-    assert len(interp.simplices) == 2
-    for simp in interp.simplices:
-        pts = [ds.X[i] for i in simp]
-        center, radius = _circumcircle(*pts)
-        for j in range(ds.n):
-            if j not in simp:
-                assert np.linalg.norm(ds.X[j] - center) >= radius - 1e-9
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_random_triangulation_empty_circumcircle(seed):
-    rng = np.random.default_rng(700 + seed)
-    ds = _toy(rng.random((25, 2)), rng.standard_normal(25))
-    interp = direct.build_simplicial(ds)
-    for simp in interp.simplices:
-        center, radius = _circumcircle(*(ds.X[i] for i in simp))
-        others = np.array([ds.X[j] for j in range(ds.n) if j not in simp])
-        dist = np.linalg.norm(others - center, axis=1)
-        assert np.all(dist >= radius - 1e-9)
-
-
-def test_triangulation_covers_hull_with_disjoint_cells():
-    from scipy.spatial import ConvexHull
-
-    rng = np.random.default_rng(77)
-    ds = _toy(rng.random((40, 2)), rng.standard_normal(40))
-    interp = direct.build_simplicial(ds)
-    total = 0.0
-    for simp in interp.simplices:
-        a, b, c = (ds.X[i] for i in simp)
-        u, v = b - a, c - a
-        total += 0.5 * abs(u[0] * v[1] - u[1] * v[0])
-    assert total == pytest.approx(ConvexHull(ds.X).volume, rel=1e-10)
-
-
-def test_no_training_point_strictly_inside_any_cell():
-    rng = np.random.default_rng(78)
-    ds = _toy(rng.random((30, 2)), rng.standard_normal(30))
-    interp = direct.build_simplicial(ds)
-    for simp in interp.simplices:
-        a, b, c = (ds.X[i] for i in simp)
-        m = np.column_stack([b - a, c - a])
-        for j in range(ds.n):
-            if j in simp:
-                continue
-            lam = np.linalg.solve(m, ds.X[j] - a)
-            inside = lam[0] > 1e-9 and lam[1] > 1e-9 and lam.sum() < 1 - 1e-9
-            assert not inside
-
-
-def test_dim1_classification_matches_one_nn():
-    rng = np.random.default_rng(11)
-    X = np.sort(rng.random(25))[:, None]
-    y = np.where(rng.random(25) < 0.5, 1.0, -1.0)
-    ds = _toy(X, y, datagen.CLASSIFICATION)
-    interp = direct.build_simplicial(ds)
-    p = direct.make_neighbor_predictor(ds, k=1)
-    queries = rng.uniform(X.min(), X.max(), size=100)
-    for q in queries:
-        assert direct.simplicial_predict(interp, np.array([q])) == direct.knn_predict(
-            p, np.array([q]))
-
-
-def test_simplicial_degenerate_and_dim_errors():
-    with pytest.raises(DegeneratePosition):
-        direct.build_simplicial(_toy([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], [0.0, 1.0, 2.0]))
-    with pytest.raises(DimensionTooHigh):
-        direct.build_simplicial(_toy(np.eye(4), np.ones(4)))
-    with pytest.raises(DegeneratePosition):
-        direct.build_simplicial(_toy([[0.0, 0.0], [1.0, 0.0]], [0.0, 1.0]))
-
-
-def test_simplicial_outside_hull():
-    ds = _toy([[0.0], [1.0]], [0.0, 1.0])
-    interp = direct.build_simplicial(ds)
-    with pytest.raises(OutsideHull):
-        direct.simplicial_predict(interp, np.array([1.5]))
-    rng = np.random.default_rng(5)
-    ds2 = _toy(rng.random((10, 2)), rng.standard_normal(10))
-    with pytest.raises(OutsideHull):
-        direct.simplicial_predict(direct.build_simplicial(ds2), np.array([5.0, 5.0]))
-
-
-def test_simplicial_3d_smoke():
-    rng = np.random.default_rng(21)
-    X = np.vstack([np.eye(3), np.zeros((1, 3)), rng.random((10, 3)) * 0.5])
-    ds = _toy(X, rng.standard_normal(14))
-    interp = direct.build_simplicial(ds)
-    got = direct.simplicial_predict(interp, np.full(3, 0.1))
-    assert np.isfinite(got)
-    for i in (0, 3, 7):
-        assert direct.simplicial_predict(interp, ds.X[i]) == pytest.approx(ds.y[i], abs=1e-9)
 
 
 # --- standard-simplex closed form ---

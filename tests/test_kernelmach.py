@@ -25,13 +25,13 @@ def _two_point_laplace():
 
 def test_laplace_value_at_log_two():
     spec = km.KernelSpec("laplace", 1.0)
-    v = km.kernel_eval(spec, [0.0], [math.log(2.0)])
+    v = km.kernel_matrix(spec, [[0.0]], [[math.log(2.0)]])[0, 0]
     assert abs(v - 0.5) < 1e-15
 
 
 def test_gaussian_value_at_sqrt_two():
     spec = km.KernelSpec("gaussian", 1.0)
-    v = km.kernel_eval(spec, [0.0, 0.0], [1.0, 1.0])
+    v = km.kernel_matrix(spec, [[0.0, 0.0]], [[1.0, 1.0]])[0, 0]
     assert abs(v - math.exp(-1.0)) < 1e-15
 
 
@@ -45,7 +45,7 @@ def test_kernel_matrix_matches_pointwise_eval():
         assert K.shape == (7, 4)
         for i in range(7):
             for j in range(4):
-                assert abs(K[i, j] - km.kernel_eval(spec, X[i], Z[j])) < 1e-12
+                assert abs(K[i, j] - km.kernel_matrix(spec, X[i:i + 1], Z[j:j + 1])[0, 0]) < 1e-12
 
 
 def test_kernel_matrix_symmetric_unit_diagonal_psd():
@@ -118,7 +118,7 @@ def test_blocked_kernel_matrix_matches_one_expression(seed, monkeypatch):
 def test_kernel_values_shrink_with_distance():
     spec = km.KernelSpec("laplace", 2.0)
     d = np.linspace(0.1, 5.0, 20)
-    vals = [km.kernel_eval(spec, [0.0], [t]) for t in d]
+    vals = [km.kernel_matrix(spec, [[0.0]], [[t]])[0, 0] for t in d]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert all(0.0 < v < 1.0 for v in vals)
 
@@ -137,7 +137,7 @@ def test_two_point_fit_worked_example():
     # K = [[1, 1/2], [1/2, 1]], y = (1, 1) -> alpha = (2/3, 2/3), norm^2 = 4/3
     mach = km.fit_interpolating(km.KernelSpec("laplace", 1.0), _two_point_laplace())
     assert np.allclose(mach.alpha, [2.0 / 3.0, 2.0 / 3.0], atol=1e-12)
-    assert abs(km.rkhs_norm_sq(mach) - 4.0 / 3.0) < 1e-12
+    assert abs(mach.alpha @ mach.train_pred - 4.0 / 3.0) < 1e-12   # alpha^T K alpha
     assert mach.fit_jitter == 0.0
 
 
@@ -157,9 +157,12 @@ def test_fit_interpolates_training_data():
 def test_norm_quadratic_under_label_scaling():
     ds = _two_point_laplace()
     spec = km.KernelSpec("laplace", 1.0)
-    base = km.rkhs_norm_sq(km.fit_interpolating(spec, ds))
-    doubled = datagen.make_dataset(ds.X, 2.0 * ds.y, task=datagen.REGRESSION)
-    assert abs(km.rkhs_norm_sq(km.fit_interpolating(spec, doubled)) - 4.0 * base) < 1e-9
+    base = km.fit_interpolating(spec, ds)
+    doubled = km.fit_interpolating(
+        spec, datagen.make_dataset(ds.X, 2.0 * ds.y, task=datagen.REGRESSION))
+    # the native-space norm alpha^T K alpha, with K alpha the fitted values
+    assert abs(doubled.alpha @ doubled.train_pred
+               - 4.0 * (base.alpha @ base.train_pred)) < 1e-9
 
 
 def test_jitter_ladder_engages_on_flat_kernel():
@@ -343,7 +346,7 @@ def test_scaled_weight_norm_approaches_kernel_norm_from_above():
     y = np.sign(X[:, 0])
     ds = datagen.make_dataset(X, y, task=datagen.CLASSIFICATION)
     mach = km.fit_interpolating(km.KernelSpec("gaussian", 1.0), ds)
-    limit = km.rkhs_norm_sq(mach)
+    limit = float(mach.alpha @ mach.train_pred)
     means = []
     for m in (240, 960, 3840):
         ratios = []
@@ -479,6 +482,9 @@ def test_sweep_input_validation():
         km.double_descent_sweep(train, test, [0, 5], 2, seed=1)
     with pytest.raises(InvalidSpec):
         km.double_descent_sweep(train, test, grid, 0, seed=1)
-    line = datagen.sample(datagen.NoisyLine(1.0, 0.1, seed=2), 30)
+    rng = substream(2, "sample-noisy-line", 30)
+    x = rng.random(30)
+    line = datagen.make_dataset(x[:, None], 1.0 * x + 0.1 * rng.standard_normal(30),
+                                datagen.REGRESSION)
     with pytest.raises(InvalidSpec):
         km.double_descent_sweep(line, test, grid, 2, seed=1)

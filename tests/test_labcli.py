@@ -584,6 +584,23 @@ def test_main_rejects_negative_seed(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,setting", [
+    ("simplex", "simplex.dims = 1,,2"),
+    ("noise-interp", "noise.grid = 0.2, 0.8,"),
+    ("linearity", "lin.widths = , 4, 8"),
+])
+def test_main_rejects_empty_list_items(tmp_path, capsys, command, setting):
+    # a doubled, leading or trailing comma is a typo, not a shorter list
+    key = setting.split("=")[0].strip()
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(_tiny_without(command, {key}) + setting + "\n")
+    out = tmp_path / "o"
+    assert labcli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config key {key!r}: empty item"), err
+    assert not out.exists()
+
+
 def test_main_unwritable_out_exits_two(tmp_path, capsys):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text("simplex.draws = 100\nsimplex.dims = 1\n")

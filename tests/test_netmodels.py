@@ -1,5 +1,6 @@
 """Exact derivatives, curvature norms, and the width-flatness scan."""
 
+import dataclasses
 import math
 import warnings
 
@@ -38,9 +39,8 @@ def _straight_line_eval(model, x):
 
 _MATRIX = [
     dict(widths=(2, 7), activation="tanh"),
-    dict(widths=(3, 5, 4), activation="softplus", second_layer_trainable=True,
-         output_wrap="softplus"),
-    dict(widths=(2, 4, 4), activation="identity", second_layer_trainable=True),
+    dict(widths=(3, 5, 4), activation="softplus", output_wrap="softplus"),
+    dict(widths=(2, 4, 4), activation="identity"),
     dict(widths=(1, 6), activation="tanh", output_wrap="softplus"),
 ]
 
@@ -96,19 +96,18 @@ def test_flatten_round_trip():
         model = nm.init_mlp(seed=11, **cfg)
         w = nm.flatten_params(model)
         assert w.shape == (nm.param_count(model),)
-        rebuilt = nm.with_params(model, w)
+        rebuilt = dataclasses.replace(model, weights=tuple(nm._unflatten(model, w)))
         for a, b in zip(rebuilt.weights, model.weights):
             assert np.array_equal(a, b)
         assert np.array_equal(rebuilt.out_weights, model.out_weights)
         w2 = substream(12, "flat").standard_normal(w.size)
-        assert np.array_equal(nm.flatten_params(nm.with_params(model, w2)), w2)
+        moved = dataclasses.replace(model, weights=tuple(nm._unflatten(model, w2)))
+        assert np.array_equal(nm.flatten_params(moved), w2)
 
 
 def test_fixed_readout_not_in_param_vector():
     model = nm.init_mlp((2, 5), "tanh", seed=4)
     assert nm.param_count(model) == 10
-    trainable = nm.init_mlp((2, 5), "tanh", seed=4, second_layer_trainable=True)
-    assert nm.param_count(trainable) == 15
 
 
 # --- gradients ---
@@ -149,7 +148,7 @@ def test_gradient_matches_finite_differences():
 
 
 def test_jacobian_rows_are_gradients():
-    model = nm.init_mlp((2, 5, 3), "softplus", seed=6, second_layer_trainable=True)
+    model = nm.init_mlp((2, 5, 3), "softplus", seed=6)
     w = nm.flatten_params(model)
     X = substream(15, "jac").standard_normal((4, 2))
     G = nm.jacobian(model, w, X)
@@ -177,8 +176,7 @@ def test_hessian_matches_fd_of_gradient():
 
 
 def test_hvp_matches_dense_hessian():
-    model = nm.init_mlp((2, 6, 4), "tanh", seed=19, second_layer_trainable=True,
-                        output_wrap="softplus")
+    model = nm.init_mlp((2, 6, 4), "tanh", seed=19, output_wrap="softplus")
     w = nm.flatten_params(model)
     x = np.array([0.5, -0.3])
     H = nm.hessian(model, w, x)
@@ -262,16 +260,14 @@ def test_diag_rank_one_extremes_match_eigvalsh():
 def test_hessian_norm_rejects_uncovered_models():
     x = np.array([0.5, -1.0])
     deep = nm.init_mlp((2, 4, 3), "tanh", seed=42)
-    trainable = nm.init_mlp((2, 4), "tanh", seed=42, second_layer_trainable=True)
-    for model in (deep, trainable):
-        with pytest.raises(InvalidSpec):
-            nm.hessian_norm(model, None, x)
+    with pytest.raises(InvalidSpec):
+        nm.hessian_norm(deep, None, x)
 
 
 # --- tangent kernel ---
 
 def test_tangent_kernel_diagonal_and_psd():
-    model = nm.init_mlp((3, 7, 5), "tanh", seed=25, second_layer_trainable=True)
+    model = nm.init_mlp((3, 7, 5), "tanh", seed=25)
     w = nm.flatten_params(model)
     X = substream(26, "tk").standard_normal((6, 3))
     K = nm.tangent_kernel(model, w, X)

@@ -1,0 +1,114 @@
+"""Guard against library surface that no experiment needs.
+
+Every command runs once through labcli.main under a profile hook that
+records each Python function called. Each public module-level function of
+the package must then be reached by a command, be wrapped by the
+benchmark's traced run (perfbench/workloads.py TRACED), or be listed in
+ORACLES with the test that uses it as a reference.
+"""
+
+import importlib
+import inspect
+import pkgutil
+import sys
+
+import numpy as np
+
+import interplab
+from interplab import labcli
+from test_labcli import _TINY, _write_idx
+from test_trace_targets import _workloads
+
+# functions no command calls, kept because the named test checks a command's
+# fast path against them, or asserts a paper claim with them
+ORACLES = {
+    "interplab.direct.simplex_example_predict":
+        "test_direct.py::test_simplex_minority_volume_agrees_with_scalar_predictor",
+    "interplab.kernelmach.rff_predict":
+        "test_kernelmach.py::test_sweep_matches_per_width_fit_reference",
+    "interplab.netmodels.forward":
+        "test_acceptance.py::test_transition_to_linearity_and_wrap",
+    "interplab.netmodels.hessian":
+        "test_acceptance.py::test_transition_to_linearity_and_wrap",
+    "interplab.numlin.pinv":
+        "test_acceptance.py::test_min_norm_alignment_50_problems",
+    "interplab.optim.sgd":
+        "test_acceptance.py::test_sgd_exponential_vs_plateau",
+    "interplab.optim.rate_fit":
+        "test_acceptance.py::test_sgd_exponential_vs_plateau",
+    "interplab.optim.loss_value":
+        "test_acceptance.py::test_sgd_exponential_vs_plateau",
+    "interplab.optim.loss_grad":
+        "test_optim.py::test_cross_entropy_objective_path",
+}
+
+
+def _public_functions():
+    """{dotted name: function} over every module of the package."""
+    found = {}
+    for info in pkgutil.iter_modules(interplab.__path__):
+        if info.name.startswith("_"):
+            continue
+        module = importlib.import_module(f"interplab.{info.name}")
+        for name, obj in vars(module).items():
+            if (not name.startswith("_") and inspect.isfunction(obj)
+                    and obj.__module__ == module.__name__):
+                found[f"{module.__name__}.{name}"] = obj
+    return found
+
+
+def _runs(tmp_path):
+    """(command, config text) for every command and each branch variant."""
+    rng = np.random.default_rng(0)
+    _write_idx(tmp_path, rng.integers(0, 256, size=(60, 4, 4)), np.arange(60) % 3)
+    idx = ("data.family = idx\ndata.images = {0}/images\ndata.labels = {0}/labels\n"
+           "data.classes = 1, 2\n").format(tmp_path)
+    runs = list(_TINY.items())
+    runs += [
+        ("loss-compare", _TINY["loss-compare"].replace("model.kind = mlp", "model.kind = linear")),
+        ("raisin", _TINY["raisin"] + "model.kind = knn\n"),
+        ("linearity", _TINY["linearity"] + "lin.wrap = softplus\n"),
+        ("noise-interp", _TINY["noise-interp"] + "data.family = uniform_simplex\n"),
+        ("double-descent", _TINY["double-descent"] + idx),
+    ]
+    return runs
+
+
+def _reached_code(tmp_path):
+    seen = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    cfg = tmp_path / "run.cfg"
+    codes = []
+    for i, (command, text) in enumerate(_runs(tmp_path)):
+        cfg.write_text(text)
+        sys.setprofile(record)
+        try:
+            codes.append(labcli.main([command, "--config", str(cfg),
+                                      "--out", str(tmp_path / f"out-{i}")]))
+        finally:
+            sys.setprofile(None)
+    assert codes == [0] * len(codes), codes
+    return seen
+
+
+def test_every_public_function_is_reached_traced_or_an_oracle(tmp_path, capsys):
+    traced = {f"{module}.{name}" for module, names in _workloads().TRACED.items()
+              for name in names}
+    reached = _reached_code(tmp_path)
+    capsys.readouterr()
+    functions = _public_functions()
+    unreached = {name for name, fn in functions.items() if fn.__code__ not in reached}
+    orphans = sorted(unreached - traced - set(ORACLES))
+    assert not orphans, f"no command, traced run or oracle test uses {orphans}"
+    # the table stays exact: each entry is a function no command reaches,
+    # and the test it names exists and calls it
+    assert not set(ORACLES) - unreached, sorted(set(ORACLES) - unreached)
+    for dotted, where in ORACLES.items():
+        path, test = where.split("::")
+        module = importlib.import_module(path.removesuffix(".py"))
+        source = inspect.getsource(getattr(module, test))
+        assert dotted.rsplit(".", 1)[1] + "(" in source, (dotted, where)
