@@ -25,7 +25,6 @@ from .datagen import (
     sample,
 )
 from .direct import (
-    knn_predict,
     knn_predict_batch,
     make_neighbor_predictor,
     simplex_minority_volume,
@@ -90,7 +89,6 @@ __all__ = [
     "init_mlp",
     "kernel_matrix",
     "kernel_predict",
-    "knn_predict",
     "knn_predict_batch",
     "labcli",
     "linear_objective",

@@ -71,7 +71,12 @@ def _query_matrix(p: NeighborPredictor, X) -> np.ndarray:
 
 
 def knn_predict_batch(p: NeighborPredictor, X) -> np.ndarray:
-    """Vectorized knn_predict over the rows of X."""
+    """Predict at each row of X.
+
+    Regression returns the (weighted) neighbor mean; classification
+    returns its sign. With singular weighting, a query within 1e-12 of a
+    training input returns that point's label exactly.
+    """
     X = _query_matrix(p, X)
     Xt, yt = p.train.X, p.train.y
     d2 = np.maximum(
@@ -108,19 +113,6 @@ def knn_predict_batch(p: NeighborPredictor, X) -> np.ndarray:
     if p.train.task == CLASSIFICATION:
         return _classify(values)
     return values
-
-
-def knn_predict(p: NeighborPredictor, x) -> float:
-    """Predict at a single query point.
-
-    Regression returns the (weighted) neighbor mean; classification
-    returns its sign. With singular weighting, a query within 1e-12 of a
-    training input returns that point's label exactly.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise DimensionMismatch(f"query must be 1-D, got shape {x.shape}")
-    return float(knn_predict_batch(p, x[None, :])[0])
 
 
 # --- standard-simplex worked example ---

@@ -22,8 +22,8 @@ makes the per-replicate training residual non-increasing in m and the
 coefficient norm non-increasing beyond the interpolation threshold, not
 just on average but path by path. It also makes the Gram matrices of the
 widths nest, so numlin.minnorm_prefixes solves every width of a replicate
-from one eigendecomposition of a Gram matrix per width. A width takes
-that solution only when its eigenvalues certify the Gram matrix as well
+with one linear solve of a Gram matrix per width. A width takes that
+solution only when the Gram's eigenvalues certify it as well
 conditioned; any other width, such as one near m = n where the norm
 spikes, is solved through the SVD (numlin.pinv_apply).
 """

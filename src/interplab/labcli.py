@@ -43,7 +43,7 @@ from .errors import (
 from .rng import substream
 
 CONFIG_VERSION = "1"   # config files this build accepts
-FORMAT_VERSION = "7"   # CSV bytes; bumped whenever a result moves
+FORMAT_VERSION = "8"   # CSV bytes; bumped whenever a result moves
 COMMANDS = ("noise-interp", "double-descent", "raisin", "loss-compare",
             "simplex", "sgd-scaling", "linearity")
 
@@ -397,18 +397,16 @@ def run_double_descent(cfg: ExperimentConfig) -> dict:
             "double-descent.gp": plot}
 
 
-def _bisect_flip(evaluate, base_sign, x, u, hi, tol):
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if evaluate(x + mid * u) * base_sign < 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def run_raisin_search(cfg: ExperimentConfig) -> dict:
+    """Flip radius of each correctly classified query toward its nearest
+    opposing corrupted training point, and the flip rate of random
+    directions at that radius.
+
+    Every query's line search runs in lockstep with the others: the
+    bracket growth (hi *= 1.3 from the corrupted point's distance up to
+    four times it) and the bisection to search.tol each predict all
+    still-active rows in one call per round.
+    """
     values = cfg.values
     train_n, q = values["data.train_n"], values["noise.q"]
     trials, tol = values["random.trials"], values["search.tol"]
@@ -435,49 +433,67 @@ def run_raisin_search(cfg: ExperimentConfig) -> dict:
         predictor = direct.make_neighbor_predictor(corrupted, k=1)
 
         def predict(P):
-            return np.array([direct.knn_predict(predictor, p) for p in P])
+            return direct.knn_predict_batch(predictor, P)
     else:
         raise ConfigError(f"model.kind must be kernel or knn, got {kind!r}")
 
-    def evaluate(x):
-        return float(predict(x[None, :])[0])
-
-    rng = substream(cfg.seed, "raisin-random")
-    rows = []
-    for i in range(queries.n):
-        x = queries.X[i]
-        value = evaluate(x)
-        pred = 1.0 if value >= 0.0 else -1.0
-        if pred != queries.y[i]:
-            continue                      # only correctly-classified queries
-        opposing = flipped & (corrupted.y == -pred)
+    pred = np.where(predict(queries.X) >= 0.0, 1.0, -1.0)
+    index = np.flatnonzero(pred == queries.y)   # only correctly-classified queries
+    X, pred = queries.X[index], pred[index]
+    dist, U = np.empty(index.size), np.empty_like(X)
+    for j, x in enumerate(X):
+        opposing = flipped & (corrupted.y == -pred[j])
         if not np.any(opposing):
             raise NoCorruptedNeighbor(
                 "no corrupted training point opposes the query prediction")
         cand = np.where(opposing)[0]
         dists = np.linalg.norm(corrupted.X[cand] - x, axis=1)
-        target = cand[np.argmin(dists)]
-        dist = float(dists.min())
-        u = (corrupted.X[target] - x) / dist
+        dist[j] = dists.min()
+        U[j] = (corrupted.X[cand[np.argmin(dists)]] - x) / dist[j]
 
-        hi, cap = dist, 4.0 * dist
-        while evaluate(x + hi * u) * pred >= 0.0 and hi < cap:
-            hi *= 1.3
-        if evaluate(x + hi * u) * pred >= 0.0:
-            rows.append((i, pred, dist, math.inf, 0, math.nan))
-            continue
-        radius = _bisect_flip(evaluate, pred, x, u, hi, tol)
-        success = int(evaluate(x + radius * u) * pred < 0.0)
+    def flips(rows, radii):
+        return predict(X[rows] + radii[:, None] * U[rows]) * pred[rows] < 0.0
 
-        # the draws of trials successive directions, evaluated as one batch;
-        # each row is normalized on its own so its norm keeps the bits of a
-        # one-vector norm
-        V = rng.standard_normal((trials, x.size))
-        for v in V:
-            v /= np.linalg.norm(v)
-        flips = int(np.count_nonzero(predict(x + radius * V) * pred < 0.0))
-        rows.append((i, pred, dist, radius, success, flips / trials))
+    hi, found = dist.copy(), np.zeros(index.size, dtype=bool)
+    active = np.arange(index.size)
+    while active.size:
+        hit = flips(active, hi[active])
+        found[active[hit]] = True
+        active = active[~hit & (hi[active] < 4.0 * dist[active])]
+        hi[active] *= 1.3
+    lo = np.zeros(index.size)
+    active = np.flatnonzero(found & (hi > tol))
+    while active.size:
+        mid = 0.5 * (lo[active] + hi[active])
+        hit = flips(active, mid)
+        hi[active[hit]] = mid[hit]
+        lo[active[~hit]] = mid[~hit]
+        active = active[hi[active] - lo[active] > tol]
+    # each bracketed query draws trials successive directions, in query
+    # order; each row is normalized on its own so its norm keeps the bits
+    # of a one-vector norm. The probes are scored in blocks of at most
+    # train_n rows, so no cross-kernel block outgrows the fit's n x n one.
+    bracketed = np.flatnonzero(found)
+    success, flip_frac = np.zeros(index.size, dtype=bool), np.full(index.size, math.nan)
+    if bracketed.size:
+        success[bracketed] = flips(bracketed, hi[bracketed])
+        rng = substream(cfg.seed, "raisin-random")
+        probes = np.empty((bracketed.size, trials, X.shape[1]))
+        for j, r in enumerate(bracketed):
+            V = rng.standard_normal((trials, X.shape[1]))
+            for v in V:
+                v /= np.linalg.norm(v)
+            probes[j] = X[r] + hi[r] * V
+        probes = probes.reshape(-1, X.shape[1])
+        scores = np.concatenate([predict(probes[at:at + train_n])
+                                 for at in range(0, len(probes), train_n)])
+        flip_frac[bracketed] = np.count_nonzero(
+            scores.reshape(bracketed.size, trials) * pred[bracketed, None] < 0.0,
+            axis=1) / trials
 
+    radius = np.where(found, hi, math.inf)
+    rows = [(int(i), float(p), float(d), float(r), int(ok), float(f))
+            for i, p, d, r, ok, f in zip(index, pred, dist, radius, success, flip_frac)]
     finite = [r[3] for r in rows if math.isfinite(r[3])]
     succ = [r[4] for r in rows]
     rand = [r[5] for r in rows if not math.isnan(r[5])]

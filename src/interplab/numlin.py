@@ -4,19 +4,20 @@ Matrices are 2-D float64 numpy arrays in row-major order, vectors are 1-D
 float64 arrays (pinv_apply, minnorm_prefixes and spectral_norm also take
 complex128; solve_spd also takes a matrix of right-hand sides), and
 every entry must be finite. Factorizations and eigensolvers are
-delegated to LAPACK through numpy. The one exception is solve_spd's pair
-of triangular solves, which use scipy.linalg.solve_triangular, imported
-inside solve_spd so that importing this module loads no scipy. This
+delegated to LAPACK through numpy. The one exception is solve_spd's
+Cholesky factor and solve, which call LAPACK dpotrf and dpotrs through
+scipy.linalg.lapack, imported inside solve_spd so that importing this
+module loads no scipy. This
 module pins down the conventions (eigenvalue ordering, pseudo-inverse
 rank cutoff, jitter handling) and the error surface, which the rest of
 the package relies on.
 
 minnorm_prefixes gives pinv_apply's solution for every column prefix of
 one matrix in a list of widths. It solves each width through the nested
-Gram matrices with one Hermitian eigh, and keeps that solution only when
-the eigenvalues certify it (lambda_min > GRAM_CERT * lambda_max). Any
-other width falls back to pinv_apply's SVD, which also serves as the
-tests' reference.
+Gram matrices with one linear solve, and keeps that solution only when
+the Gram's eigenvalues (eigvalsh, no eigenvectors) certify it
+(lambda_min > GRAM_CERT * lambda_max). Any other width falls back to
+pinv_apply's SVD, which also serves as the tests' reference.
 """
 
 from __future__ import annotations
@@ -87,10 +88,11 @@ def require_symmetric(a: np.ndarray, name: str = "matrix") -> None:
 def solve_spd(a, b, jitter: float = 0.0) -> np.ndarray:
     """Solve (A + jitter*I) x = b for symmetric positive definite A.
 
-    Uses a Cholesky factorization. The jitter is added to the diagonal
-    before factorizing; NotPositiveDefinite is raised if the shifted
-    matrix still fails to factor. b is a vector, or a matrix whose columns
-    are solved on the one factorization; x has the shape of b.
+    Uses a Cholesky factorization, LAPACK dpotrf then dpotrs. The jitter
+    is added to the diagonal of a copy before factorizing; a itself is
+    never written. NotPositiveDefinite is raised if the shifted matrix
+    still fails to factor. b is a vector, or a matrix whose columns are
+    solved on the one factorization; x has the shape of b.
     """
     a = as_matrix(a, "A")
     b = as_matrix(b, "b") if np.ndim(b) == 2 else as_vector(b, "b")
@@ -99,15 +101,21 @@ def solve_spd(a, b, jitter: float = 0.0) -> np.ndarray:
         raise DimensionMismatch(f"A is {a.shape} but b has {b.shape[0]} rows")
     if jitter < 0.0:
         raise InvalidInput("jitter must be non-negative")
-    shifted = a if jitter == 0.0 else a + jitter * np.eye(a.shape[0])
-    try:
-        chol = np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"Cholesky failed at jitter={jitter:g}: {exc}") from exc
-    from scipy.linalg import solve_triangular
+    shifted = a
+    if jitter != 0.0:
+        shifted = a.copy()
+        shifted.flat[::a.shape[0] + 1] += jitter
+    from scipy.linalg.lapack import dpotrf, dpotrs
 
-    y = solve_triangular(chol, b, lower=True, check_finite=False)
-    return solve_triangular(chol.T, y, lower=False, check_finite=False)
+    # shifted.T is the Fortran-ordered view, so LAPACK gets a plain copy
+    # (or, for the private jittered copy, the array itself) and its upper
+    # triangle is the lower triangle of shifted
+    factor, info = dpotrf(shifted.T, lower=0, clean=0, overwrite_a=shifted is not a)
+    if info > 0:
+        raise NotPositiveDefinite(
+            f"Cholesky failed at jitter={jitter:g}: leading minor {info} is not positive")
+    x, _ = dpotrs(factor, b, lower=0)
+    return x
 
 
 def sym_eig(a) -> tuple[np.ndarray, np.ndarray]:
@@ -192,22 +200,24 @@ def pinv_apply(a, b, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
 
 
 def _gram_solve(gram: np.ndarray, rhs: np.ndarray):
-    """V Lambda^-1 V^H rhs from one eigh of a Hermitian Gram matrix.
+    """gram^-1 rhs for a Hermitian Gram matrix certified as well conditioned.
 
     None unless the Gram matrix is finite (it overflows on huge entries
     that the SVD scales away) and its eigenvalues satisfy lambda_min >
-    GRAM_CERT * lambda_max. numpy's eigh, not scipy's: scipy's runs on its
-    own BLAS thread pool, whose idle workers slow numpy's GEMMs that follow.
+    GRAM_CERT * lambda_max. The eigenvalues come from eigvalsh, which
+    forms no eigenvectors, and the solve from an LU factorization. Both
+    are numpy's, not scipy's: scipy's run on their own BLAS thread pool,
+    whose idle workers slow numpy's GEMMs that follow.
     """
     if not np.all(np.isfinite(gram)):
         return None
     try:
-        vals, vecs = np.linalg.eigh(gram)
+        vals = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"Hermitian eigensolver did not converge: {exc}") from exc
     if not vals[0] > GRAM_CERT * vals[-1]:
         return None
-    return vecs @ (np.conj(np.conj(rhs) @ vecs) / vals)
+    return np.linalg.solve(gram, rhs)
 
 
 def minnorm_prefixes(a, b, widths) -> list:
@@ -217,9 +227,9 @@ def minnorm_prefixes(a, b, widths) -> list:
     widths must increase strictly. Every width's matrix A_m is a column
     prefix of A (n rows), so the Gram matrices nest. Below n, A_m^H A_m is
     the leading m x m block of the Gram at the largest such width, and
-    x = V Lambda^-1 V^H (A_m^H b). From n up, the n x n Gram A_m A_m^H is
+    x = (A_m^H A_m)^-1 (A_m^H b). From n up, the n x n Gram A_m A_m^H is
     a running sum over the column blocks between widths, and
-    x = A_m^H V Lambda^-1 V^H b. A width takes its Gram solution only when
+    x = A_m^H (A_m A_m^H)^-1 b. A width takes its Gram solution only when
     lambda_min > GRAM_CERT * lambda_max. Then every singular value of A_m
     lies within a factor 1e-4 of the largest, far above DEFAULT_RANK_TOL,
     so the SVD keeps the same full rank. Any other width, such as an

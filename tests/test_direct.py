@@ -30,14 +30,14 @@ def test_one_nn_interpolates_training_points():
 def test_one_nn_tie_breaks_to_lowest_index():
     ds = _toy([[0.0], [2.0]], [-1.0, 1.0], datagen.CLASSIFICATION)
     p = direct.make_neighbor_predictor(ds, k=1)
-    assert direct.knn_predict(p, np.array([1.0])) == -1.0
+    assert direct.knn_predict_batch(p, np.array([[1.0]]))[0] == -1.0
 
 
 def test_singular_equidistant_pair_averages():
     # Two neighbors at equal distance with labels 0 and 2 mix to 1.
     ds = _toy([[-1.0], [1.0]], [0.0, 2.0])
     p = direct.make_neighbor_predictor(ds, k=2, weighting=direct.SINGULAR)
-    assert direct.knn_predict(p, np.array([0.0])) == pytest.approx(1.0)
+    assert direct.knn_predict_batch(p, np.array([[0.0]]))[0] == pytest.approx(1.0)
 
 
 def test_singular_interpolates_for_any_k():
@@ -51,21 +51,21 @@ def test_singular_near_coincidence_returns_label():
     ds = _noisy_line(50, seed=4)
     p = direct.make_neighbor_predictor(ds, k=5, weighting=direct.SINGULAR)
     x = ds.X[17] + 1e-13
-    assert direct.knn_predict(p, x) == ds.y[17]
+    assert direct.knn_predict_batch(p, x[None, :])[0] == ds.y[17]
     x = ds.X[17] + 1e-9
-    assert direct.knn_predict(p, x) == pytest.approx(ds.y[17], abs=1e-6)
+    assert direct.knn_predict_batch(p, x[None, :])[0] == pytest.approx(ds.y[17], abs=1e-6)
 
 
 def test_uniform_knn_is_neighbor_mean():
     ds = _toy([[0.0], [1.0], [10.0]], [3.0, 5.0, 100.0])
     p = direct.make_neighbor_predictor(ds, k=2)
-    assert direct.knn_predict(p, np.array([0.4])) == pytest.approx(4.0)
+    assert direct.knn_predict_batch(p, np.array([[0.4]]))[0] == pytest.approx(4.0)
 
 
 def test_uniform_knn_classification_sign_tie_is_negative():
     ds = _toy([[0.0], [1.0]], [1.0, -1.0], datagen.CLASSIFICATION)
     p = direct.make_neighbor_predictor(ds, k=2)
-    assert direct.knn_predict(p, np.array([0.3])) == -1.0
+    assert direct.knn_predict_batch(p, np.array([[0.3]]))[0] == -1.0
 
 
 def test_singular_regression_tracks_clean_line():
@@ -88,7 +88,7 @@ def test_neighbor_predictor_validation():
     with pytest.raises(InvalidSpec):
         direct.make_neighbor_predictor(ds, weighting="gauss")
     with pytest.raises(DimensionMismatch):
-        direct.knn_predict(direct.make_neighbor_predictor(ds), np.zeros(3))
+        direct.knn_predict_batch(direct.make_neighbor_predictor(ds), np.zeros((1, 3)))
 
 
 # --- standard-simplex closed form ---

@@ -313,7 +313,7 @@ def test_raisin_random_flips_match_per_direction_loop(params):
         evaluate = lambda p: kernelmach.kernel_predict(machine, p[None, :])[0]
     else:
         predictor = direct.make_neighbor_predictor(corrupted, k=1)
-        evaluate = lambda p: direct.knn_predict(predictor, p)
+        evaluate = lambda p: direct.knn_predict_batch(predictor, p[None, :])[0]
     rng = substream(cfg.seed, "raisin-random")
     trials = values["random.trials"]
     replayed = 0
@@ -329,6 +329,94 @@ def test_raisin_random_flips_match_per_direction_loop(params):
         assert float(row[5]) == flips / trials, row
         replayed += 1
     assert replayed >= 5
+
+
+def _raisin_per_query_rows(cfg):
+    """raisin's rows from one query at a time: one single-row prediction
+    per bracket or bisection step, the reference for the lockstep search."""
+    values = cfg.values
+    trials, tol = values["random.trials"], values["search.tol"]
+    train, queries, _ = labcli._train_test(cfg, 0, values["data.train_n"],
+                                           values["query.count"])
+    corrupted = datagen.corrupt(train, datagen.CorruptionSpec(
+        q=values["noise.q"], seed=labcli._subseed(cfg.seed, "raisin-noise")))
+    flipped = corrupted.y != train.y
+    if values["model.kind"] == "kernel":
+        machine = kernelmach.fit_interpolating(labcli._kernel_spec(values), corrupted)
+        predict = lambda P: kernelmach.kernel_predict(machine, P)
+    else:
+        predictor = direct.make_neighbor_predictor(corrupted, k=1)
+        predict = lambda P: direct.knn_predict_batch(predictor, P)
+    evaluate = lambda x: float(predict(x[None, :])[0])
+
+    def bisect_flip(base_sign, x, u, hi):
+        lo = 0.0
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if evaluate(x + mid * u) * base_sign < 0.0:
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+    rng = substream(cfg.seed, "raisin-random")
+    rows = []
+    for i in range(queries.n):
+        x = queries.X[i]
+        pred = 1.0 if evaluate(x) >= 0.0 else -1.0
+        if pred != queries.y[i]:
+            continue
+        cand = np.where(flipped & (corrupted.y == -pred))[0]
+        dists = np.linalg.norm(corrupted.X[cand] - x, axis=1)
+        dist = float(dists.min())
+        u = (corrupted.X[cand[np.argmin(dists)]] - x) / dist
+        hi, cap = dist, 4.0 * dist
+        while evaluate(x + hi * u) * pred >= 0.0 and hi < cap:
+            hi *= 1.3
+        if evaluate(x + hi * u) * pred >= 0.0:
+            rows.append((i, pred, dist, math.inf, 0, math.nan))
+            continue
+        radius = bisect_flip(pred, x, u, hi)
+        success = int(evaluate(x + radius * u) * pred < 0.0)
+        V = rng.standard_normal((trials, x.size))
+        for v in V:
+            v /= np.linalg.norm(v)
+        flips = int(np.count_nonzero(predict(x + radius * V) * pred < 0.0))
+        rows.append((i, pred, dist, radius, success, flips / trials))
+    return rows
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("params", [
+    {"data.train_n": "300", "query.count": "30", "random.trials": "8"},
+    {"data.train_n": "200", "query.count": "20", "random.trials": "5",
+     "kernel.family": "gaussian", "data.dim": "5", "kernel.bandwidth": "2"},
+    {"data.train_n": "200", "query.count": "30", "random.trials": "6",
+     "model.kind": "knn"},
+])
+def test_raisin_lockstep_search_matches_per_query_loop(params, seed):
+    cfg = _cfg("raisin", params, seed=seed)
+    _header, rows = _rows(labcli.run_raisin_search(cfg)["raisin.csv"])
+    reference = _raisin_per_query_rows(cfg)
+    assert [r for r in rows if r[0] != "summary"] == [
+        [labcli._cell(v) for v in row] for row in reference]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_raisin_lockstep_unbracketed_rows_match_per_query_loop(monkeypatch, seed):
+    # a plane wave in place of the fitted machine flips sign at distances
+    # unrelated to the corrupted points: some queries bracket only after
+    # hi grew past 1.3**4 * dist, others never within 4 * dist (radius inf)
+    monkeypatch.setattr(kernelmach, "kernel_predict",
+                        lambda machine, P: np.sin(P @ np.array([0.6, 0.8])))
+    cfg = _cfg("raisin", {"data.train_n": "300", "query.count": "30",
+                          "random.trials": "8"}, seed=seed)
+    _header, rows = _rows(labcli.run_raisin_search(cfg)["raisin.csv"])
+    reference = _raisin_per_query_rows(cfg)
+    assert any(math.isinf(r[3]) for r in reference)
+    assert any(r[3] > 1.3 ** 4 * r[2] for r in reference if math.isfinite(r[3]))
+    assert [r for r in rows if r[0] != "summary"] == [
+        [labcli._cell(v) for v in row] for row in reference]
 
 
 def test_raisin_without_corruption_raises():

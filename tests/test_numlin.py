@@ -139,6 +139,67 @@ def test_tiled_symmetry_check_matches_full_scan(seed):
         assert same(a) == (DimensionMismatch, f"A must be square, got shape {shape}")
 
 
+def _spd(rng, n, low):
+    """Symmetric n x n matrix with eigenvalues log-uniform in [low, 1]."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = (q * np.exp(rng.uniform(np.log(low), 0.0, n))) @ q.T
+    return 0.5 * (a + a.T)
+
+
+def _solve_spd_reference(a, b, jitter):
+    """numpy's Cholesky factor and two triangular solves: the path
+    solve_spd took before it called LAPACK dpotrf and dpotrs."""
+    from scipy.linalg import solve_triangular
+
+    chol = np.linalg.cholesky(a + jitter * np.eye(a.shape[0]))
+    y = solve_triangular(chol, b, lower=True)
+    return solve_triangular(chol.T, y, lower=False)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_solve_spd_matches_numpy_cholesky_reference(seed):
+    # both are backward stable, so they agree to n * eps * cond(A) relative
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 150))
+    a = _spd(rng, n, low=10.0 ** -rng.uniform(0, 6))
+    for jitter in (0.0, 1e-4):
+        shifted = a + jitter * np.eye(n)
+        bound = n * np.finfo(float).eps * np.linalg.cond(shifted)
+        for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            x = numlin.solve_spd(a, b, jitter=jitter)
+            ref = _solve_spd_reference(a, b, jitter)
+            assert x.shape == b.shape
+            assert np.abs(x - ref).max() <= bound * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_solve_spd_indefinite_raises_until_jitter_covers_it(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    a = _spd(rng, n, low=1e-2)
+    q = np.linalg.qr(rng.standard_normal((n, 1)))[0]
+    a = a - 2.0 * (q @ q.T)   # q^T A q <= -1, and A + 2I stays positive definite
+    b = rng.standard_normal(n)
+    for jitter in (0.0, 1e-8, 0.3):
+        with pytest.raises(NotPositiveDefinite):
+            numlin.solve_spd(a, b, jitter=jitter)
+    x = numlin.solve_spd(a, b, jitter=2.0)
+    assert np.linalg.norm((a + 2.0 * np.eye(n)) @ x - b) <= 1e-12 * n * np.linalg.norm(b)
+
+
+def test_solve_spd_leaves_a_unchanged():
+    # fit_interpolating reuses K after the solve; the jittered path may
+    # write only its private copy
+    rng = np.random.default_rng(11)
+    a = _spd(rng, 70, low=1e-3)
+    for order in ("C", "F"):
+        a_in = np.array(a, order=order)
+        for jitter in (0.0, 1e-3):
+            for b in (rng.standard_normal(70), rng.standard_normal((70, 2))):
+                numlin.solve_spd(a_in, b, jitter=jitter)
+                assert np.array_equal(a_in, a)
+
+
 def test_solve_spd_rejects_indefinite():
     with pytest.raises(NotPositiveDefinite):
         numlin.solve_spd(np.diag([1.0, -1.0]), np.ones(2))
