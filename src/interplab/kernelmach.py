@@ -24,8 +24,10 @@ just on average but path by path. It also makes the Gram matrices of the
 widths nest, so numlin.minnorm_prefixes solves every width of a replicate
 with one linear solve of a Gram matrix per width. A width takes that
 solution only when the Gram's eigenvalues certify it as well
-conditioned; any other width, such as one near m = n where the norm
-spikes, is solved through the SVD (numlin.pinv_apply).
+conditioned: one shifted Cholesky factorization vouches for them, and
+eigvalsh decides where it cannot. Any other width, such as one near
+m = n where the norm spikes, is solved through the SVD
+(numlin.pinv_apply).
 """
 
 from __future__ import annotations
@@ -57,6 +59,15 @@ class KernelSpec:
             raise InvalidSpec(f"unknown kernel family {self.family!r}")
         if not 0.0 < self.bandwidth < np.inf:
             raise InvalidSpec(f"bandwidth must be positive and finite, got {self.bandwidth}")
+        if self.family == GAUSSIAN:
+            # kernel_matrix divides by 2 bw^2, which must stay a normal float
+            try:
+                scale = 2.0 * float(self.bandwidth)**2
+            except OverflowError:
+                scale = np.inf
+            if not np.finfo(float).tiny <= scale < np.inf:
+                raise InvalidSpec(f"gaussian bandwidth {self.bandwidth} is out of range: "
+                                  f"2 * bandwidth**2 must be a positive finite normal float")
 
 
 def kernel_matrix(spec: KernelSpec, X, Z=None) -> np.ndarray:

@@ -15,9 +15,13 @@ the package relies on.
 minnorm_prefixes gives pinv_apply's solution for every column prefix of
 one matrix in a list of widths. It solves each width through the nested
 Gram matrices with one linear solve, and keeps that solution only when
-the Gram's eigenvalues (eigvalsh, no eigenvectors) certify it
-(lambda_min > GRAM_CERT * lambda_max). Any other width falls back to
-pinv_apply's SVD, which also serves as the tests' reference.
+the Gram is certified well conditioned (lambda_min > GRAM_CERT *
+lambda_max). The certificate is one Cholesky factorization of the Gram
+shifted down by a little more than GRAM_CERT * ||G||_F, which can only
+complete when that holds; eigvalsh (no eigenvectors) decides exactly for
+a Gram the shifted factorization refuses. Any width that fails the
+certificate falls back to pinv_apply's SVD, which also serves as the
+tests' reference.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .rng import substream
 DEFAULT_RANK_TOL = 1e-10
 GRAM_CERT = 1e-8     # minnorm_prefixes keeps a Gram solve when lambda_min > this * lambda_max
 GRAM_PATH, SVD_PATH = "gram", "svd"
+_SCREEN_C = 4        # the Gram screen shifts by (GRAM_CERT + this * k^2 * eps) * ||G||_F
 _SYM_RTOL = 1e-10
 _SYM_TILE = 128      # require_symmetric tile edge; a tile pair fits in L2
 
@@ -203,21 +208,51 @@ def _gram_solve(gram: np.ndarray, rhs: np.ndarray):
     """gram^-1 rhs for a Hermitian Gram matrix certified as well conditioned.
 
     None unless the Gram matrix is finite (it overflows on huge entries
-    that the SVD scales away) and its eigenvalues satisfy lambda_min >
-    GRAM_CERT * lambda_max. The eigenvalues come from eigvalsh, which
-    forms no eigenvectors, and the solve from an LU factorization. Both
-    are numpy's, not scipy's: scipy's run on their own BLAS thread pool,
-    whose idle workers slow numpy's GEMMs that follow.
+    that the SVD scales away) and its eigenvalues, as eigvalsh computes
+    them, satisfy lambda_min > GRAM_CERT * lambda_max. A shifted Cholesky
+    screen (_screen_certifies) vouches for that first, and eigvalsh, the
+    exact test, runs only on a Gram the screen refuses; either way a
+    width takes the same path and the same solve, one LU factorization.
+    All three LAPACK calls are numpy's, not scipy's: scipy's run on their
+    own BLAS thread pool, whose idle workers slow numpy's GEMMs that
+    follow.
     """
     if not np.all(np.isfinite(gram)):
         return None
-    try:
-        vals = np.linalg.eigvalsh(gram)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"Hermitian eigensolver did not converge: {exc}") from exc
-    if not vals[0] > GRAM_CERT * vals[-1]:
-        return None
+    if not _screen_certifies(gram):
+        try:
+            vals = np.linalg.eigvalsh(gram)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"Hermitian eigensolver did not converge: {exc}") from exc
+        if not vals[0] > GRAM_CERT * vals[-1]:
+            return None
     return np.linalg.solve(gram, rhs)
+
+
+def _screen_certifies(gram: np.ndarray) -> bool:
+    """True when a Cholesky factorization of gram - shift * I completes.
+
+    With F = ||G||_F >= lambda_max and k the order of G, shift =
+    (GRAM_CERT + _SCREEN_C * k^2 * eps) * F, subtracted from a copy. A
+    factorization that completes is exact for a perturbation of norm at
+    most gamma_(k+1) * trace / (1 - gamma_(k+1)) <= (k + 1) sqrt(k) u F
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3,
+    with trace <= sqrt(k) F and u = eps / 2), and the subtraction rounds
+    the diagonal by at most u F. So lambda_min(G) >= GRAM_CERT * F +
+    (8 k^2 - (k + 1) sqrt(k) - 1) u F, at least 5 k^2 u F above GRAM_CERT
+    * lambda_max: room for complex arithmetic's larger constants and for
+    eigvalsh's own backward error (Householder tridiagonalization's worst
+    case grows like k^2 u), so eigvalsh accepts every Gram this accepts.
+    """
+    k = gram.shape[0]
+    shifted = gram.copy()
+    shifted.flat[::k + 1] -= ((GRAM_CERT + _SCREEN_C * k * k * np.finfo(float).eps)
+                              * np.linalg.norm(gram))
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def minnorm_prefixes(a, b, widths) -> list:
@@ -235,6 +270,14 @@ def minnorm_prefixes(a, b, widths) -> list:
     so the SVD keeps the same full rank. Any other width, such as an
     ill-conditioned one near m = n or one whose Gram overflows, is solved
     by pinv_apply.
+
+    The certificate for a k x k Gram G is one Cholesky factorization of
+    G - (GRAM_CERT + 4 k^2 eps) ||G||_F I. If it completes, lambda_min(G)
+    >= (GRAM_CERT + 5 k^2 u) ||G||_F with u = eps / 2 (Higham, Thm 10.3;
+    see _screen_certifies), which leaves 5 k^2 u ||G||_F above GRAM_CERT *
+    lambda_max for eigvalsh's rounding. A Gram the factorization refuses
+    is decided by eigvalsh, so every width takes the path and the solve
+    that eigvalsh alone would give it.
     """
     a = as_matrix(a, "A", allow_complex=True)
     b = as_vector(b, "b", allow_complex=True)

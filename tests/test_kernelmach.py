@@ -129,6 +129,13 @@ def test_bad_kernel_family_rejected():
     for bandwidth in (0.0, -1.0, math.inf, math.nan, float("1e400")):
         with pytest.raises(InvalidSpec):
             km.KernelSpec("gaussian", bandwidth)
+    # 2 bw^2 overflows, or leaves the normal range; laplace divides by bw itself
+    for bandwidth in (1e200, 1e-200, 1e-154):
+        with pytest.raises(InvalidSpec, match="gaussian bandwidth"):
+            km.KernelSpec("gaussian", bandwidth)
+        km.KernelSpec("laplace", bandwidth)
+    km.KernelSpec("gaussian", 1e150)
+    km.KernelSpec("gaussian", 1e-150)
 
 
 # --- interpolating fits ---

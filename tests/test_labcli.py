@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import interplab
-from interplab import datagen, direct, kernelmach, labcli, netmodels, optim
+from interplab import datagen, direct, kernelmach, labcli, netmodels, numlin, optim
 from interplab.errors import ConfigError, NoCorruptedNeighbor
 from interplab.rng import substream
 
@@ -245,6 +245,35 @@ def test_double_descent_threshold_and_schema():
     assert sheader[0] == "m" and len(srows) == 4
     plot = arts["double-descent.gp"]
     assert "double-descent-summary.csv" in plot and "set arrow" in plot
+
+
+def test_rff_sweep_config_certifies_every_gram_without_eigvalsh(monkeypatch):
+    # the benchmark's rff-sweep config: every width's Gram passes the
+    # Cholesky screen, so the eigensolver, the screen's fallback, never runs
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigvalsh(*args, **kwargs)
+
+    sweeps = []
+    sweep = kernelmach.double_descent_sweep
+
+    def recorded(*args, **kwargs):
+        sweeps.append(sweep(*args, **kwargs))
+        return sweeps[-1]
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(kernelmach, "double_descent_sweep", recorded)
+    params = {"data.train_n": "300", "rff.grid": "150, 250, 300, 350, 600",
+              "rff.replicates": "2"}
+    labcli.run_double_descent(_cfg("double-descent", params, seed=1))
+    assert calls == []
+    assert sweeps[0].paths == (numlin.GRAM_PATH,) * 10
+    # the count sees the fallback: a Gram the screen refuses reaches eigvalsh
+    assert numlin._gram_solve(np.diag([1.0, 1e-12]), np.ones(2)) is None
+    assert calls == [(2, 2)]
 
 
 # --- raisin search ---
@@ -1021,12 +1050,12 @@ def test_every_csv_carries_provenance_comment(tmp_path):
 
 # --- start-up: scipy is imported only inside the functions that call it ---
 
-def _fresh_python(tmp_path, code):
-    """Run code in a new interpreter, which imports interplab from this tree;
-    this test process loaded scipy long ago."""
+def _fresh_python(tmp_path, *argv):
+    """Run ``python argv`` in a new interpreter, which imports interplab from
+    this tree; this test process loaded scipy long ago."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(interplab.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+    return subprocess.run([sys.executable, *argv], cwd=tmp_path,
                           env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120)
 
@@ -1049,7 +1078,7 @@ def test_commands_without_scipy_never_load_it(tmp_path):
             + "".join(_main_source(c, _TINY[c])
                       for c in ("simplex", "double-descent", "linearity"))
             + "print('runs', scipy_modules())\n")
-    proc = _fresh_python(tmp_path, code)
+    proc = _fresh_python(tmp_path, "-c", code)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "import []" and lines[-1] == "runs []"
@@ -1073,6 +1102,20 @@ _LAZY_SCIPY_SITES = {
 
 @pytest.mark.parametrize("site", sorted(_LAZY_SCIPY_SITES))
 def test_lazy_scipy_import_sites_run(tmp_path, site):
-    proc = _fresh_python(tmp_path, "from interplab import labcli, optim\n"
-                         + _LAZY_SCIPY_SITES[site])
+    proc = _fresh_python(tmp_path, "-c", "from interplab import labcli, optim\n"
+                               + _LAZY_SCIPY_SITES[site])
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("command", ["noise-interp", "raisin"])
+@pytest.mark.parametrize("bandwidth", ["1e200", "1e-200"])
+def test_gaussian_bandwidth_out_of_range_exits_2(tmp_path, command, bandwidth):
+    # 2 * bandwidth**2 overflows, or underflows to zero, in kernel_matrix
+    (tmp_path / "run.cfg").write_text(
+        _TINY[command] + f"kernel.family = gaussian\nkernel.bandwidth = {bandwidth}\n")
+    proc = _fresh_python(tmp_path, "-m", "interplab", command,
+                         "--config", "run.cfg", "--out", "out")
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"config error: gaussian bandwidth {float(bandwidth)} ")
+    assert not (tmp_path / "out").exists()

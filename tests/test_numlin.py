@@ -624,3 +624,70 @@ def test_minnorm_prefixes_rejects_bad_input():
     for widths in ([], [0, 2], [2, 6], [3, 2], [2, 2]):
         with pytest.raises(InvalidInput):
             numlin.minnorm_prefixes(a, b, widths)
+
+
+# --- _gram_solve's Cholesky screen ---
+
+def _eigvalsh_gram_solve(gram, rhs):
+    """_gram_solve with the eigvalsh certificate alone: the reference that
+    the shifted Cholesky screen in front of it must reproduce."""
+    if not np.all(np.isfinite(gram)):
+        return None
+    vals = np.linalg.eigvalsh(gram)
+    if not vals[0] > numlin.GRAM_CERT * vals[-1]:
+        return None
+    return np.linalg.solve(gram, rhs)
+
+
+def _straddling_gram(rng, k, cplx, tight):
+    """A Hermitian k x k Gram whose lambda_min / lambda_max straddles GRAM_CERT.
+
+    tight: one dominant eigenvalue, so ||G||_F is lambda_max to rounding,
+    and lambda_min within 1e-6 relative of GRAM_CERT * lambda_max, where
+    the screen's rounding margin decides. Otherwise the ratio spreads over
+    10^-9.5 to 10^-6.5, and 1 to k eigenvalues sit at lambda_max, so
+    ||G||_F / lambda_max runs from 1 to sqrt(k).
+    """
+    z = rng.standard_normal((k, k))
+    if cplx:
+        z = z + 1j * rng.standard_normal((k, k))
+    q, _ = np.linalg.qr(z)
+    cert = numlin.GRAM_CERT
+    if tight:
+        ratio = cert * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-10.0, -6.0))
+        lam = cert * np.exp(rng.uniform(0.0, np.log(1e4), k))
+        top = 1
+    else:
+        ratio = 10.0 ** rng.uniform(-9.5, -6.5)
+        lam = np.exp(rng.uniform(np.log(ratio), 0.0, k))
+        top = int(rng.integers(1, k + 1))
+    lam[:top] = 1.0
+    lam[-1] = ratio
+    gram = (q * lam) @ np.conj(q).T
+    return (gram + np.conj(gram).T) / 2 * 10.0 ** rng.uniform(-3.0, 3.0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_gram_solve_screen_matches_eigvalsh_certificate(seed):
+    # Without the k^2 eps term in the shift, the screen passes about one
+    # tight Gram in thirty that eigvalsh refuses; with a shift scaled by
+    # max |g_ij|, the largest diagonal entry or trace / k (each can lie far
+    # below lambda_max), it passes many of the refused spread ones.
+    rng = np.random.default_rng(seed)
+    verdicts = {True: 0, False: 0}
+    for i in range(240):
+        tight = i % 8 != 0
+        if tight:
+            k = int(rng.integers(2, 13))
+        else:
+            k = 300 if i == 0 else int(np.exp(rng.uniform(0.0, np.log(300.5))))
+        cplx = bool(rng.integers(2))
+        gram = _straddling_gram(rng, k, cplx, tight)
+        rhs = rng.standard_normal(k) + (1j * rng.standard_normal(k) if cplx else 0.0)
+        got = numlin._gram_solve(gram, rhs)
+        want = _eigvalsh_gram_solve(gram, rhs)
+        assert (got is None) == (want is None), (i, k, cplx, tight)
+        if want is not None:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        verdicts[want is not None] += 1
+    assert min(verdicts.values()) > 60
