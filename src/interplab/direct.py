@@ -143,8 +143,11 @@ def simplex_minority_volume(d: int, draws: int, seed: int) -> tuple[float, float
 
     A uniform point is x = e[:d] / sum(e) for d + 1 iid standard
     exponentials e, and its -1 region 2 * sum(x) <= 1 is the event
-    e[d] >= sum(e[:d]). That event is counted directly, so no point is
-    ever normalized; the boundary counts as a hit, as a tie does in
+    e[d] >= sum(e[:d]). That event reads e[:d] only through its sum,
+    which is Gamma(d, 1) (Devroye 1986), so each point costs two draws
+    whatever d is: per chunk, first one standard_gamma(d) per point, then
+    one standard_exponential per point, and a hit is e >= g. No point is
+    ever formed; the boundary counts as a hit, as a tie does in
     simplex_example_predict.
     """
     if d < 1:
@@ -152,13 +155,13 @@ def simplex_minority_volume(d: int, draws: int, seed: int) -> tuple[float, float
     if draws < 1:
         raise InvalidSpec("draws must be at least 1")
     rng = substream(seed, "simplex-volume", d)
-    ones = np.ones(d)
     hits = 0.0
     done = 0
     while done < draws:
         chunk = min(200_000, draws - done)
-        e = rng.standard_exponential((chunk, d + 1))
-        hits += float(np.count_nonzero(e[:, d] >= e[:, :d] @ ones))
+        g = rng.standard_gamma(d, chunk)
+        e = rng.standard_exponential(chunk)
+        hits += float(np.count_nonzero(e >= g))
         done += chunk
     p = hits / draws
     se = float(np.sqrt(max(p * (1.0 - p), 0.0) / draws))

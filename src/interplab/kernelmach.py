@@ -81,7 +81,10 @@ def kernel_matrix(spec: KernelSpec, X, Z=None) -> np.ndarray:
     through the same IEEE operations in the same order as the one-expression
     form, so the blocking does not move a bit. The epilogue treats (i, j)
     and (j, i) alike, so when Z is None K equals its transpose exactly
-    wherever the GEMM's 2 X X^T does.
+    wherever the GEMM's 2 X X^T does. When Z is X (or None) the squared
+    distance's diagonal is also set to 0 in each block, so K(x, x) is
+    exactly 1; the one-expression form leaves there a rounding residue of
+    about 1e-16 |x|^2, which laplace's sqrt lifts to about 1e-8.
     """
     X = np.asarray(X, dtype=float)
     Z = X if Z is None else np.asarray(Z, dtype=float)
@@ -98,6 +101,8 @@ def kernel_matrix(spec: KernelSpec, X, Z=None) -> np.ndarray:
         np.add(x_sq[start:start + rows, None], z_sq, out=sq)
         np.subtract(sq, block, out=block)
         np.maximum(block, 0.0, out=block)
+        if Z is X:
+            np.fill_diagonal(block[:, start:start + block.shape[0]], 0.0)
         if spec.family == GAUSSIAN:
             np.negative(block, out=block)
             np.divide(block, 2.0 * spec.bandwidth**2, out=block)

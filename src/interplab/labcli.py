@@ -43,7 +43,7 @@ from .errors import (
 from .rng import substream
 
 CONFIG_VERSION = "1"   # config files this build accepts
-FORMAT_VERSION = "8"   # CSV bytes; bumped whenever a result moves
+FORMAT_VERSION = "9"   # CSV bytes; bumped whenever a result moves
 COMMANDS = ("noise-interp", "double-descent", "raisin", "loss-compare",
             "simplex", "sgd-scaling", "linearity")
 
@@ -527,8 +527,7 @@ def run_loss_comparison(cfg: ExperimentConfig) -> dict:
             K = netmodels.tangent_kernel(model, None, train.X)
         else:
             raise ConfigError(f"model.kind must be linear or mlp, got {kind!r}")
-        vals, _vecs = numlin.sym_eig(0.5 * (K + K.T))
-        step = 1.0 / float(vals[0])
+        step = 1.0 / numlin.max_eig(0.5 * (K + K.T))
         init_hash = hashlib.sha256(w0.tobytes()).hexdigest()[:12]
 
         out = []

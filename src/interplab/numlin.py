@@ -143,7 +143,8 @@ def max_eig(a) -> float:
     """Largest eigenvalue of a symmetric matrix.
 
     The critical-batch scan reads lambda_max(X^T X) this way from the Gram
-    matrix X X^T, which has the same nonzero spectrum. numpy's eigvalsh
+    matrix X X^T, which has the same nonzero spectrum, and loss-compare
+    its step size from the tangent kernel. numpy's eigvalsh
     computes no eigenvectors. scipy's eigh can compute the top eigenvalue
     alone, a few ms sooner at n = 512, but scipy links its own OpenBLAS,
     whose idle worker threads then compete with numpy's BLAS calls in the

@@ -124,10 +124,10 @@ def test_simplex_minority_volume_agrees_with_scalar_predictor():
     assert np.array_equal(scalar, vector)
 
 
-def _normalized_hits(d, draws, seed, rng=None):
-    """Hit count of the normalize-then-sum form simplex_minority_volume
-    replaced, on the same stream; kept as its oracle."""
-    rng = substream(seed, "simplex-volume", d) if rng is None else rng
+def _normalized_hits(d, draws, rng):
+    """Hit count of the d + 1 exponential form: each point e[:d] / sum(e)
+    is formed on the simplex and classified as simplex_example_predict
+    does. Kept as the reference for the law of simplex_minority_volume."""
     hits = done = 0
     while done < draws:
         chunk = min(200_000, draws - done)
@@ -138,37 +138,84 @@ def _normalized_hits(d, draws, seed, rng=None):
     return hits
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_simplex_hit_count_matches_normalized_form(seed):
+SIMPLEX_LAW_SE = 5.0     # agreement bound in standard errors, fixed in advance
+
+
+@pytest.mark.parametrize("block", range(3))
+def test_simplex_hit_count_matches_normalized_form(block):
+    # The Gamma form draws a new stream, so the two forms agree in law,
+    # not draw by draw. Pool each form's hits over two seeds per block, on
+    # independent streams, and compare them per dim and summed over dims
+    # 1-16. Under equal laws the difference has mean 0 and variance
+    # 2 N p (1 - p) with p = 2**-d.
     draws = 200_007                       # a full chunk, then a partial one
+    seeds = (2 * block, 2 * block + 1)
+    n = draws * len(seeds)
+    diff_sum = var_sum = 0.0
     for d in range(1, 17):
-        frac, _ = direct.simplex_minority_volume(d, draws, seed)
-        assert frac == _normalized_hits(d, draws, seed) / draws, d
+        gamma_hits = sum(round(direct.simplex_minority_volume(d, draws, s)[0] * draws)
+                         for s in seeds)
+        ref_hits = sum(_normalized_hits(d, draws, substream(s, "simplex-reference", d))
+                       for s in seeds)
+        p = 2.0**-d
+        var = 2.0 * n * p * (1.0 - p)
+        assert abs(gamma_hits - ref_hits) <= SIMPLEX_LAW_SE * np.sqrt(var), d
+        diff_sum += gamma_hits - ref_hits
+        var_sum += var
+    assert abs(diff_sum) <= SIMPLEX_LAW_SE * np.sqrt(var_sum)
 
 
-class _FixedRows:
-    """Stands in for the generator: every draw repeats the given rows."""
+class _FixedDraws:
+    """Stands in for the generator: Gamma and exponential draws repeat the
+    given values."""
 
-    def __init__(self, rows):
-        self.rows = np.asarray(rows, dtype=float)
+    def __init__(self, g, e):
+        self.g, self.e = np.asarray(g, dtype=float), np.asarray(e, dtype=float)
 
-    def standard_exponential(self, shape):
-        assert shape[1] == self.rows.shape[1]
-        return np.resize(self.rows, shape)
+    def standard_gamma(self, shape, size):
+        return np.resize(self.g, size)
+
+    def standard_exponential(self, size):
+        return np.resize(self.e, size)
 
 
 def test_simplex_boundary_counts_as_hit(monkeypatch):
-    # integer draws whose totals are powers of two, so the normalized form
-    # is exact too: a tie e[d] == sum(e[:d]) lies on 2 * sum(x) = 1, which
-    # simplex_example_predict classifies as -1, so it is a hit
-    cases = {1: [[1, 1], [2, 1], [1, 2], [3, 1]],
-             2: [[1, 1, 2], [1, 2, 1], [1, 3, 4], [2, 1, 1]],
-             3: [[1, 1, 2, 4], [2, 2, 3, 1], [1, 2, 5, 8], [2, 1, 1, 3]]}
-    for d, rows in cases.items():
-        monkeypatch.setattr(direct, "substream", lambda *path: _FixedRows(rows))
-        frac, _ = direct.simplex_minority_volume(d, len(rows), seed=0)
-        assert frac * len(rows) == 2
-        assert frac * len(rows) == _normalized_hits(d, len(rows), 0, _FixedRows(rows))
+    # a tie e == g puts the point on 2 * sum(x) = 1, with sum(x) =
+    # g / (g + e), which simplex_example_predict classifies as -1: a hit
+    g = [1.0, 2.0, 0.75, 3.0, 0.5, 0.5]
+    e = [1.0, 1.0, 0.75, 3.0, 0.25, 0.75]
+    for d in (1, 2, 7):
+        monkeypatch.setattr(direct, "substream", lambda *path: _FixedDraws(g, e))
+        frac, _ = direct.simplex_minority_volume(d, len(g), seed=0)
+        assert frac * len(g) == 4                 # the three ties and e > g
+    for gi, ei in zip(g, e):
+        hit = direct.simplex_example_predict(np.array([gi / (gi + ei)])) == -1.0
+        assert hit == (ei >= gi), (gi, ei)
+
+
+class _RecordingDraws:
+    """Records each draw request and answers it from a real generator."""
+
+    def __init__(self):
+        self.calls = []
+        self.rng = np.random.default_rng(0)
+
+    def standard_gamma(self, shape, size):
+        self.calls.append(("gamma", shape, size))
+        return self.rng.standard_gamma(shape, size)
+
+    def standard_exponential(self, size):
+        self.calls.append(("exponential", size))
+        return self.rng.standard_exponential(size)
+
+
+def test_simplex_draws_two_numbers_per_point_whatever_d(monkeypatch):
+    for d in (1, 7, 1000):
+        stub = _RecordingDraws()
+        monkeypatch.setattr(direct, "substream", lambda *path: stub)
+        direct.simplex_minority_volume(d, 200_007, seed=0)
+        assert stub.calls == [("gamma", d, 200_000), ("exponential", 200_000),
+                              ("gamma", d, 7), ("exponential", 7)], d
 
 
 # --- risk sanity ---

@@ -95,9 +95,14 @@ def test_blocked_kernel_matrix_matches_one_expression(seed, monkeypatch):
             G = 2.0 * X @ X.T
             gemm_symmetric = np.array_equal(G, G.T)
             assert gemm_symmetric or X.shape[1] > 1
+        # K(X, X) has an exact unit diagonal, where the one-expression
+        # form keeps a rounding residue; every other entry matches it
+        off = ~np.eye(X.shape[0], dtype=bool) if Z is None else slice(None)
         for spec in specs:
             K = km.kernel_matrix(spec, X, Z)
-            assert np.array_equal(K, _kernel_matrix_one_expression(spec, X, Z)), spec
+            assert np.array_equal(K[off], _kernel_matrix_one_expression(spec, X, Z)[off]), spec
+            if Z is None:
+                assert np.all(np.diag(K) == 1.0), spec
             if gemm_symmetric:
                 assert np.array_equal(K, K.T), spec
 
@@ -113,6 +118,22 @@ def test_blocked_kernel_matrix_matches_one_expression(seed, monkeypatch):
         monkeypatch.setattr(km, "_BLOCK_BYTES", 8 * n * 8)
         check(_points(rng, n, dim))
         check(_points(rng, n, 1))
+
+
+def test_kernel_matrix_diagonal_is_exactly_one():
+    # |x|^2 + |x|^2 - 2 x.x rounds away from 0 on many rows at these sizes,
+    # and laplace's sqrt lifts that to about 1e-8 of the diagonal
+    rng = substream(14, "km-unit-diagonal")
+    for dim in (1, 3, 20, 64):
+        X = rng.standard_normal((400, dim)) * rng.choice([1e-3, 1.0, 30.0], size=(400, 1))
+        for spec in [km.KernelSpec(family, bw) for family in ("gaussian", "laplace")
+                     for bw in (0.05, 1.0, 7.3, 1e6)] + [km.KernelSpec("laplace", 1e-300)]:
+            K = km.kernel_matrix(spec, X)
+            assert np.all(np.diag(K) == 1.0), (dim, spec)
+            assert np.array_equal(km.kernel_matrix(spec, X, X), K), (dim, spec)
+    # a bandwidth far below every distance makes K(X, X) the identity
+    K = km.kernel_matrix(km.KernelSpec("laplace", 1e-300), rng.standard_normal((50, 4)))
+    assert np.array_equal(K, np.eye(50))
 
 
 def test_kernel_values_shrink_with_distance():

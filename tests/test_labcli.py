@@ -19,6 +19,7 @@ import interplab
 from interplab import datagen, direct, kernelmach, labcli, netmodels, numlin, optim
 from interplab.errors import ConfigError, NoCorruptedNeighbor
 from interplab.rng import substream
+from test_trace_targets import _workloads
 
 
 def _cfg(name, params, seed=5):
@@ -1119,3 +1120,51 @@ def test_gaussian_bandwidth_out_of_range_exits_2(tmp_path, command, bandwidth):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"config error: gaussian bandwidth {float(bandwidth)} ")
     assert not (tmp_path / "out").exists()
+
+
+# --- kernel fits: K(x, x) is exactly 1 ---
+
+@pytest.mark.parametrize("command", ["noise-interp", "raisin"])
+def test_laplace_identity_kernel_interpolates(tmp_path, capsys, command):
+    # at bandwidth 1e-300 every off-diagonal laplace entry underflows to 0,
+    # so K(X, X) is the identity, which interpolates any labels
+    (tmp_path / "run.cfg").write_text(
+        _tiny_without(command, {"data.train_n"})
+        + "data.train_n = 200\nkernel.bandwidth = 1e-300\n")
+    out = tmp_path / "out"
+    assert labcli.main([command, "--config", str(tmp_path / "run.cfg"),
+                        "--out", str(out)]) == 0, capsys.readouterr().err
+    if command == "noise-interp":
+        header, rows = _rows((out / "noise-interp.csv").read_text())
+        col = header.index("train_risk")
+        assert rows and all(float(r[col]) == 0.0 for r in rows)
+
+
+def test_interp_risk_fits_need_no_jitter(tmp_path, capsys, monkeypatch):
+    # a fit that needs a second Cholesky rung costs the benchmark's
+    # interp-risk workload a second factorization of a 2000 x 2000 K
+    workloads = _workloads()
+    jitters = []
+
+    def recorded(*args, _real=kernelmach.fit_interpolating, **kwargs):
+        machine = _real(*args, **kwargs)
+        jitters.append(machine.fit_jitter)
+        return machine
+
+    monkeypatch.setattr(kernelmach, "fit_interpolating", recorded)
+    for inv in workloads.WORKLOADS["interp-risk"](1):
+        if inv.command == "simplex":
+            continue
+        cfg = tmp_path / f"{inv.command}.cfg"
+        cfg.write_text(workloads.config_text(inv.params))
+        assert labcli.main([inv.command, "--config", str(cfg), "--seed", str(inv.seed),
+                            "--out", str(tmp_path / inv.command)]) == 0
+    capsys.readouterr()
+    assert jitters == [0.0] * 3, jitters      # two noise-interp seeds, one raisin fit
+
+
+def test_readme_documents_the_current_format():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        assert f"Format {labcli.FORMAT_VERSION}" in fh.read()

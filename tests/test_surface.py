@@ -32,6 +32,8 @@ ORACLES = {
         "test_acceptance.py::test_transition_to_linearity_and_wrap",
     "interplab.numlin.pinv":
         "test_acceptance.py::test_min_norm_alignment_50_problems",
+    "interplab.numlin.sym_eig":
+        "test_acceptance.py::test_min_norm_alignment_50_problems",
     "interplab.optim.sgd":
         "test_acceptance.py::test_sgd_exponential_vs_plateau",
     "interplab.optim.rate_fit":
