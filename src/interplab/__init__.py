@@ -4,9 +4,9 @@ Modules
 -------
 rng         deterministic per-purpose random substreams
 numlin      validated dense linear algebra (eig, svd, pinv, solves)
-datagen     synthetic two-class sources, IDX loading, label corruption
+datagen     two-class datasets: synthetic sources, IDX loading, label corruption
 kernelmach  interpolating kernel machines and random-feature sweeps
-direct      nearest-neighbor predictors and the simplex minority volume
+direct      the 1-nearest-neighbor rule and the simplex minority volume
 netmodels   small dense nets: exact jacobians, hessians, tangent kernels
 optim       full/mini-batch gradient descent with convergence certificates
 labcli      experiment runner behind the ``interplab`` command
@@ -24,11 +24,7 @@ from .datagen import (
     make_dataset,
     sample,
 )
-from .direct import (
-    knn_predict_batch,
-    make_neighbor_predictor,
-    simplex_minority_volume,
-)
+from .direct import nearest_neighbor_predict, simplex_minority_volume
 from .errors import InterpLabError
 from .kernelmach import (
     KernelMachine,
@@ -89,15 +85,15 @@ __all__ = [
     "init_mlp",
     "kernel_matrix",
     "kernel_predict",
-    "knn_predict_batch",
+    "kernelmach",
     "labcli",
     "linear_objective",
     "linearity_scan",
     "load_idx",
     "main",
     "make_dataset",
-    "make_neighbor_predictor",
     "mlp_objective",
+    "nearest_neighbor_predict",
     "netmodels",
     "numlin",
     "optim",

@@ -1,7 +1,9 @@
 """Synthetic data families, label corruption, and analytic risk oracles.
 
 Families are small frozen specs; sample(spec, n) turns one into a Dataset.
-Classification labels are exactly -1.0 or +1.0. Sampling is bit-reproducible:
+Every Dataset is two-class: its labels are exactly -1.0 or +1.0, and
+to_labels is the one rule that turns a real prediction into such a label
+(0 and -0 go to +1). Sampling is bit-reproducible:
 the same spec and n always produce the same arrays, regardless of what else
 has been sampled in the process.
 
@@ -22,14 +24,10 @@ from .errors import (
     BadMagic,
     InvalidInput,
     InvalidSpec,
-    NotClassification,
     TruncatedFile,
     UnknownClass,
 )
 from .rng import substream
-
-CLASSIFICATION = "classification"
-REGRESSION = "regression"
 
 _IMAGES_MAGIC = 0x00000803
 _LABELS_MAGIC = 0x00000801
@@ -37,11 +35,10 @@ _LABELS_MAGIC = 0x00000801
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable bundle of inputs, labels, and task kind."""
+    """Immutable bundle of inputs and their +-1 labels."""
 
     X: np.ndarray
     y: np.ndarray
-    task: str
     n_duplicates_dropped: int = 0
 
     @property
@@ -53,7 +50,7 @@ class Dataset:
         return self.X.shape[1]
 
 
-def make_dataset(X, y, task: str) -> Dataset:
+def make_dataset(X, y) -> Dataset:
     """Validate arrays, drop exact duplicate rows, and freeze a Dataset."""
     X = np.array(X, dtype=float, order="C", copy=True)
     y = np.array(y, dtype=float, copy=True)
@@ -63,10 +60,8 @@ def make_dataset(X, y, task: str) -> Dataset:
         raise InvalidInput(f"y has shape {y.shape}, expected ({X.shape[0]},)")
     if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
         raise InvalidInput("dataset has non-finite entries")
-    if task not in (CLASSIFICATION, REGRESSION):
-        raise InvalidSpec(f"unknown task {task!r}")
-    if task == CLASSIFICATION and not np.all(np.abs(y) == 1.0):
-        raise InvalidInput("classification labels must be exactly +1 or -1")
+    if not np.all(np.abs(y) == 1.0):
+        raise InvalidInput("labels must be exactly +1 or -1")
     _, first = np.unique(X, axis=0, return_index=True)
     if first.size < X.shape[0]:
         keep = np.sort(first)
@@ -76,7 +71,13 @@ def make_dataset(X, y, task: str) -> Dataset:
         dropped = 0
     X.setflags(write=False)
     y.setflags(write=False)
-    return Dataset(X=X, y=y, task=task, n_duplicates_dropped=dropped)
+    return Dataset(X=X, y=y, n_duplicates_dropped=dropped)
+
+
+def to_labels(values) -> np.ndarray:
+    """The +-1 label of each real prediction: +1 where it is >= 0 (0 and -0
+    included), -1 elsewhere."""
+    return np.where(np.asarray(values) >= 0.0, 1.0, -1.0)
 
 
 # --- distribution specs ---
@@ -123,12 +124,12 @@ def sample(spec: DistributionSpec, n: int) -> Dataset:
         y = rng.integers(0, 2, size=n) * 2.0 - 1.0
         X = spec.scale * rng.standard_normal((n, spec.dim))
         X[:, 0] += y * (spec.separation / 2.0)
-        return make_dataset(X, y, CLASSIFICATION)
+        return make_dataset(X, y)
     if isinstance(spec, UniformSimplex):
         rng = substream(spec.seed, "sample-uniform-simplex", n)
         e = rng.standard_exponential((n, spec.dim + 1))
         X = (e / e.sum(axis=1, keepdims=True))[:, : spec.dim]
-        return make_dataset(X, np.ones(n), CLASSIFICATION)
+        return make_dataset(X, np.ones(n))
     raise InvalidSpec(f"unknown distribution spec {type(spec)!r}")
 
 
@@ -152,13 +153,11 @@ def corrupt(ds: Dataset, spec: CorruptionSpec) -> Dataset:
     A replaced label actually flips only half the time, so the expected
     flip rate is q/2.
     """
-    if ds.task != CLASSIFICATION:
-        raise NotClassification("corruption is defined for two-class labels only")
     rng = substream(spec.seed, "corrupt", ds.n)
     hit = rng.random(ds.n) < spec.q
     coin = rng.integers(0, 2, size=ds.n) * 2.0 - 1.0
     y = np.where(hit, coin, ds.y)
-    out = Dataset(X=ds.X, y=y, task=ds.task, n_duplicates_dropped=ds.n_duplicates_dropped)
+    out = Dataset(X=ds.X, y=y, n_duplicates_dropped=ds.n_duplicates_dropped)
     out.y.setflags(write=False)
     return out
 
@@ -236,4 +235,4 @@ def load_idx(images_path: str, labels_path: str, classes, n: int) -> Dataset:
     rows = np.flatnonzero(mask)[:n]
     X = img_data.reshape(n_img, d)[rows].astype(float) / 255.0
     y = np.where(labels[rows] == cls[0], -1.0, 1.0)
-    return make_dataset(X, y, CLASSIFICATION)
+    return make_dataset(X, y)

@@ -1,118 +1,45 @@
 """Local interpolating predictors built directly from the training set.
 
-Two families live here:
+Two rules live here:
 
-* nearest-neighbor rules (1-NN, uniform k-NN, and singular-kernel weighted
-  k-NN whose weights blow up at zero distance, so the rule interpolates);
+* the 1-nearest-neighbor rule, which interpolates its training set;
 * the simplicial interpolant (linear on each cell of a triangulation) of
   one canonical training set on the standard simplex, in closed form, used
   to measure how much volume a single bad label can claim.
 
-All neighbor searches are brute force; at the problem sizes this lab
-targets the O(n) scan is cheaper than building any index. Distance ties
-are broken toward the lowest training index. Classification outputs are
-the sign of the interpolated value, with exact zero mapped to -1.
+The neighbor search is brute force; at the problem sizes this lab targets
+the O(n) scan is cheaper than building any index. Distance ties are broken
+toward the lowest training index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .datagen import CLASSIFICATION, Dataset
-from .errors import DimensionMismatch, EmptyTrainingSet, InvalidSpec, OutsideSimplex
+from .datagen import Dataset
+from .errors import DimensionMismatch, InvalidSpec, OutsideSimplex
 from .rng import substream
 
 COINCIDENCE_TOL = 1e-12
-UNIFORM = "uniform"
-SINGULAR = "singular"
 
 
-def _classify(values: np.ndarray) -> np.ndarray:
-    return np.where(values > 0.0, 1.0, -1.0)
+def nearest_neighbor_predict(train: Dataset, X) -> np.ndarray:
+    """Label of the nearest training point to each row of X.
 
-
-@dataclass(frozen=True)
-class NeighborPredictor:
-    train: Dataset
-    k: int
-    weighting: str
-    alpha: float
-
-
-def make_neighbor_predictor(train: Dataset, k: int = 1, weighting: str = UNIFORM,
-                            alpha: float | None = None) -> NeighborPredictor:
-    """Configure a k-nearest-neighbor predictor over a training set.
-
-    weighting "uniform" averages the k nearest labels; "singular" weights
-    them by distance**(-alpha), which interpolates the training data. The
-    default alpha equals the input dimension.
+    Squared distances come from one GEMM, |x|^2 + |z|^2 - 2 x.z clipped at
+    0; a tie goes to the lowest training index. The result is a +-1 label
+    per row, because every Dataset is two-class.
     """
-    if train.n == 0:
-        raise EmptyTrainingSet("predictor needs at least one training point")
-    if not 1 <= k <= train.n:
-        raise InvalidSpec(f"k must lie in [1, {train.n}], got {k}")
-    if weighting not in (UNIFORM, SINGULAR):
-        raise InvalidSpec(f"unknown weighting {weighting!r}")
-    if alpha is None:
-        alpha = float(train.dim)
-    if alpha <= 0:
-        raise InvalidSpec("alpha must be positive")
-    return NeighborPredictor(train=train, k=k, weighting=weighting, alpha=alpha)
-
-
-def _query_matrix(p: NeighborPredictor, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != p.train.dim:
+    if X.ndim != 2 or X.shape[1] != train.dim:
         raise DimensionMismatch(
-            f"queries must be (m, {p.train.dim}), got shape {X.shape}")
-    return X
-
-
-def knn_predict_batch(p: NeighborPredictor, X) -> np.ndarray:
-    """Predict at each row of X.
-
-    Regression returns the (weighted) neighbor mean; classification
-    returns its sign. With singular weighting, a query within 1e-12 of a
-    training input returns that point's label exactly.
-    """
-    X = _query_matrix(p, X)
-    Xt, yt = p.train.X, p.train.y
+            f"queries must be (m, {train.dim}), got shape {X.shape}")
+    Xt = train.X
     d2 = np.maximum(
         (X * X).sum(axis=1)[:, None] + (Xt * Xt).sum(axis=1)[None, :] - 2.0 * X @ Xt.T,
         0.0,
     )
-    if p.k == 1 and p.weighting == UNIFORM:
-        nearest = np.argmin(d2, axis=1)  # argmin takes the lowest index on ties
-        values = yt[nearest]
-    else:
-        order = np.argsort(d2, axis=1, kind="stable")[:, : p.k]
-        rows = np.arange(X.shape[0])[:, None]
-        labels = yt[order]
-        if p.weighting == UNIFORM:
-            values = labels.mean(axis=1)
-        else:
-            dist = np.sqrt(d2[rows, order])
-            hit = dist < COINCIDENCE_TOL
-            with np.errstate(divide="ignore", over="ignore"):
-                w = dist ** (-p.alpha)
-            w = np.where(np.isfinite(w), w, 0.0)
-            values = np.empty(X.shape[0])
-            any_hit = hit.any(axis=1)
-            if np.any(any_hit):
-                # Coincident training point: its label verbatim. The order
-                # array is distance-sorted with stable ties, so the first
-                # hit is the lowest-index one.
-                first = hit[any_hit].argmax(axis=1)
-                values[any_hit] = labels[any_hit, first]
-            rest = ~any_hit
-            if np.any(rest):
-                wr = w[rest]
-                values[rest] = (wr * labels[rest]).sum(axis=1) / wr.sum(axis=1)
-    if p.train.task == CLASSIFICATION:
-        return _classify(values)
-    return values
+    return train.y[np.argmin(d2, axis=1)]   # argmin takes the lowest index on ties
 
 
 # --- standard-simplex worked example ---

@@ -34,10 +34,6 @@ class ConfigError(InterpLabError):
 
 # --- data generation ---
 
-class NotClassification(InterpLabError):
-    """Operation requires two-class labels but the dataset is a regression task."""
-
-
 class NoAnalyticOracle(InterpLabError):
     """The distribution family has no closed-form risk oracle."""
 
@@ -55,10 +51,6 @@ class UnknownClass(InterpLabError):
 
 
 # --- direct interpolators ---
-
-class EmptyTrainingSet(InterpLabError):
-    """Predictor built over zero training points."""
-
 
 class OutsideSimplex(InterpLabError):
     """Query point lies outside the standard simplex."""

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numlin
-from .datagen import CLASSIFICATION, Dataset
+from .datagen import Dataset, to_labels
 from .errors import DimensionMismatch, IllConditioned, InvalidSpec, NotPositiveDefinite
 from .rng import substream
 
@@ -124,17 +124,16 @@ class KernelMachine:
     train_pred: np.ndarray   # f at the centers, K @ alpha, shaped like alpha
 
 
-def fit_interpolating(spec: KernelSpec, train: Dataset, labels=None,
-                      jitter_ladder=JITTER_LADDER,
-                      tol: float = INTERPOLATION_TOL) -> KernelMachine:
+def fit_interpolating(spec: KernelSpec, train: Dataset, labels=None) -> KernelMachine:
     """Solve K alpha = y and certify that the machine interpolates.
 
     The targets are train.y, or ``labels``: an (n,) vector or an (n, k)
     matrix whose columns are fitted on one kernel matrix and one Cholesky
     factorization per jitter rung. The kernel matrix gets each jitter from
-    the ladder in turn until the factorization succeeds and, in every
+    JITTER_LADDER in turn until the factorization succeeds and, in every
     column, the worst-case training residual max_i |f(x_i) - y_i| stays
-    within tol * (1 + max |y|) of that column. If no rung manages that,
+    within INTERPOLATION_TOL * (1 + max |y|) of that column; both module
+    constants are read at call time. If no rung manages that,
     IllConditioned is raised; a fit with a worse residual is never
     silently accepted.
     """
@@ -143,9 +142,10 @@ def fit_interpolating(spec: KernelSpec, train: Dataset, labels=None,
         raise DimensionMismatch(
             f"labels have shape {labels.shape}, expected ({train.n},) or ({train.n}, k)")
     K = kernel_matrix(spec, train.X)
-    bound = tol * (1.0 + np.atleast_1d(np.abs(labels).max(axis=0)))   # per column
+    # one bound per column
+    bound = INTERPOLATION_TOL * (1.0 + np.atleast_1d(np.abs(labels).max(axis=0)))
     best = (np.inf, np.inf, float(bound.max()))   # (ratio, residual, bound)
-    for jitter in jitter_ladder:
+    for jitter in JITTER_LADDER:
         try:
             alpha = numlin.solve_spd(K, labels, jitter=jitter)
         except NotPositiveDefinite:
@@ -163,7 +163,7 @@ def fit_interpolating(spec: KernelSpec, train: Dataset, labels=None,
     raise IllConditioned(
         f"{spec.family} kernel, bandwidth {spec.bandwidth:g}, n={train.n}: training "
         f"residual {best[1]:.3e} exceeds {best[2]:.3e} at every jitter in "
-        f"{tuple(jitter_ladder)}")
+        f"{tuple(JITTER_LADDER)}")
 
 
 def kernel_predict(machine: KernelMachine, X) -> np.ndarray:
@@ -202,17 +202,18 @@ def rff_features(freqs: np.ndarray, X) -> np.ndarray:
     return phase
 
 
-def rff_fit_minnorm(X, y, freqs, rank_tol: float = numlin.DEFAULT_RANK_TOL) -> RFFModel:
+def rff_fit_minnorm(X, y, freqs) -> RFFModel:
     """Fit minimum-norm least-squares weights for fixed frequencies.
 
     Solves the complex system Phi w = y; with more features than points
-    this is the minimum-norm interpolant, otherwise the least-squares fit.
+    this is the minimum-norm interpolant, otherwise the least-squares fit,
+    with pinv_apply's rank cutoff numlin.RANK_TOL.
     """
     y = np.asarray(y, dtype=float)
     phi = rff_features(freqs, X)
     if y.shape != (phi.shape[0],):
         raise DimensionMismatch(f"y has shape {y.shape}, expected ({phi.shape[0]},)")
-    w = numlin.pinv_apply(phi, y, rank_tol=rank_tol)
+    w = numlin.pinv_apply(phi, y)
     return RFFModel(freqs=np.array(freqs, dtype=float, copy=True), weights=w)
 
 
@@ -258,8 +259,6 @@ def double_descent_sweep(train: Dataset, test: Dataset, m_grid, replicates: int,
         raise InvalidSpec("m_grid must hold positive widths")
     if replicates < 1:
         raise InvalidSpec("replicates must be at least 1")
-    if train.task != CLASSIFICATION or test.task != CLASSIFICATION:
-        raise InvalidSpec("sweep expects two-class datasets")
     m_max = int(m_grid[-1])
     rows, paths = [], []
     thresholds = np.full(replicates, -1, dtype=int)
@@ -274,7 +273,7 @@ def double_descent_sweep(train: Dataset, test: Dataset, m_grid, replicates: int,
             tr = float(np.mean(np.abs(phi_train[:, :m] @ w - train.y) ** 2))
             pred = np.real(phi_test[:, :m] @ w)
             te = float(np.mean((pred - test.y) ** 2))
-            zo = float(np.mean(np.where(pred > 0, 1.0, -1.0) != test.y))
+            zo = float(np.mean(to_labels(pred) != test.y))
             nrm = float(np.linalg.norm(w))
             rep_rows.append([int(m), rep, tr, te, zo, nrm])
             paths.append(path)

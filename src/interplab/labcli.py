@@ -35,7 +35,6 @@ from .errors import (
     InvalidSpec,
     NoAnalyticOracle,
     NoCorruptedNeighbor,
-    NotClassification,
     NumericalError,
     TruncatedFile,
     UnknownClass,
@@ -47,8 +46,8 @@ FORMAT_VERSION = "9"   # CSV bytes; bumped whenever a result moves
 COMMANDS = ("noise-interp", "double-descent", "raisin", "loss-compare",
             "simplex", "sgd-scaling", "linearity")
 
-_CONFIG_ERRORS = (ConfigError, InvalidInput, InvalidSpec, NotClassification,
-                  NoAnalyticOracle, NoCorruptedNeighbor)
+_CONFIG_ERRORS = (ConfigError, InvalidInput, InvalidSpec, NoAnalyticOracle,
+                  NoCorruptedNeighbor)
 
 
 # --- config plumbing ---
@@ -269,8 +268,8 @@ def _train_test(cfg: ExperimentConfig, cell: int, train_n: int, test_n: int):
         if ds.n < train_n + test_n:
             raise ConfigError(
                 f"idx files hold only {ds.n} usable rows, need {train_n + test_n}")
-        train = datagen.make_dataset(ds.X[:train_n], ds.y[:train_n], ds.task)
-        test = datagen.make_dataset(ds.X[train_n:], ds.y[train_n:], ds.task)
+        train = datagen.make_dataset(ds.X[:train_n], ds.y[:train_n])
+        test = datagen.make_dataset(ds.X[train_n:], ds.y[train_n:])
         return train, test, None
     spec_train = _family_spec(values, _subseed(cfg.seed, "train", cell))
     spec_test = _family_spec(values, _subseed(cfg.seed, "test", cell))
@@ -284,8 +283,7 @@ def _kernel_spec(values) -> kernelmach.KernelSpec:
 
 
 def _zero_one(pred_values, labels) -> float:
-    signs = np.where(np.asarray(pred_values) >= 0.0, 1.0, -1.0)
-    return float(np.mean(signs != np.asarray(labels)))
+    return float(np.mean(datagen.to_labels(pred_values) != np.asarray(labels)))
 
 
 def _seed_count(values) -> int:
@@ -430,14 +428,12 @@ def run_raisin_search(cfg: ExperimentConfig) -> dict:
         def predict(P):
             return kernelmach.kernel_predict(machine, P)
     elif kind == "knn":
-        predictor = direct.make_neighbor_predictor(corrupted, k=1)
-
         def predict(P):
-            return direct.knn_predict_batch(predictor, P)
+            return direct.nearest_neighbor_predict(corrupted, P)
     else:
         raise ConfigError(f"model.kind must be kernel or knn, got {kind!r}")
 
-    pred = np.where(predict(queries.X) >= 0.0, 1.0, -1.0)
+    pred = datagen.to_labels(predict(queries.X))
     index = np.flatnonzero(pred == queries.y)   # only correctly-classified queries
     X, pred = queries.X[index], pred[index]
     dist, U = np.empty(index.size), np.empty_like(X)
@@ -510,6 +506,8 @@ def run_loss_comparison(cfg: ExperimentConfig) -> dict:
     n_seeds = _seed_count(values)
     train_n, test_n = values["data.train_n"], values["data.test_n"]
     iters, kind = values["train.iters"], values["model.kind"]
+    if iters < 1:
+        raise ConfigError(f"train.iters must be at least 1, got {iters}")
 
     def cell(s):
         train, test, _ = _train_test(cfg, _subseed(cfg.seed, "lc", s),
@@ -527,7 +525,13 @@ def run_loss_comparison(cfg: ExperimentConfig) -> dict:
             K = netmodels.tangent_kernel(model, None, train.X)
         else:
             raise ConfigError(f"model.kind must be linear or mlp, got {kind!r}")
-        step = 1.0 / numlin.max_eig(0.5 * (K + K.T))
+        top = numlin.max_eig(0.5 * (K + K.T))
+        step = 1.0 / top if top > 0.0 else math.inf
+        if not step < math.inf:
+            raise ConfigError(
+                f"loss-compare needs a finite positive step 1/lambda_max, but the "
+                f"{kind} kernel's lambda_max is {top:.3e} at data.scale = "
+                f"{values['data.scale']!r}")
         init_hash = hashlib.sha256(w0.tobytes()).hexdigest()[:12]
 
         out = []

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .rng import substream
 
-DEFAULT_RANK_TOL = 1e-10
+RANK_TOL = 1e-10     # pinv and pinv_apply drop singular values <= this * the largest
 GRAM_CERT = 1e-8     # minnorm_prefixes keeps a Gram solve when lambda_min > this * lambda_max
 GRAM_PATH, SVD_PATH = "gram", "svd"
 _SCREEN_C = 4        # the Gram screen shifts by (GRAM_CERT + this * k^2 * eps) * ||G||_F
@@ -45,25 +45,14 @@ _SYM_RTOL = 1e-10
 _SYM_TILE = 128      # require_symmetric tile edge; a tile pair fits in L2
 
 
-def as_matrix(a, name: str = "matrix", allow_complex: bool = False) -> np.ndarray:
+def as_array(a, ndim: int, name: str, allow_complex: bool = False) -> np.ndarray:
+    """a as a nonempty, finite float64 (or complex128) array with ndim axes."""
     dtype = None if allow_complex else float
     arr = np.asarray(a, dtype=dtype)
     if allow_complex and not np.iscomplexobj(arr):
         arr = arr.astype(float)
-    if arr.ndim != 2 or arr.size == 0:
-        raise InvalidInput(f"{name} must be a nonempty 2-D array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInput(f"{name} has non-finite entries")
-    return arr
-
-
-def as_vector(v, name: str = "vector", allow_complex: bool = False) -> np.ndarray:
-    dtype = None if allow_complex else float
-    arr = np.asarray(v, dtype=dtype)
-    if allow_complex and not np.iscomplexobj(arr):
-        arr = arr.astype(float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InvalidInput(f"{name} must be a nonempty 1-D array, got shape {arr.shape}")
+    if arr.ndim != ndim or arr.size == 0:
+        raise InvalidInput(f"{name} must be a nonempty {ndim}-D array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidInput(f"{name} has non-finite entries")
     return arr
@@ -99,8 +88,8 @@ def solve_spd(a, b, jitter: float = 0.0) -> np.ndarray:
     still fails to factor. b is a vector, or a matrix whose columns are
     solved on the one factorization; x has the shape of b.
     """
-    a = as_matrix(a, "A")
-    b = as_matrix(b, "b") if np.ndim(b) == 2 else as_vector(b, "b")
+    a = as_array(a, 2, "A")
+    b = as_array(b, 2 if np.ndim(b) == 2 else 1, "b")
     require_symmetric(a, "A")
     if a.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"A is {a.shape} but b has {b.shape[0]} rows")
@@ -129,7 +118,7 @@ def sym_eig(a) -> tuple[np.ndarray, np.ndarray]:
     Returns (values, vectors) with eigenvalues sorted descending and
     eigenvectors as the matching columns of an orthogonal matrix.
     """
-    a = as_matrix(a, "A")
+    a = as_array(a, 2, "A")
     require_symmetric(a, "A")
     try:
         vals, vecs = np.linalg.eigh(a)
@@ -150,7 +139,7 @@ def max_eig(a) -> float:
     whose idle worker threads then compete with numpy's BLAS calls in the
     scan; on two cores that cost the scan more than it saved.
     """
-    a = as_matrix(a, "A")
+    a = as_array(a, 2, "A")
     require_symmetric(a, "A")
     try:
         vals = np.linalg.eigvalsh(a)
@@ -166,33 +155,32 @@ def _svd(a: np.ndarray):
         raise NoConvergence(f"SVD did not converge: {exc}") from exc
 
 
-def pinv(a, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def pinv(a) -> np.ndarray:
     """Moore-Penrose pseudo-inverse with a relative singular value cutoff.
 
-    Singular values below rank_tol times the largest are treated as exact
-    zeros. The zero matrix maps to the zero matrix of transposed shape.
+    Singular values at or below RANK_TOL times the largest are treated as
+    exact zeros. The zero matrix maps to the zero matrix of transposed
+    shape.
     """
-    a = as_matrix(a, "A")
-    if rank_tol < 0.0:
-        raise InvalidInput("rank_tol must be non-negative")
+    a = as_array(a, 2, "A")
     u, s, vt = _svd(a)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((a.shape[1], a.shape[0]))
-    keep = s > rank_tol * s[0]
+    keep = s > RANK_TOL * s[0]
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
     return (vt.T * inv) @ u.T
 
 
-def pinv_apply(a, b, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def pinv_apply(a, b) -> np.ndarray:
     """Return pinv(A) @ b without forming the pseudo-inverse.
 
-    Same singular value cutoff as pinv; this is the minimum-norm
+    Same singular value cutoff as pinv, RANK_TOL; this is the minimum-norm
     least-squares solution of A x = b. A and b may be complex, in which
     case the transposes are conjugate ones and the result is complex.
     """
-    a = as_matrix(a, "A", allow_complex=True)
-    b = as_vector(b, "b", allow_complex=True)
+    a = as_array(a, 2, "A", allow_complex=True)
+    b = as_array(b, 1, "b", allow_complex=True)
     if a.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"A is {a.shape} but b has length {b.shape[0]}")
     u, s, vt = _svd(a)
@@ -200,7 +188,7 @@ def pinv_apply(a, b, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
         return np.zeros(a.shape[1], dtype=np.result_type(a, b))
     # s is sorted descending, so the kept values are a prefix and the
     # slices below are views; conj(conj(b) @ u) is u^H b with no copy of u
-    k = int(np.count_nonzero(s > rank_tol * s[0]))
+    k = int(np.count_nonzero(s > RANK_TOL * s[0]))
     coeff = np.conj(np.conj(b) @ u[:, :k]) / s[:k]
     return np.conj(np.conj(coeff) @ vt[:k])
 
@@ -267,7 +255,7 @@ def minnorm_prefixes(a, b, widths) -> list:
     a running sum over the column blocks between widths, and
     x = A_m^H (A_m A_m^H)^-1 b. A width takes its Gram solution only when
     lambda_min > GRAM_CERT * lambda_max. Then every singular value of A_m
-    lies within a factor 1e-4 of the largest, far above DEFAULT_RANK_TOL,
+    lies within a factor 1e-4 of the largest, far above RANK_TOL,
     so the SVD keeps the same full rank. Any other width, such as an
     ill-conditioned one near m = n or one whose Gram overflows, is solved
     by pinv_apply.
@@ -280,8 +268,8 @@ def minnorm_prefixes(a, b, widths) -> list:
     is decided by eigvalsh, so every width takes the path and the solve
     that eigvalsh alone would give it.
     """
-    a = as_matrix(a, "A", allow_complex=True)
-    b = as_vector(b, "b", allow_complex=True)
+    a = as_array(a, 2, "A", allow_complex=True)
+    b = as_array(b, 1, "b", allow_complex=True)
     n, cols = a.shape
     if b.shape[0] != n:
         raise DimensionMismatch(f"A is {a.shape} but b has length {b.shape[0]}")
@@ -323,7 +311,7 @@ def spectral_norm(a) -> float:
     vanishing gaps), while the dense factorization is exact regardless of
     clustering. Complex input is accepted.
     """
-    a = as_matrix(a, "A", allow_complex=True)
+    a = as_array(a, 2, "A", allow_complex=True)
     scale = np.abs(a).max()
     if scale == 0.0:
         return 0.0

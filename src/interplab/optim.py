@@ -32,7 +32,6 @@ SQUARE = "square"
 CROSS_ENTROPY = "cross_entropy"
 DIVERGE_CAP = 1e12
 DEFAULT_ITER_CAP = 1_000_000
-DEFAULT_TARGET_FACTOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -154,8 +153,8 @@ def _check_run_args(obj, w0, step, iters, record_every):
     if w0.shape != (param_dim(obj),):
         raise DimensionMismatch(
             f"w0 has shape {w0.shape}, expected ({param_dim(obj)},)")
-    if step <= 0.0:
-        raise InvalidSpec("step must be positive")
+    if not 0.0 < step < math.inf:
+        raise InvalidSpec(f"step must be positive and finite, got {step}")
     if iters < 0 or record_every < 1:
         raise InvalidSpec("iters must be nonnegative and record_every positive")
     return w0
@@ -173,7 +172,7 @@ def gd(obj: Objective, w0, step: float, iters: int,
             f = netmodels.forward_batch(obj.mlp, w, obj.X)
             J = netmodels.jacobian(obj.mlp, w, obj.X)
         lv, dldf = _loss_residual(obj, f)
-        if lv > DIVERGE_CAP:
+        if not lv <= DIVERGE_CAP:     # a NaN loss diverged too
             raise Diverged(f"loss {lv:.3e} exceeded {DIVERGE_CAP:.0e} at step {t}")
         g = J.T @ dldf
         if t % record_every == 0 or t == iters:
@@ -203,7 +202,7 @@ def sgd(obj: Objective, w0, step: float, batch: int, iters: int, seed: int,
     for t in range(iters + 1):
         if t % record_every == 0 or t == iters:
             lv = loss_value(obj, w)
-            if lv > DIVERGE_CAP:
+            if not lv <= DIVERGE_CAP:
                 raise Diverged(f"loss {lv:.3e} exceeded {DIVERGE_CAP:.0e} at step {t}")
             rec.add(t, w, lv, loss_grad(obj, w))
         if t < iters:

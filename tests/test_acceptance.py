@@ -327,9 +327,8 @@ def test_oracle_suites():
     spec = datagen.TwoGaussians(3.0, 1.0, 2, seed=0)
     big_train = datagen.sample(datagen.TwoGaussians(3.0, 1.0, 2, seed=301), 5000)
     big_test = datagen.sample(datagen.TwoGaussians(3.0, 1.0, 2, seed=302), 5000)
-    predictor = direct.make_neighbor_predictor(big_train, k=1)
-    preds = direct.knn_predict_batch(predictor, big_test.X)
-    risk = float(np.mean(np.where(preds >= 0, 1.0, -1.0) != big_test.y))
+    preds = direct.nearest_neighbor_predict(big_train, big_test.X)
+    risk = float(np.mean(preds != big_test.y))
     rstar = datagen.bayes_risk(spec, 0.0)
     assert risk <= 2.0 * rstar + 0.05, f"1-NN risk {risk:.4f}"
     _done("oracle-suites", t0, 300, f"1-NN risk {risk:.4f} <= {2 * rstar + 0.05:.4f}")

@@ -14,11 +14,9 @@ from interplab.errors import (
     BadMagic,
     InvalidInput,
     InvalidSpec,
-    NotClassification,
     TruncatedFile,
     UnknownClass,
 )
-from interplab.rng import substream
 
 
 # --- sampling ---
@@ -26,7 +24,6 @@ from interplab.rng import substream
 def test_two_gaussians_labels_and_shape():
     ds = datagen.sample(TwoGaussians(separation=2.0, scale=1.0, dim=3, seed=1), 500)
     assert ds.X.shape == (500, 3)
-    assert ds.task == datagen.CLASSIFICATION
     assert set(np.unique(ds.y)) == {-1.0, 1.0}
 
 
@@ -67,7 +64,7 @@ def test_uniform_simplex_is_uniform_in_mean():
 
 def test_make_dataset_dedups_with_report():
     X = np.array([[0.0, 1.0], [0.0, 1.0], [2.0, 3.0]])
-    ds = datagen.make_dataset(X, np.array([1.0, -1.0, 1.0]), datagen.CLASSIFICATION)
+    ds = datagen.make_dataset(X, np.array([1.0, -1.0, 1.0]))
     assert ds.n == 2
     assert ds.n_duplicates_dropped == 1
     assert ds.y[0] == 1.0  # first occurrence wins
@@ -75,7 +72,12 @@ def test_make_dataset_dedups_with_report():
 
 def test_make_dataset_rejects_bad_labels():
     with pytest.raises(InvalidInput):
-        datagen.make_dataset(np.eye(2), np.array([1.0, 0.5]), datagen.CLASSIFICATION)
+        datagen.make_dataset(np.eye(2), np.array([1.0, 0.5]))
+
+
+def test_to_labels_sends_zero_and_minus_zero_to_plus_one():
+    got = datagen.to_labels(np.array([-1.0, -0.0, 0.0, 5e-324, 1.0]))
+    assert got.dtype == float and got.tolist() == [-1.0, 1.0, 1.0, 1.0, 1.0]
 
 
 def test_dataset_arrays_are_frozen():
@@ -110,15 +112,6 @@ def test_corrupt_flip_rate_is_half_q():
     rate = float(np.mean(rates))
     sigma = math.sqrt(0.4 * 0.6 / (2000 * 20))
     assert abs(rate - q / 2) < 3 * sigma
-
-
-def test_corrupt_requires_classification():
-    rng = substream(0, "sample-noisy-line", 50)
-    x = rng.random(50)
-    ds = datagen.make_dataset(x[:, None], x + 0.1 * rng.standard_normal(50),
-                              datagen.REGRESSION)
-    with pytest.raises(NotClassification):
-        datagen.corrupt(ds, CorruptionSpec(q=0.5))
 
 
 def test_corruption_spec_validates_q():

@@ -3,92 +3,35 @@ import pytest
 
 from interplab import datagen, direct
 from interplab.datagen import TwoGaussians
-from interplab.errors import DimensionMismatch, InvalidSpec, OutsideSimplex
+from interplab.errors import DimensionMismatch, OutsideSimplex
 from interplab.rng import substream
 
 
-def _toy(X, y, task=datagen.REGRESSION):
-    return datagen.make_dataset(np.asarray(X, dtype=float), np.asarray(y, dtype=float), task)
+def _toy(X, y):
+    return datagen.make_dataset(np.asarray(X, dtype=float), np.asarray(y, dtype=float))
 
 
-def _noisy_line(n, slope=1.0, noise_sd=0.1, seed=0):
-    """y = slope * x + Gaussian noise at n points x uniform on [0, 1]."""
-    rng = substream(seed, "sample-noisy-line", n)
-    x = rng.random(n)
-    return _toy(x[:, None], slope * x + noise_sd * rng.standard_normal(n))
-
-
-# --- nearest neighbor rules ---
+# --- nearest neighbor rule ---
 
 def test_one_nn_interpolates_training_points():
     ds = datagen.sample(TwoGaussians(seed=0), 80)
-    p = direct.make_neighbor_predictor(ds, k=1)
-    got = direct.knn_predict_batch(p, ds.X)
+    got = direct.nearest_neighbor_predict(ds, ds.X)
     assert np.array_equal(got, ds.y)
 
 
 def test_one_nn_tie_breaks_to_lowest_index():
-    ds = _toy([[0.0], [2.0]], [-1.0, 1.0], datagen.CLASSIFICATION)
-    p = direct.make_neighbor_predictor(ds, k=1)
-    assert direct.knn_predict_batch(p, np.array([[1.0]]))[0] == -1.0
-
-
-def test_singular_equidistant_pair_averages():
-    # Two neighbors at equal distance with labels 0 and 2 mix to 1.
-    ds = _toy([[-1.0], [1.0]], [0.0, 2.0])
-    p = direct.make_neighbor_predictor(ds, k=2, weighting=direct.SINGULAR)
-    assert direct.knn_predict_batch(p, np.array([[0.0]]))[0] == pytest.approx(1.0)
-
-
-def test_singular_interpolates_for_any_k():
-    ds = datagen.sample(TwoGaussians(seed=3, dim=2), 60)
-    p = direct.make_neighbor_predictor(ds, k=7, weighting=direct.SINGULAR)
-    got = direct.knn_predict_batch(p, ds.X)
-    assert np.array_equal(got, ds.y)
-
-
-def test_singular_near_coincidence_returns_label():
-    ds = _noisy_line(50, seed=4)
-    p = direct.make_neighbor_predictor(ds, k=5, weighting=direct.SINGULAR)
-    x = ds.X[17] + 1e-13
-    assert direct.knn_predict_batch(p, x[None, :])[0] == ds.y[17]
-    x = ds.X[17] + 1e-9
-    assert direct.knn_predict_batch(p, x[None, :])[0] == pytest.approx(ds.y[17], abs=1e-6)
-
-
-def test_uniform_knn_is_neighbor_mean():
-    ds = _toy([[0.0], [1.0], [10.0]], [3.0, 5.0, 100.0])
-    p = direct.make_neighbor_predictor(ds, k=2)
-    assert direct.knn_predict_batch(p, np.array([[0.4]]))[0] == pytest.approx(4.0)
-
-
-def test_uniform_knn_classification_sign_tie_is_negative():
-    ds = _toy([[0.0], [1.0]], [1.0, -1.0], datagen.CLASSIFICATION)
-    p = direct.make_neighbor_predictor(ds, k=2)
-    assert direct.knn_predict_batch(p, np.array([[0.3]]))[0] == -1.0
-
-
-def test_singular_regression_tracks_clean_line():
-    # Singular-kernel smoothing of a noisy line should beat the raw noise
-    # level on a fresh grid.
-    errs = []
-    grid = np.linspace(0.05, 0.95, 101)[:, None]
-    for seed in range(20):
-        ds = _noisy_line(200, slope=1.0, noise_sd=0.25, seed=seed)
-        p = direct.make_neighbor_predictor(ds, k=10, weighting=direct.SINGULAR)
-        pred = direct.knn_predict_batch(p, grid)
-        errs.append(float(np.mean((pred - grid[:, 0]) ** 2)))
-    assert float(np.mean(errs)) < 0.0625
+    ds = _toy([[0.0], [2.0]], [-1.0, 1.0])
+    assert direct.nearest_neighbor_predict(ds, np.array([[1.0]]))[0] == -1.0
+    ds = _toy([[0.0], [2.0]], [1.0, -1.0])
+    assert direct.nearest_neighbor_predict(ds, np.array([[1.0]]))[0] == 1.0
 
 
 def test_neighbor_predictor_validation():
     ds = _toy([[0.0]], [1.0])
-    with pytest.raises(InvalidSpec):
-        direct.make_neighbor_predictor(ds, k=2)
-    with pytest.raises(InvalidSpec):
-        direct.make_neighbor_predictor(ds, weighting="gauss")
     with pytest.raises(DimensionMismatch):
-        direct.knn_predict_batch(direct.make_neighbor_predictor(ds), np.zeros((1, 3)))
+        direct.nearest_neighbor_predict(ds, np.zeros((1, 3)))
+    with pytest.raises(DimensionMismatch):
+        direct.nearest_neighbor_predict(ds, np.zeros(1))
 
 
 # --- standard-simplex closed form ---
@@ -227,8 +170,7 @@ def test_one_nn_risk_close_to_twice_bayes():
     for seed in range(5):
         train = datagen.sample(TwoGaussians(separation=2.0, dim=2, seed=200 + seed), 1000)
         test = datagen.sample(TwoGaussians(separation=2.0, dim=2, seed=900 + seed), 1000)
-        p = direct.make_neighbor_predictor(train, k=1)
-        pred = direct.knn_predict_batch(p, test.X)
+        pred = direct.nearest_neighbor_predict(train, test.X)
         risks.append(float(np.mean(pred != test.y)))
     mean_risk = float(np.mean(risks))
     assert r_star - 0.02 <= mean_risk <= 2 * r_star + 0.1

@@ -18,7 +18,7 @@ def _two_point_laplace():
     # distance ln 2 apart so the off-diagonal kernel value is exactly 1/2
     X = np.array([[0.0], [math.log(2.0)]])
     y = np.array([1.0, 1.0])
-    return datagen.make_dataset(X, y, task=datagen.REGRESSION)
+    return datagen.make_dataset(X, y)
 
 
 # --- kernel evaluation ---
@@ -173,9 +173,9 @@ def test_fit_interpolates_training_data():
     rng = substream(11, "km-fit")
     X = rng.standard_normal((40, 3))
     y = rng.standard_normal(40)
-    ds = datagen.make_dataset(X, y, task=datagen.REGRESSION)
+    ds = datagen.make_dataset(X, np.ones(40))
     for family in ("laplace", "gaussian"):
-        mach = km.fit_interpolating(km.KernelSpec(family, 1.0), ds)
+        mach = km.fit_interpolating(km.KernelSpec(family, 1.0), ds, labels=y)
         bound = 1e-6 * (1.0 + np.abs(y).max())
         assert mach.fit_residual <= bound
         pred = km.kernel_predict(mach, X)
@@ -186,8 +186,7 @@ def test_norm_quadratic_under_label_scaling():
     ds = _two_point_laplace()
     spec = km.KernelSpec("laplace", 1.0)
     base = km.fit_interpolating(spec, ds)
-    doubled = km.fit_interpolating(
-        spec, datagen.make_dataset(ds.X, 2.0 * ds.y, task=datagen.REGRESSION))
+    doubled = km.fit_interpolating(spec, ds, labels=2.0 * ds.y)
     # the native-space norm alpha^T K alpha, with K alpha the fitted values
     assert abs(doubled.alpha @ doubled.train_pred
                - 4.0 * (base.alpha @ base.train_pred)) < 1e-9
@@ -197,8 +196,8 @@ def test_jitter_ladder_engages_on_flat_kernel():
     # gaussian with a wide bandwidth on a tight grid is not PD at jitter zero
     X = np.linspace(0.0, 1.0, 20)[:, None]
     y = np.sin(3.0 * X[:, 0])
-    ds = datagen.make_dataset(X, y, task=datagen.REGRESSION)
-    mach = km.fit_interpolating(km.KernelSpec("gaussian", 0.5), ds)
+    ds = datagen.make_dataset(X, np.ones(20))
+    mach = km.fit_interpolating(km.KernelSpec("gaussian", 0.5), ds, labels=y)
     assert mach.fit_jitter > 0.0
     assert mach.fit_residual <= 1e-6 * (1.0 + np.abs(y).max())
 
@@ -206,9 +205,9 @@ def test_jitter_ladder_engages_on_flat_kernel():
 def test_hopeless_conditioning_raises_instead_of_fitting_badly():
     X = np.linspace(0.0, 1.0, 20)[:, None]
     y = np.sin(3.0 * X[:, 0])
-    ds = datagen.make_dataset(X, y, task=datagen.REGRESSION)
+    ds = datagen.make_dataset(X, np.ones(20))
     with pytest.raises(IllConditioned):
-        km.fit_interpolating(km.KernelSpec("gaussian", 2.0), ds)
+        km.fit_interpolating(km.KernelSpec("gaussian", 2.0), ds, labels=y)
 
 
 def test_prediction_far_from_data_decays():
@@ -220,16 +219,19 @@ def test_prediction_far_from_data_decays():
 
 def _per_column_reference(spec, ds, labels):
     """The multi-column rule from 1-D fits: the first rung of the ladder at
-    which every column's own fit passes its certificate, with those fits."""
+    which every column's own fit passes its certificate, with those fits.
+    Each 1-D fit runs with the ladder cut down to that one rung."""
     for jitter in km.JITTER_LADDER:
         fits = []
-        for column in labels.T:
-            try:
-                fits.append(km.fit_interpolating(spec, ds, column, jitter_ladder=(jitter,)))
-            except IllConditioned:
-                break
-        else:
-            return jitter, fits
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(km, "JITTER_LADDER", (jitter,))
+            for column in labels.T:
+                try:
+                    fits.append(km.fit_interpolating(spec, ds, column))
+                except IllConditioned:
+                    break
+            else:
+                return jitter, fits
     return None, []
 
 
@@ -248,7 +250,7 @@ def test_multi_column_fit_matches_per_column_fits(seed):
             n, d = int(rng.integers(10, 40)), 1
             spec = km.KernelSpec(km.GAUSSIAN, float(rng.uniform(0.2, 0.8)))
             X = np.sort(rng.uniform(0.0, 1.0, size=(n, 1)), axis=0)
-        ds = datagen.make_dataset(X, np.ones(n), datagen.CLASSIFICATION)
+        ds = datagen.make_dataset(X, np.ones(n))
         labels = rng.choice([-1.0, 1.0], size=(ds.n, k))
         if case >= 30:    # smooth columns, the last one rough half the time
             labels = np.sin(rng.uniform(1.0, 5.0, size=k) * ds.X)
@@ -282,13 +284,16 @@ def test_multi_column_fit_matches_per_column_fits(seed):
 def test_fit_train_pred_is_prediction_at_centers():
     # the 1-D fit keeps K @ alpha, which is the prediction at the centers
     rng = substream(12, "km-train-pred")
-    ds = datagen.make_dataset(rng.standard_normal((30, 3)), rng.standard_normal(30),
-                              datagen.REGRESSION)
-    mach = km.fit_interpolating(km.KernelSpec("laplace", 1.0), ds)
+    X = rng.standard_normal((30, 3))
+    y = rng.standard_normal(30)
+    ds = datagen.make_dataset(X, np.ones(30))
+    mach = km.fit_interpolating(km.KernelSpec("laplace", 1.0), ds, labels=y)
     assert np.array_equal(mach.train_pred, km.kernel_predict(mach, ds.X))
-    assert mach.fit_residual == np.abs(mach.train_pred - ds.y).max()
+    assert mach.fit_residual == np.abs(mach.train_pred - y).max()
+    # no labels means train.y
+    plain = km.fit_interpolating(km.KernelSpec("laplace", 1.0), ds)
     same = km.fit_interpolating(km.KernelSpec("laplace", 1.0), ds, ds.y)
-    assert np.array_equal(same.alpha, mach.alpha)
+    assert np.array_equal(same.alpha, plain.alpha)
     for bad in (np.ones(29), np.ones((30, 2, 1))):
         with pytest.raises(DimensionMismatch):
             km.fit_interpolating(km.KernelSpec("laplace", 1.0), ds, bad)
@@ -372,7 +377,7 @@ def test_scaled_weight_norm_approaches_kernel_norm_from_above():
     rng = substream(314, "norm-trend")
     X = rng.uniform(-1.5, 1.5, size=(24, 2))
     y = np.sign(X[:, 0])
-    ds = datagen.make_dataset(X, y, task=datagen.CLASSIFICATION)
+    ds = datagen.make_dataset(X, y)
     mach = km.fit_interpolating(km.KernelSpec("gaussian", 1.0), ds)
     limit = float(mach.alpha @ mach.train_pred)
     means = []
@@ -424,7 +429,7 @@ def test_sweep_matches_per_width_fit_reference():
             tr = float(np.mean(np.abs(resid) ** 2))
             pred = km.rff_predict(model, test.X)
             rep_rows.append([m, rep, tr, float(np.mean((pred - test.y) ** 2)),
-                             float(np.mean(np.where(pred > 0, 1.0, -1.0) != test.y)),
+                             float(np.mean(datagen.to_labels(pred) != test.y)),
                              float(np.linalg.norm(model.weights))])
             if thr < 0 and tr <= km.TRAIN_MSE_THRESHOLD:
                 thr = m
@@ -445,7 +450,7 @@ def test_sweep_records_the_solve_path():
     # ill-conditioned, so those widths take the SVD, as pinv_apply solves them
     X = train.X.copy()
     X[1] = X[0] + 1e-7
-    near = datagen.make_dataset(X, train.y, train.task)
+    near = datagen.make_dataset(X, train.y)
     res = km.double_descent_sweep(near, test, grid, 3, seed=5)
     assert len(res.paths) == len(res.rows)
     for (m, rep, *_rest, nrm, _thr), path in zip(res.rows, res.paths):
@@ -510,9 +515,3 @@ def test_sweep_input_validation():
         km.double_descent_sweep(train, test, [0, 5], 2, seed=1)
     with pytest.raises(InvalidSpec):
         km.double_descent_sweep(train, test, grid, 0, seed=1)
-    rng = substream(2, "sample-noisy-line", 30)
-    x = rng.random(30)
-    line = datagen.make_dataset(x[:, None], 1.0 * x + 0.1 * rng.standard_normal(30),
-                                datagen.REGRESSION)
-    with pytest.raises(InvalidSpec):
-        km.double_descent_sweep(line, test, grid, 2, seed=1)

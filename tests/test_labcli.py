@@ -342,8 +342,7 @@ def test_raisin_random_flips_match_per_direction_loop(params):
         machine = kernelmach.fit_interpolating(labcli._kernel_spec(values), corrupted)
         evaluate = lambda p: kernelmach.kernel_predict(machine, p[None, :])[0]
     else:
-        predictor = direct.make_neighbor_predictor(corrupted, k=1)
-        evaluate = lambda p: direct.knn_predict_batch(predictor, p[None, :])[0]
+        evaluate = lambda p: direct.nearest_neighbor_predict(corrupted, p[None, :])[0]
     rng = substream(cfg.seed, "raisin-random")
     trials = values["random.trials"]
     replayed = 0
@@ -375,8 +374,7 @@ def _raisin_per_query_rows(cfg):
         machine = kernelmach.fit_interpolating(labcli._kernel_spec(values), corrupted)
         predict = lambda P: kernelmach.kernel_predict(machine, P)
     else:
-        predictor = direct.make_neighbor_predictor(corrupted, k=1)
-        predict = lambda P: direct.knn_predict_batch(predictor, P)
+        predict = lambda P: direct.nearest_neighbor_predict(corrupted, P)
     evaluate = lambda x: float(predict(x[None, :])[0])
 
     def bisect_flip(base_sign, x, u, hi):
@@ -498,6 +496,35 @@ def test_loss_compare_mlp_arm():
     for seed, hs in hashes.items():
         assert len(hs) == 1
     assert len(set(frozenset(h) for h in hashes.values())) == 2
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+@pytest.mark.parametrize("scale", ["1e-170", "1e-160"])
+def test_loss_compare_tiny_data_scale_is_a_config_error(tmp_path, capsys, kind, scale):
+    # the kernel's top eigenvalue underflows: to 0 at 1e-170, where 1 / 0
+    # has no value, and to a subnormal at 1e-160, whose reciprocal step is
+    # inf and would turn every weight into nan
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("data.train_n = 4\ndata.test_n = 2\nseeds.count = 1\n"
+                   f"data.separation = 0\ndata.scale = {scale}\nmodel.kind = {kind}\n")
+    out = tmp_path / "o"
+    code = labcli.main(["loss-compare", "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("config error: loss-compare needs a finite "
+                                        "positive step 1/lambda_max")
+    assert f"at data.scale = {float(scale)!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("iters", ["0", "-3"])
+def test_loss_compare_needs_one_iteration(tmp_path, capsys, iters):
+    cfg = tmp_path / "iters.cfg"
+    cfg.write_text(_TINY["loss-compare"].replace("train.iters = 5", f"train.iters = {iters}"))
+    out = tmp_path / "o"
+    code = labcli.main(["loss-compare", "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and err == f"config error: train.iters must be at least 1, got {iters}\n"
+    assert not out.exists()
 
 
 # --- sgd scaling and linearity wrappers ---

@@ -316,11 +316,13 @@ def test_pinv_apply_matches_pinv(seed):
 
 
 def test_pinv_rank_tol_zeroes_small_directions():
+    # RANK_TOL is 1e-10: a singular value at 1e-13 of the largest is dropped,
+    # one at 1e-9 is kept
     a = np.diag([1.0, 1e-13])
-    p = numlin.pinv(a, rank_tol=1e-10)
+    p = numlin.pinv(a)
     assert np.allclose(p, np.diag([1.0, 0.0]), atol=1e-14)
-    p_keep = numlin.pinv(a, rank_tol=1e-15)
-    assert p_keep[1, 1] == pytest.approx(1e13, rel=1e-10)
+    p_keep = numlin.pinv(np.diag([1.0, 1e-9]))
+    assert p_keep[1, 1] == pytest.approx(1e9, rel=1e-10)
 
 
 # --- spectral_norm ---
@@ -490,7 +492,7 @@ def test_complex_embedding_commutes_with_matvec(seed):
 
 def _kept_rank(a):
     s = np.linalg.svd(a, compute_uv=False)
-    return int(np.count_nonzero(s > numlin.DEFAULT_RANK_TOL * s[0]))
+    return int(np.count_nonzero(s > numlin.RANK_TOL * s[0]))
 
 
 def _oracle_case(rng, case):

@@ -120,6 +120,29 @@ def test_gd_diverges_at_oversized_step():
                  10.0 / lam_max, 200, record_every=50)
 
 
+def test_nan_loss_is_divergence():
+    # a finite step overflows w to (+inf, -inf), so the first row's
+    # prediction inf - inf is nan; nan > DIVERGE_CAP is false, so only a
+    # test that the loss is at most the cap catches it
+    X, y = np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([0.0, 4.0])
+    obj = optim.linear_objective(X, y)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(Diverged, match="loss nan"):
+        optim.gd(obj, np.zeros(2), 1e308, 3)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(Diverged, match="loss nan"):
+        optim.sgd(obj, np.zeros(2), 1e308, 2, 3, seed=0)
+
+
+@pytest.mark.parametrize("step", [math.inf, math.nan, 0.0, -1.0])
+def test_step_must_be_positive_and_finite(step):
+    X, y = _random_problem(6, 8, 20)
+    with pytest.raises(InvalidSpec, match="step must be positive and finite"):
+        optim.gd(optim.linear_objective(X, y), np.zeros(20), step, 3)
+    with pytest.raises(InvalidSpec, match="step must be positive and finite"):
+        optim.sgd(optim.linear_objective(X, y), np.zeros(20), step, 4, 3, seed=0)
+
+
 def test_trace_recording_and_csv():
     X, y = _random_problem(6, 8, 20)
     lam_max, _ = _gram_extremes(X)

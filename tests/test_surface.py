@@ -114,3 +114,25 @@ def test_every_public_function_is_reached_traced_or_an_oracle(tmp_path, capsys):
         module = importlib.import_module(path.removesuffix(".py"))
         source = inspect.getsource(getattr(module, test))
         assert dotted.rsplit(".", 1)[1] + "(" in source, (dotted, where)
+
+
+# names the package used to export; each was deleted with the code behind it
+_DELETED = {"knn_predict_batch", "make_neighbor_predictor", "NeighborPredictor",
+            "CLASSIFICATION", "REGRESSION", "NotClassification", "EmptyTrainingSet"}
+
+
+def test_all_names_resolve_and_match_the_package_namespace():
+    exported = interplab.__all__
+    assert exported == sorted(set(exported)), "__all__ must be sorted and unique"
+    namespace = {}
+    exec("from interplab import *", namespace)
+    for name in exported:
+        obj = getattr(interplab, name)
+        assert namespace[name] is obj, name
+        # a re-export is the object its home module still defines
+        home = getattr(obj, "__module__", None)
+        if home is not None and not inspect.ismodule(obj):
+            assert getattr(importlib.import_module(home), name, None) is obj, name
+    public = {name for name in vars(interplab) if not name.startswith("_")}
+    assert set(exported) == public, sorted(set(exported) ^ public)
+    assert not _DELETED & (set(exported) | public), sorted(_DELETED & (set(exported) | public))
