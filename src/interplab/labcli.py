@@ -42,9 +42,15 @@ from .errors import (
 from .rng import substream
 
 CONFIG_VERSION = "1"   # config files this build accepts
-FORMAT_VERSION = "9"   # CSV bytes; bumped whenever a result moves
+FORMAT_VERSION = "10"  # CSV bytes; bumped whenever a result moves
 COMMANDS = ("noise-interp", "double-descent", "raisin", "loss-compare",
             "simplex", "sgd-scaling", "linearity")
+
+# The commands that call scipy's LAPACK or BLAS. scipy links an OpenBLAS
+# of its own, so these run with numpy's held to one thread: the two
+# libraries' idle workers then do not spin against each other, and
+# numpy's results in them do not depend on the core count.
+_ONE_NUMPY_BLAS_THREAD = frozenset({"noise-interp", "raisin", "sgd-scaling"})
 
 _CONFIG_ERRORS = (ConfigError, InvalidInput, InvalidSpec, NoAnalyticOracle,
                   NoCorruptedNeighbor)
@@ -515,7 +521,8 @@ def run_loss_comparison(cfg: ExperimentConfig) -> dict:
         if kind == "linear":
             w0 = np.zeros(train.dim)
             make = lambda loss: optim.linear_objective(train.X, train.y, loss=loss)
-            K = train.X @ train.X.T
+            with np.errstate(over="ignore", invalid="ignore"):   # checked below
+                K = train.X @ train.X.T
         elif kind == "mlp":
             model = netmodels.init_mlp((train.dim, values["mlp.width"]), "tanh",
                                        seed=_subseed(cfg.seed, "lc-init", s))
@@ -525,7 +532,12 @@ def run_loss_comparison(cfg: ExperimentConfig) -> dict:
             K = netmodels.tangent_kernel(model, None, train.X)
         else:
             raise ConfigError(f"model.kind must be linear or mlp, got {kind!r}")
-        top = numlin.max_eig(0.5 * (K + K.T))
+        with np.errstate(over="ignore", invalid="ignore"):
+            K = 0.5 * (K + K.T)
+        if not np.all(np.isfinite(K)):
+            raise ConfigError(f"loss-compare's {kind} kernel overflows at data.scale = "
+                              f"{values['data.scale']!r}")
+        top = numlin.max_eig(K)
         step = 1.0 / top if top > 0.0 else math.inf
         if not step < math.inf:
             raise ConfigError(
@@ -701,7 +713,9 @@ def main(argv=None) -> int:
         if args.threads < 1:
             raise ConfigError("threads must be at least 1")
         cfg = experiment_config(args.command, params, args.seed, args.out)
-        artifacts = RUNNERS[args.command](cfg)
+        with (numlin.one_blas_thread() if args.command in _ONE_NUMPY_BLAS_THREAD
+              else contextlib.nullcontext()):
+            artifacts = RUNNERS[args.command](cfg)
         _write_artifacts(cfg.out_dir, artifacts)
         return 0
     except _CONFIG_ERRORS as exc:

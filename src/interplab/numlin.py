@@ -12,6 +12,13 @@ module pins down the conventions (eigenvalue ordering, pseudo-inverse
 rank cutoff, jitter handling) and the error surface, which the rest of
 the package relies on.
 
+numpy and scipy each link their own OpenBLAS, and each library's worker
+thread spins for a while after every threaded call; on a machine with few
+cores the two pools then spin against each other. one_blas_thread holds
+numpy's OpenBLAS to one thread for the commands that call scipy's LAPACK
+or BLAS, and a result that numpy's BLAS computes inside it (such as
+max_eig's) no longer depends on the core count.
+
 minnorm_prefixes gives pinv_apply's solution for every column prefix of
 one matrix in a list of widths. It solves each width through the nested
 Gram matrices with one linear solve, and keeps that solution only when
@@ -25,6 +32,9 @@ tests' reference.
 """
 
 from __future__ import annotations
+
+import contextlib
+import ctypes
 
 import numpy as np
 
@@ -43,6 +53,49 @@ GRAM_PATH, SVD_PATH = "gram", "svd"
 _SCREEN_C = 4        # the Gram screen shifts by (GRAM_CERT + this * k^2 * eps) * ||G||_F
 _SYM_RTOL = 1e-10
 _SYM_TILE = 128      # require_symmetric tile edge; a tile pair fits in L2
+
+
+# (get, set) symbol pairs of numpy's OpenBLAS thread count, first match wins
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"))
+
+
+def _blas_thread_calls():
+    """(get, set) for the thread count of the OpenBLAS numpy links, or None.
+
+    The symbols are looked up through the handle of a numpy extension that
+    links the library; dlsym on that handle also searches its dependencies.
+    """
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+        get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold numpy's OpenBLAS to one thread inside the block.
+
+    The previous count is restored on leaving, by an exception too. Where
+    numpy links no OpenBLAS with a known thread setter, this does nothing.
+    """
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def as_array(a, ndim: int, name: str, allow_complex: bool = False) -> np.ndarray:
@@ -135,9 +188,9 @@ def max_eig(a) -> float:
     matrix X X^T, which has the same nonzero spectrum, and loss-compare
     its step size from the tangent kernel. numpy's eigvalsh
     computes no eigenvectors. scipy's eigh can compute the top eigenvalue
-    alone, a few ms sooner at n = 512, but scipy links its own OpenBLAS,
-    whose idle worker threads then compete with numpy's BLAS calls in the
-    scan; on two cores that cost the scan more than it saved.
+    alone, a few ms sooner at n = 512, but it runs on scipy's threaded
+    OpenBLAS. sgd-scaling holds numpy's to one thread (one_blas_thread), so
+    there eigvalsh's last bits do not depend on the core count.
     """
     a = as_array(a, 2, "A")
     require_symmetric(a, "A")
@@ -202,9 +255,9 @@ def _gram_solve(gram: np.ndarray, rhs: np.ndarray):
     screen (_screen_certifies) vouches for that first, and eigvalsh, the
     exact test, runs only on a Gram the screen refuses; either way a
     width takes the same path and the same solve, one LU factorization.
-    All three LAPACK calls are numpy's, not scipy's: scipy's run on their
-    own BLAS thread pool, whose idle workers slow numpy's GEMMs that
-    follow.
+    All three LAPACK calls are numpy's, not scipy's, so double-descent
+    loads no scipy and its GEMMs and solves share one threaded pool:
+    double-descent runs outside one_blas_thread.
     """
     if not np.all(np.isfinite(gram)):
         return None

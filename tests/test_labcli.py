@@ -17,7 +17,7 @@ import pytest
 
 import interplab
 from interplab import datagen, direct, kernelmach, labcli, netmodels, numlin, optim
-from interplab.errors import ConfigError, NoCorruptedNeighbor
+from interplab.errors import ConfigError, NoConvergence, NoCorruptedNeighbor
 from interplab.rng import substream
 from test_trace_targets import _workloads
 
@@ -121,13 +121,43 @@ def test_simplex_schema_and_accuracy():
         assert abs(est - expect) <= 4.0 * se
 
 
-def test_simplex_reproducible_and_thread_invariant():
+def _numpy_blas_threads():
+    """(get, set) of numpy's OpenBLAS thread count; skips where not found."""
+    calls = numlin._blas_thread_calls()
+    if calls is None:
+        pytest.skip("no thread-count setter found for numpy's OpenBLAS")
+    return calls
+
+
+def _main_at_one_and_two_blas_threads(tmp_path, command, params, seed):
+    """The files ``labcli.main`` writes for ``command``, as {name: bytes},
+    with numpy's OpenBLAS set to one thread, then to two."""
+    get, set_ = _numpy_blas_threads()
+    cfg = tmp_path / f"{command}.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in params.items()))
+    before, runs = get(), []
+    try:
+        for threads in (1, 2):
+            set_(threads)
+            out = tmp_path / f"threads-{threads}"
+            assert labcli.main([command, "--config", str(cfg), "--seed", str(seed),
+                                "--out", str(out)]) == 0
+            runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    finally:
+        set_(before)
+    return runs
+
+
+def test_simplex_reproducible_and_thread_invariant(tmp_path):
     params = {"simplex.draws": "5000"}
     one = labcli.run_simplex_blessing(_cfg("simplex", params))
     two = labcli.run_simplex_blessing(_cfg("simplex", params))
     assert one == two
     other_seed = labcli.run_simplex_blessing(_cfg("simplex", params, seed=6))
     assert other_seed != one
+    one_thread, two_threads = _main_at_one_and_two_blas_threads(
+        tmp_path, "simplex", params, 5)
+    assert one_thread == two_threads
 
 
 # --- noise interpolation ---
@@ -151,11 +181,15 @@ def test_noise_interp_schema_and_interpolation():
         [(0.0, 0), (0.0, 1), (0.5, 0), (0.5, 1)]
 
 
-def test_noise_interp_thread_invariant():
-    params = {"data.train_n": "80", "data.test_n": "80",
-              "seeds.count": "2", "noise.grid": "0.2", "data.dim": "3"}
+def test_noise_interp_thread_invariant(tmp_path):
+    # large enough that numpy's kernel-matrix GEMMs run threaded at two
+    params = {"data.train_n": "400", "data.test_n": "400",
+              "seeds.count": "2", "noise.grid": "0.2", "data.dim": "20"}
     first = labcli.run_noise_interp(_cfg("noise-interp", params))
     assert labcli.run_noise_interp(_cfg("noise-interp", params)) == first
+    one_thread, two_threads = _main_at_one_and_two_blas_threads(
+        tmp_path, "noise-interp", params, 5)
+    assert one_thread == two_threads
 
 
 def _noise_interp_reference(cfg):
@@ -516,6 +550,20 @@ def test_loss_compare_tiny_data_scale_is_a_config_error(tmp_path, capsys, kind, 
     assert not out.exists()
 
 
+def test_loss_compare_overflowing_linear_kernel_is_a_config_error(tmp_path):
+    # X X^T overflows at this scale; the run must say so, and print no
+    # RuntimeWarning on the way
+    (tmp_path / "huge.cfg").write_text(
+        "model.kind = linear\ndata.scale = 1e160\ndata.train_n = 4\n"
+        "data.test_n = 2\nseeds.count = 1\ndata.separation = 0\n")
+    proc = _fresh_python(tmp_path, "-m", "interplab", "loss-compare",
+                         "--config", "huge.cfg", "--out", "out")
+    assert proc.returncode == 2
+    assert proc.stderr == ("config error: loss-compare's linear kernel overflows "
+                           "at data.scale = 1e+160\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("iters", ["0", "-3"])
 def test_loss_compare_needs_one_iteration(tmp_path, capsys, iters):
     cfg = tmp_path / "iters.cfg"
@@ -562,6 +610,15 @@ def test_sgd_scaling_csv(monkeypatch):
     assert rows[0][2] == "linear"
     mstar = max(1.0, float(stats["tr_h"]) / float(stats["lambda_max_h"]))
     assert all(float(r[3]) == mstar == rep.mstar for r in rows)
+
+
+def test_sgd_scaling_thread_invariant(tmp_path):
+    # at this draw numpy's eigvalsh gives lambda_max_h 70476.20274073446
+    # with two threads and ...444 with one, unless the command runs it at one
+    params = {"scan.n": "512", "scan.d": "1024", "scan.target_factor": "1e-2"}
+    one_thread, two_threads = _main_at_one_and_two_blas_threads(
+        tmp_path, "sgd-scaling", params, 10)
+    assert one_thread == two_threads
 
 
 def test_sgd_scaling_overflowing_gram_square_exits_zero(tmp_path, capsys):
@@ -679,6 +736,43 @@ def test_main_end_to_end(tmp_path):
                       "--out", str(out)])
     assert rc == 0
     assert (out / "simplex.csv").read_text() != first   # flag overrides config
+
+
+# the commands that call scipy's LAPACK or BLAS; every other command
+# leaves numpy's OpenBLAS at its thread count
+_ONE_BLAS_THREAD = {"noise-interp", "raisin", "sgd-scaling"}
+
+
+@pytest.mark.parametrize("command", labcli.COMMANDS)
+@pytest.mark.parametrize("code, error", [(0, None), (2, ConfigError("bad value")),
+                                         (3, NoConvergence("stalled")),
+                                         (None, RuntimeError("bug"))])
+def test_main_holds_numpy_blas_to_one_thread(tmp_path, capsys, monkeypatch,
+                                              command, code, error):
+    get, set_ = _numpy_blas_threads()
+    inside = []
+
+    def runner(cfg):
+        inside.append(get())
+        if error is not None:
+            raise error
+        return {}
+
+    monkeypatch.setitem(labcli.RUNNERS, command, runner)
+    argv = [command, "--out", str(tmp_path / "o")]
+    before = get()
+    try:
+        set_(2)
+        if code is None:
+            with pytest.raises(RuntimeError):
+                labcli.main(argv)
+        else:
+            assert labcli.main(argv) == code
+        assert inside == [1 if command in _ONE_BLAS_THREAD else 2]
+        assert get() == 2
+    finally:
+        set_(before)
+    capsys.readouterr()
 
 
 def test_main_exit_codes(tmp_path):

@@ -693,3 +693,18 @@ def test_gram_solve_screen_matches_eigvalsh_certificate(seed):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         verdicts[want is not None] += 1
     assert min(verdicts.values()) > 60
+
+
+# --- one_blas_thread ---
+
+def test_one_blas_thread_without_a_setter_does_nothing(monkeypatch):
+    real = numlin._blas_thread_calls()
+    threads = (lambda: real[0]()) if real else (lambda: None)
+    monkeypatch.setattr(numlin, "_BLAS_THREAD_SYMBOLS",
+                        (("no_such_get_num_threads", "no_such_set_num_threads"),))
+    assert numlin._blas_thread_calls() is None
+    before = threads()
+    with numlin.one_blas_thread():
+        assert threads() == before
+        x = numlin.solve_spd(np.eye(2), np.ones(2))
+    assert np.array_equal(x, np.ones(2))
