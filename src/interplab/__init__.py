@@ -7,8 +7,8 @@ numlin      validated dense linear algebra (eig, svd, pinv, solves)
 datagen     two-class datasets: synthetic sources, IDX loading, label corruption
 kernelmach  interpolating kernel machines and random-feature sweeps
 direct      the 1-nearest-neighbor rule and the simplex minority volume
-netmodels   small dense nets: exact jacobians, hessians, tangent kernels
-optim       full/mini-batch gradient descent with convergence certificates
+netmodels   one-hidden-layer nets: exact jacobians, hessians, tangent kernels
+optim       full/mini-batch descent on linear or network objectives, certificates
 labcli      experiment runner behind the ``interplab`` command
 """
 
@@ -39,7 +39,6 @@ from .kernelmach import (
 )
 from .labcli import ExperimentConfig, main
 from .netmodels import (
-    ArchTemplate,
     MLPModel,
     hessian_norm,
     init_mlp,
@@ -60,7 +59,6 @@ from .rng import substream
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArchTemplate",
     "CorruptionSpec",
     "Dataset",
     "ExperimentConfig",

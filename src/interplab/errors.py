@@ -21,7 +21,7 @@ class DimensionMismatch(InvalidInput):
 
 
 class ShapeMismatch(DimensionMismatch):
-    """A parameter vector does not match the model's layout."""
+    """A parameter vector or an input does not match the network's shape."""
 
 
 class InvalidSpec(InterpLabError):

@@ -524,7 +524,7 @@ def run_loss_comparison(cfg: ExperimentConfig) -> dict:
             with np.errstate(over="ignore", invalid="ignore"):   # checked below
                 K = train.X @ train.X.T
         elif kind == "mlp":
-            model = netmodels.init_mlp((train.dim, values["mlp.width"]), "tanh",
+            model = netmodels.init_mlp(train.dim, values["mlp.width"], "tanh",
                                        seed=_subseed(cfg.seed, "lc-init", s))
             w0 = netmodels.flatten_params(model)
             make = lambda loss: optim.mlp_objective(model, train.X, train.y,
@@ -624,10 +624,8 @@ def run_sgd_scaling(cfg: ExperimentConfig) -> dict:
 
 def run_linearity(cfg: ExperimentConfig) -> dict:
     values = cfg.values
-    template = netmodels.ArchTemplate(input_dim=values["lin.input_dim"],
-                                      activation=values["lin.activation"],
-                                      output_wrap=values["lin.wrap"])
-    report = netmodels.linearity_scan(template, values["lin.widths"],
+    report = netmodels.linearity_scan(values["lin.input_dim"], values["lin.activation"],
+                                      values["lin.wrap"], values["lin.widths"],
                                       ball_radius=values["lin.radius"],
                                       probes=values["lin.probes"],
                                       seed=_subseed(cfg.seed, "linearity"),

@@ -1,18 +1,19 @@
-"""Small dense feedforward networks with exact derivatives.
+"""Dense one-hidden-layer networks with exact derivatives.
 
-Models are plain dataclasses holding an architecture together with a
-parameter point. Every operation that differentiates takes the flat
-parameter vector explicitly, so optimizers can move through parameter
-space without rebuilding models. Gradients and Hessian-vector products
-are exact (reverse mode, and forward-over-reverse for curvature), which
-is what makes the flatness measurements downstream trustworthy: wide
-networks are expected to look nearly linear around a random init, and
-that effect is quantified here by spectral curvature norms, gradient
-norms, and tangent-kernel drift over a parameter ball.
+A model is a plain dataclass: the hidden weight matrix, the activation,
+a fixed read-out vector and an optional output wrap. Every operation
+that differentiates takes the flat parameter vector explicitly, so
+optimizers can move through parameter space without rebuilding models.
+Gradients and Hessian-vector products are exact (reverse mode, and
+forward-over-reverse for curvature), which is what makes the flatness
+measurements downstream trustworthy: wide networks are expected to look
+nearly linear around a random init, and that effect is quantified here
+by spectral curvature norms, gradient norms, and tangent-kernel drift
+over a parameter ball.
 
-For one hidden layer, hessian_norm gives the curvature norm in closed
-form; numlin.spectral_norm(hessian(...)) is the general method and its
-test oracle.
+hessian_norm gives the curvature norm in closed form;
+numlin.spectral_norm(hessian(...)) is the general method and its test
+oracle.
 """
 
 from dataclasses import dataclass
@@ -79,78 +80,63 @@ _WRAP = {
 
 @dataclass(frozen=True)
 class MLPModel:
-    """Feedforward net: hidden stack, then a fixed scalar linear read-out.
+    """One hidden layer, then a fixed scalar linear read-out.
 
-    widths lists the input dimension followed by every hidden width; the
-    scalar output is implicit. weights[l] maps layer l to layer l+1 and
-    holds the trainable parameters; out_weights is the read-out vector,
-    which stays fixed, and the read-out is divided by sqrt(last hidden
-    width). output_wrap optionally passes the scalar output through a
-    smooth nonlinearity, which is the standard way to destroy the
-    width-induced flatness without touching anything else.
+    W (width x input_dim) holds the trainable parameters; out_weights is
+    the read-out vector, which stays fixed, and the read-out is divided
+    by sqrt(width). output_wrap optionally passes the scalar output
+    through a smooth nonlinearity, which is the standard way to destroy
+    the width-induced flatness without touching anything else.
     """
 
-    widths: tuple
+    W: np.ndarray
     activation: str
-    weights: tuple
     out_weights: np.ndarray
     output_wrap: str = "none"
 
     @property
     def input_dim(self) -> int:
-        return int(self.widths[0])
+        return int(self.W.shape[1])
 
     @property
     def scale(self) -> float:
-        return 1.0 / np.sqrt(float(self.widths[-1]))
+        return 1.0 / np.sqrt(float(self.W.shape[0]))
 
 
-def init_mlp(widths, activation: str, seed: int,
+def init_mlp(input_dim: int, width: int, activation: str, seed: int,
              output_wrap: str = "none") -> MLPModel:
     """Standard-normal hidden weights and a read-out of random signs."""
-    widths = tuple(int(w) for w in widths)
-    if len(widths) < 2 or any(w < 1 for w in widths):
-        raise InvalidSpec(f"need input plus at least one hidden width, got {widths}")
+    input_dim, width = int(input_dim), int(width)
+    if input_dim < 1 or width < 1:
+        raise InvalidSpec(f"input dim and width must be at least 1, got "
+                          f"{input_dim} and {width}")
     if activation not in _ACT:
         raise InvalidSpec(f"unknown activation {activation!r}")
     if output_wrap not in _WRAP:
         raise InvalidSpec(f"unknown output wrap {output_wrap!r}")
-    weights = []
-    for layer in range(1, len(widths)):
-        rng = substream(seed, "mlp-init", layer)
-        weights.append(rng.standard_normal((widths[layer], widths[layer - 1])))
-    v = substream(seed, "mlp-out").choice(np.array([-1.0, 1.0]), size=widths[-1])
-    return MLPModel(widths=widths, activation=activation, weights=tuple(weights),
-                    out_weights=v, output_wrap=output_wrap)
+    W = substream(seed, "mlp-init", 1).standard_normal((width, input_dim))
+    v = substream(seed, "mlp-out").choice(np.array([-1.0, 1.0]), size=width)
+    return MLPModel(W=W, activation=activation, out_weights=v, output_wrap=output_wrap)
 
 
 def param_count(model: MLPModel) -> int:
-    return sum(w.size for w in model.weights)
+    return model.W.size
 
 
 def flatten_params(model: MLPModel) -> np.ndarray:
-    """Layer blocks in order, row-major."""
-    return np.concatenate([w.ravel() for w in model.weights])
+    """The hidden weights, row-major, as a fresh vector."""
+    return model.W.flatten()
 
 
-def _unflatten(model: MLPModel, w) -> list:
-    w = np.asarray(w, dtype=float)
-    if w.shape != (param_count(model),):
-        raise ShapeMismatch(
-            f"parameter vector has shape {w.shape}, expected ({param_count(model)},)")
-    mats = []
-    pos = 0
-    for mat in model.weights:
-        mats.append(w[pos:pos + mat.size].reshape(mat.shape))
-        pos += mat.size
-    return mats
-
-
-def _resolve(model: MLPModel, w) -> list:
-    """The weight matrices at w; w=None gives the stored point."""
+def _unflatten(model: MLPModel, w) -> np.ndarray:
+    """The weight matrix at flat vector w; w=None gives the stored point."""
     if w is None:
-        return list(model.weights)
-    return _unflatten(model, w)
+        return model.W
+    w = np.asarray(w, dtype=float)
+    if w.shape != (model.W.size,):
+        raise ShapeMismatch(
+            f"parameter vector has shape {w.shape}, expected ({model.W.size},)")
+    return w.reshape(model.W.shape)
 
 
 def _as_batch(model: MLPModel, X) -> np.ndarray:
@@ -169,22 +155,11 @@ def _as_point(model: MLPModel, x) -> np.ndarray:
     return x
 
 
-def _forward_stack(model: MLPModel, mats, X):
-    act = _ACT[model.activation][0]
-    A = [X]
-    Z = []
-    for W in mats:
-        Z.append(A[-1] @ W.T)
-        A.append(act(Z[-1]))
-    s = model.scale * (A[-1] @ model.out_weights)
-    return A, Z, s
-
-
 def forward_batch(model: MLPModel, w, X) -> np.ndarray:
     """Scalar outputs at every row of X; w=None evaluates the stored point."""
-    mats = _resolve(model, w)
+    W = _unflatten(model, w)
     X = _as_batch(model, X)
-    _, _, s = _forward_stack(model, mats, X)
+    s = model.scale * (_ACT[model.activation][0](X @ W.T) @ model.out_weights)
     return _WRAP[model.output_wrap][0](s)
 
 
@@ -194,19 +169,14 @@ def forward(model: MLPModel, w, x) -> float:
 
 def jacobian(model: MLPModel, w, X) -> np.ndarray:
     """Per-row gradient of the scalar output, one flat row per input."""
-    mats = _resolve(model, w)
+    W = _unflatten(model, w)
     X = _as_batch(model, X)
-    actd = _ACT[model.activation][1]
-    A, Z, s = _forward_stack(model, mats, X)
+    act, actd, _ = _ACT[model.activation]
+    Z = X @ W.T
+    s = model.scale * (act(Z) @ model.out_weights)
     wrapd = _WRAP[model.output_wrap][1](s)
     E = wrapd[:, None] * (model.scale * model.out_weights)[None, :]
-    blocks = [None] * len(mats)
-    for layer in range(len(mats) - 1, -1, -1):
-        D = E * actd(Z[layer])
-        blocks[layer] = np.einsum("ni,nj->nij", D, A[layer]).reshape(X.shape[0], -1)
-        if layer > 0:
-            E = D @ mats[layer]
-    return np.hstack(blocks)
+    return np.einsum("ni,nj->nij", E * actd(Z), X).reshape(X.shape[0], -1)
 
 
 def grad(model: MLPModel, w, x) -> np.ndarray:
@@ -217,42 +187,24 @@ def grad(model: MLPModel, w, x) -> np.ndarray:
 def hvp(model: MLPModel, w, x, vec) -> np.ndarray:
     """Exact Hessian-vector product at one input.
 
-    Forward tangents ride along the evaluation, then the backward pass
-    is differentiated in the tangent direction; cost is a small constant
-    times one gradient.
+    The forward tangent zdot = U x (U the direction vec as a matrix)
+    rides along the evaluation, then the backward pass d = e act'(z),
+    e = g'(s) c v, is differentiated in the tangent direction; cost is a
+    small constant times one gradient.
     """
-    mats, v = _resolve(model, w), model.out_weights
+    W, U, v = _unflatten(model, w), _unflatten(model, vec), model.out_weights
     x = _as_point(model, x)
-    dmats = _unflatten(model, vec)
     act, actd, actdd = _ACT[model.activation]
     wrap_d, wrap_dd = _WRAP[model.output_wrap][1], _WRAP[model.output_wrap][2]
     c = model.scale
-
-    a, adot = x, np.zeros_like(x)
-    A, Adot, Zs, Zdots = [x], [adot], [], []
-    for W, U in zip(mats, dmats):
-        z = W @ a
-        zdot = W @ adot + U @ a
-        a, adot = act(z), actd(z) * zdot
-        Zs.append(z)
-        Zdots.append(zdot)
-        A.append(a)
-        Adot.append(adot)
-    s = c * float(v @ A[-1])
-    sdot = c * float(v @ Adot[-1])
-    gp, gpp = float(wrap_d(s)), float(wrap_dd(s))
-
-    e = gp * c * v
-    edot = gpp * sdot * c * v
-    out_blocks = [None] * len(mats)
-    for layer in range(len(mats) - 1, -1, -1):
-        d = e * actd(Zs[layer])
-        ddot = edot * actd(Zs[layer]) + e * actdd(Zs[layer]) * Zdots[layer]
-        out_blocks[layer] = (np.outer(ddot, A[layer]) + np.outer(d, Adot[layer])).ravel()
-        if layer > 0:
-            e = mats[layer].T @ d
-            edot = mats[layer].T @ ddot + dmats[layer].T @ d
-    return np.concatenate(out_blocks)
+    z = W @ x
+    zdot = U @ x
+    s = c * float(v @ act(z))
+    sdot = c * float(v @ (actd(z) * zdot))
+    e = float(wrap_d(s)) * c * v
+    edot = float(wrap_dd(s)) * sdot * c * v
+    ddot = edot * actd(z) + e * actdd(z) * zdot
+    return np.outer(ddot, x).ravel()
 
 
 def hessian(model: MLPModel, w, x) -> np.ndarray:
@@ -294,23 +246,20 @@ def _diag_rank_one_extremes(d, u, rho: float):
 
 
 def hessian_norm(model: MLPModel, w, x) -> float:
-    """Exact spectral norm of the output Hessian, for one hidden layer;
-    deeper models raise InvalidSpec (the general method is
-    numlin.spectral_norm(hessian(...))).
+    """Exact spectral norm of the output Hessian (the general method,
+    numlin.spectral_norm(hessian(...)), is its test oracle).
 
     The Hessian is A kron x x^T with A = g'(s) c diag(v act''(z)) +
     g''(s) c^2 u u^T, u = v act'(z), z = W x and g the output wrap, so the
     norm is |x|^2 max |eig(A)|: a maximum over the diagonal for a plain
     output, and a diagonal-plus-rank-one bisection with the wrap. O(m).
     """
-    if len(model.widths) != 2:
-        raise InvalidSpec("closed-form curvature needs one hidden layer")
-    mats, v = _resolve(model, w), model.out_weights
+    W, v = _unflatten(model, w), model.out_weights
     x = _as_point(model, x)
     act, actd, actdd = _ACT[model.activation]
     _, wrap_d, wrap_dd = _WRAP[model.output_wrap]
     c = model.scale
-    z = mats[0] @ x
+    z = W @ x
     s = c * float(v @ act(z))
     d = float(wrap_d(s)) * c * v * actdd(z)
     rho = float(wrap_dd(s)) * c * c
@@ -328,14 +277,6 @@ def tangent_kernel(model: MLPModel, w, X) -> np.ndarray:
 
 
 # --- transition-to-linearity scan ---
-
-@dataclass(frozen=True)
-class ArchTemplate:
-    """One-hidden-layer family scanned over its width."""
-    input_dim: int = 1
-    activation: str = "tanh"
-    output_wrap: str = "none"
-
 
 @dataclass(frozen=True)
 class LinearityReport:
@@ -356,10 +297,10 @@ def _loglog_slope(widths, values) -> float:
     return float(np.polyfit(x, np.log(values), 1)[0])
 
 
-def linearity_scan(template: ArchTemplate, width_grid, ball_radius: float = 1.0,
-                   probes: int = 32, seed: int = 0,
+def linearity_scan(input_dim: int, activation: str, output_wrap: str, width_grid,
+                   ball_radius: float = 1.0, probes: int = 32, seed: int = 0,
                    kernel_points: int = 8) -> LinearityReport:
-    """Measure how flat the model family gets as the width grows.
+    """Measure how flat the one-hidden-layer family gets as the width grows.
 
     Per width: a standard-normal init w0, then `probes` points drawn
     uniformly on the sphere of radius ball_radius around w0. Records the
@@ -375,15 +316,14 @@ def linearity_scan(template: ArchTemplate, width_grid, ball_radius: float = 1.0,
     if not 0.0 < ball_radius < np.inf or probes < 1:
         raise InvalidSpec("ball_radius must be positive and finite, and probes "
                           "at least 1")
-    if kernel_points < 1 or template.input_dim < 1:
+    if kernel_points < 1 or input_dim < 1:
         raise InvalidSpec("kernel_points and input_dim must be at least 1")
-    X = substream(seed, "scan-inputs", template.input_dim).standard_normal(
-        (kernel_points, template.input_dim))
+    X = substream(seed, "scan-inputs", input_dim).standard_normal(
+        (kernel_points, input_dim))
     x = X[0]
     gnorms, hnorms, drifts = [], [], []
     for m in widths:
-        model = init_mlp((template.input_dim, m), template.activation, seed,
-                         output_wrap=template.output_wrap)
+        model = init_mlp(input_dim, m, activation, seed, output_wrap=output_wrap)
         w0 = flatten_params(model)
         gnorms.append(float(np.linalg.norm(grad(model, w0, x))))
         K0 = tangent_kernel(model, w0, X)

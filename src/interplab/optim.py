@@ -50,24 +50,22 @@ class Objective:
     loss: str = SQUARE
 
 
-def linear_objective(X, y, loss: str = SQUARE) -> Objective:
+def _objective(X, y, mlp, loss: str) -> Objective:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or y.shape != (X.shape[0],):
-        raise DimensionMismatch(f"features {X.shape} incompatible with targets {y.shape}")
+        raise DimensionMismatch(f"rows {X.shape} incompatible with targets {y.shape}")
     if loss not in (SQUARE, CROSS_ENTROPY):
         raise InvalidSpec(f"unknown loss {loss!r}")
-    return Objective(X=X, y=y, mlp=None, loss=loss)
+    return Objective(X=X, y=y, mlp=mlp, loss=loss)
+
+
+def linear_objective(X, y, loss: str = SQUARE) -> Objective:
+    return _objective(X, y, None, loss)
 
 
 def mlp_objective(model, X, y, loss: str = SQUARE) -> Objective:
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or y.shape != (X.shape[0],):
-        raise DimensionMismatch(f"inputs {X.shape} incompatible with targets {y.shape}")
-    if loss not in (SQUARE, CROSS_ENTROPY):
-        raise InvalidSpec(f"unknown loss {loss!r}")
-    return Objective(X=X, y=y, mlp=model, loss=loss)
+    return _objective(X, y, model, loss)
 
 
 def param_dim(obj: Objective) -> int:
@@ -76,50 +74,29 @@ def param_dim(obj: Objective) -> int:
     return netmodels.param_count(obj.mlp)
 
 
-def _predictions(obj: Objective, w) -> np.ndarray:
+def _loss_grad(obj: Objective, w, rows=slice(None)) -> tuple:
+    """(loss, gradient) at w over the selected rows of the dataset."""
+    X, y = obj.X[rows], obj.y[rows]
     if obj.mlp is None:
-        return obj.X @ np.asarray(w, dtype=float)
-    return netmodels.forward_batch(obj.mlp, w, obj.X)
+        f, J = X @ np.asarray(w, dtype=float), X
+    else:
+        f = netmodels.forward_batch(obj.mlp, w, X)
+        J = netmodels.jacobian(obj.mlp, w, X)
+    if obj.loss == SQUARE:
+        r = f - y
+        return 0.5 * float(r @ r), J.T @ r
+    from scipy.special import expit
+
+    margins = -y * f
+    return float(np.sum(np.logaddexp(0.0, margins))), J.T @ (-y * expit(margins))
 
 
 def loss_value(obj: Objective, w) -> float:
-    return _loss_residual(obj, _predictions(obj, w))[0]
-
-
-def _loss_residual(obj: Objective, f) -> tuple:
-    """(loss, dL/df) at given predictions."""
-    if obj.loss == SQUARE:
-        r = f - obj.y
-        return 0.5 * float(r @ r), r
-    from scipy.special import expit
-
-    margins = -obj.y * f
-    return float(np.sum(np.logaddexp(0.0, margins))), -obj.y * expit(margins)
+    return _loss_grad(obj, w)[0]
 
 
 def loss_grad(obj: Objective, w) -> np.ndarray:
-    f = _predictions(obj, w)
-    _, dldf = _loss_residual(obj, f)
-    if obj.mlp is None:
-        return obj.X.T @ dldf
-    return netmodels.jacobian(obj.mlp, w, obj.X).T @ dldf
-
-
-def _batch_grad(obj: Objective, w, idx) -> np.ndarray:
-    Xb, yb = obj.X[idx], obj.y[idx]
-    if obj.mlp is None:
-        fb = Xb @ w
-        J = Xb
-    else:
-        fb = netmodels.forward_batch(obj.mlp, w, Xb)
-        J = netmodels.jacobian(obj.mlp, w, Xb)
-    if obj.loss == SQUARE:
-        dldf = fb - yb
-    else:
-        from scipy.special import expit
-
-        dldf = -yb * expit(-yb * fb)
-    return J.T @ dldf
+    return _loss_grad(obj, w)[1]
 
 
 @dataclass(frozen=True)
@@ -132,14 +109,25 @@ class OptimTrace:
     final_w: np.ndarray
 
 
+def _norm(v) -> float:
+    """|v|, computed on v scaled by a power of two near its largest entry,
+    so the sum of squares cannot overflow (or underflow) for a finite v;
+    otherwise the same bits as np.linalg.norm(v)."""
+    top = float(np.max(np.abs(v), initial=0.0))
+    if not 0.0 < top < math.inf:
+        return float(np.linalg.norm(v))
+    s = math.ldexp(1.0, math.frexp(top)[1])
+    return s * float(np.linalg.norm(v / s))
+
+
 class _Recorder:
     def __init__(self):
         self.rows = []
 
     def add(self, t, w, lv, g):
-        gn = float(np.linalg.norm(g))
+        gn = _norm(g)
         ratio = 0.5 * gn * gn / lv if lv > 0.0 else math.inf
-        self.rows.append((t, lv, gn, float(np.linalg.norm(w)), ratio))
+        self.rows.append((t, lv, gn, _norm(w), ratio))
 
     def done(self, w):
         a = np.array(self.rows)
@@ -166,15 +154,9 @@ def gd(obj: Objective, w0, step: float, iters: int,
     w = _check_run_args(obj, w0, step, iters, record_every).copy()
     rec = _Recorder()
     for t in range(iters + 1):
-        if obj.mlp is None:
-            f, J = obj.X @ w, obj.X
-        else:
-            f = netmodels.forward_batch(obj.mlp, w, obj.X)
-            J = netmodels.jacobian(obj.mlp, w, obj.X)
-        lv, dldf = _loss_residual(obj, f)
+        lv, g = _loss_grad(obj, w)
         if not lv <= DIVERGE_CAP:     # a NaN loss diverged too
             raise Diverged(f"loss {lv:.3e} exceeded {DIVERGE_CAP:.0e} at step {t}")
-        g = J.T @ dldf
         if t % record_every == 0 or t == iters:
             rec.add(t, w, lv, g)
         if t < iters:
@@ -201,13 +183,13 @@ def sgd(obj: Objective, w0, step: float, batch: int, iters: int, seed: int,
     rec = _Recorder()
     for t in range(iters + 1):
         if t % record_every == 0 or t == iters:
-            lv = loss_value(obj, w)
+            lv, g = _loss_grad(obj, w)
             if not lv <= DIVERGE_CAP:
                 raise Diverged(f"loss {lv:.3e} exceeded {DIVERGE_CAP:.0e} at step {t}")
-            rec.add(t, w, lv, loss_grad(obj, w))
+            rec.add(t, w, lv, g)
         if t < iters:
             idx = np.sort(rng.choice(n, size=batch, replace=False))
-            w -= step * scale * _batch_grad(obj, w, idx)
+            w -= step * scale * _loss_grad(obj, w, idx)[1]
     return rec.done(w)
 
 

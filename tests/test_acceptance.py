@@ -207,24 +207,22 @@ def test_critical_batch_scaling_bands():
 def test_transition_to_linearity_and_wrap():
     t0 = time.time()
     plain = nm.linearity_scan(
-        nm.ArchTemplate(input_dim=1, activation="tanh"),
-        [64, 128, 256, 512, 1024, 2048, 4096], probes=16, seed=1)
+        1, "tanh", "none", [64, 128, 256, 512, 1024, 2048, 4096], probes=16, seed=1)
     assert -0.6 <= plain.hess_slope <= -0.4, \
         f"curvature decay slope {plain.hess_slope:.3f}"
     assert -0.1 <= plain.grad_slope <= 0.1, \
         f"gradient scale slope {plain.grad_slope:.3f}"
 
     wrapped = nm.linearity_scan(
-        nm.ArchTemplate(input_dim=1, activation="tanh", output_wrap="softplus"),
-        [64, 181, 512, 1448, 4096], probes=8, seed=1)
+        1, "tanh", "softplus", [64, 181, 512, 1448, 4096], probes=8, seed=1)
     assert -0.1 <= wrapped.hess_slope <= 0.1, \
         f"wrapped output should not decay, slope {wrapped.hess_slope:.3f}"
 
     # wrapped curvature = wrap' * plain curvature + wrap'' * grad outer product
     worst = 0.0
     for width, seed, x in ((20, 30, (0.7, -0.4)), (48, 31, (-1.1, 0.3))):
-        model = nm.init_mlp((2, width), "tanh", seed=seed)
-        wrap = nm.init_mlp((2, width), "tanh", seed=seed, output_wrap="softplus")
+        model = nm.init_mlp(2, width, "tanh", seed=seed)
+        wrap = nm.init_mlp(2, width, "tanh", seed=seed, output_wrap="softplus")
         w = nm.flatten_params(model)
         xv = np.array(x)
         s = nm.forward(model, w, xv)
@@ -280,7 +278,7 @@ def test_oracle_suites():
     t0 = time.time()
     # finite-difference gradients and curvature, plain and wrapped outputs
     for wrapname, seed in (("none", 5), ("softplus", 6)):
-        model = nm.init_mlp((3, 10), "tanh", seed=seed, output_wrap=wrapname)
+        model = nm.init_mlp(3, 10, "tanh", seed=seed, output_wrap=wrapname)
         w = nm.flatten_params(model)
         x = substream(seed, "accept-fd").standard_normal(3)
         g = nm.grad(model, w, x)

@@ -564,6 +564,20 @@ def test_loss_compare_overflowing_linear_kernel_is_a_config_error(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_loss_compare_gradient_norm_past_sqrt_float_max_exits_zero(tmp_path, capsys):
+    # the gradient is finite but its squared norm overflows: the trace must
+    # record its norm without a RuntimeWarning
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("model.kind = linear\ndata.scale = 4.204639961228302e+153\n"
+                   "data.train_n = 4\ndata.test_n = 2\nseeds.count = 1\n"
+                   "data.separation = 0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = labcli.main(["loss-compare", "--config", str(cfg), "--seed", "0",
+                            "--out", str(tmp_path / "o")])
+    assert code == 0 and capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("iters", ["0", "-3"])
 def test_loss_compare_needs_one_iteration(tmp_path, capsys, iters):
     cfg = tmp_path / "iters.cfg"
@@ -689,9 +703,8 @@ def test_linearity_csv_and_plot_range():
     assert "every ::0::2" in arts["linearity.gp"]
 
     # every cell is its field of a scan run again on the same inputs
-    rep = netmodels.linearity_scan(netmodels.ArchTemplate(input_dim=1),
-                                   (24, 48, 96), ball_radius=1.0, probes=3,
-                                   seed=labcli._subseed(2, "linearity"),
+    rep = netmodels.linearity_scan(1, "tanh", "none", (24, 48, 96), ball_radius=1.0,
+                                   probes=3, seed=labcli._subseed(2, "linearity"),
                                    kernel_points=3)
     assert [int(r[0]) for r in rows[:-1]] == list(rep.widths) == [24, 48, 96]
     assert [float(r[1]) for r in rows[:-1]] == list(rep.grad_norms)
@@ -1212,13 +1225,7 @@ _LAZY_SCIPY_SITES = {
     "optim._batch_one_steps": _main_source("sgd-scaling", _TINY["sgd-scaling"]),
     "netmodels._softplus_d": _main_source(
         "linearity", _TINY["linearity"] + "lin.wrap = softplus\n"),
-    "optim._loss_residual": _main_source("loss-compare", _TINY["loss-compare"]),
-    "optim._batch_grad": (
-        "import numpy as np\n"
-        "X = np.arange(12.0).reshape(4, 3) / 10.0\n"
-        "obj = optim.linear_objective(X, np.array([1.0, -1.0, 1.0, -1.0]),\n"
-        "                             loss=optim.CROSS_ENTROPY)\n"
-        "optim.sgd(obj, np.zeros(3), 0.1, batch=2, iters=3, seed=0)\n"),
+    "optim._loss_grad": _main_source("loss-compare", _TINY["loss-compare"]),
 }
 
 

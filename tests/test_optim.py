@@ -158,14 +158,44 @@ def test_sgd_full_batch_is_gd_bitwise():
     for seed in range(3):
         X, y = _random_problem(seed, 6, 5, noisy=True)
         lam_max, _ = _gram_extremes(X)
-        obj = optim.linear_objective(X, y)
-        w0 = substream(seed, "fb-w0").standard_normal(5)
-        a = optim.gd(obj, w0, 0.3 / lam_max, 40, record_every=8)
-        b = optim.sgd(obj, w0, 0.3 / lam_max, batch=6, iters=40, seed=seed,
-                      record_every=8)
-        assert np.array_equal(a.final_w, b.final_w)
-        assert np.array_equal(a.loss, b.loss)
-        assert np.array_equal(a.grad_norm, b.grad_norm)
+        model = netmodels.init_mlp(5, 7, "tanh", seed=seed)
+        cases = [
+            (optim.linear_objective(X, y), substream(seed, "fb-w0").standard_normal(5)),
+            (optim.linear_objective(X, np.sign(y), loss=optim.CROSS_ENTROPY),
+             substream(seed, "fb-w0").standard_normal(5)),
+            (optim.mlp_objective(model, X, y), netmodels.flatten_params(model)),
+            (optim.mlp_objective(model, X, np.sign(y), loss=optim.CROSS_ENTROPY),
+             netmodels.flatten_params(model)),
+        ]
+        for obj, w0 in cases:
+            a = optim.gd(obj, w0, 0.3 / lam_max, 40, record_every=8)
+            b = optim.sgd(obj, w0, 0.3 / lam_max, batch=6, iters=40, seed=seed,
+                          record_every=8)
+            assert np.array_equal(a.final_w, b.final_w)
+            assert np.array_equal(a.loss, b.loss)
+            assert np.array_equal(a.grad_norm, b.grad_norm)
+            assert np.array_equal(a.param_norm, b.param_norm)
+            assert not np.array_equal(a.final_w, w0)
+
+
+def test_trace_norms_do_not_overflow():
+    # g = X^T r = (1e160, 3e159) at a loss of 0.5: g @ g overflows
+    X = np.array([[1e160, 3e159]])
+    obj = optim.linear_objective(X, np.array([0.0]))
+    w0 = np.array([1e-160, 0.0])
+    g = X[0] * float(X[0] @ w0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tr = optim.gd(obj, w0, 1.0, 0)
+    s = float(np.abs(g).max())
+    want = s * float(np.linalg.norm(g / s))
+    assert np.isfinite(tr.grad_norm[0])
+    assert abs(tr.grad_norm[0] - want) <= 1e-12 * want
+    assert tr.plstar[0] == math.inf and tr.loss[0] == 0.5
+    # below the overflow the recorded norm is np.linalg.norm's, bit for bit
+    for seed in range(5):
+        v = substream(seed, "trace-norm").standard_normal(9) * 10.0 ** (seed - 2)
+        assert optim._norm(v) == float(np.linalg.norm(v))
 
 
 def test_sgd_deterministic_and_seed_sensitive():
@@ -247,7 +277,7 @@ def test_plstar_ratio_vanishes_at_ls_solution():
 def test_tangent_kernel_wide_net_stays_conditioned():
     X = substream(99, "tk-inputs", 8).standard_normal((8, 8))
     for seed in range(12):
-        model = netmodels.init_mlp((8, 32), "tanh", seed=seed)
+        model = netmodels.init_mlp(8, 32, "tanh", seed=seed)
         K = netmodels.tangent_kernel(model, None, X)
         vals, _ = numlin.sym_eig(K)
         assert vals[-1] >= 0.01 * vals[0]
@@ -645,7 +675,7 @@ def test_scan_unreachable_target_raises():
 
 
 def test_mlp_objective_gradient_spot_check():
-    model = netmodels.init_mlp((2, 6), "tanh", seed=1)
+    model = netmodels.init_mlp(2, 6, "tanh", seed=1)
     X = substream(11, "mlp-obj").standard_normal((5, 2))
     y = substream(12, "mlp-obj-y").standard_normal(5)
     obj = optim.mlp_objective(model, X, y)
@@ -660,7 +690,7 @@ def test_mlp_objective_gradient_spot_check():
 
 
 def test_sgd_on_mlp_objective_descends():
-    model = netmodels.init_mlp((1, 8), "tanh", seed=2)
+    model = netmodels.init_mlp(1, 8, "tanh", seed=2)
     X = np.linspace(-1.0, 1.0, 6).reshape(-1, 1)
     y = np.sin(2.0 * X[:, 0])
     obj = optim.mlp_objective(model, X, y)
@@ -736,7 +766,7 @@ def test_validation_errors():
         optim.critical_batch_scan(optim.linear_objective(np.zeros_like(X),
                                                          np.zeros_like(y)),
                                   [1], 0.0, seeds=2)
-    model = netmodels.init_mlp((4, 4), "tanh", seed=0)
+    model = netmodels.init_mlp(4, 4, "tanh", seed=0)
     mobj = optim.mlp_objective(model, X, y)
     with pytest.raises(InvalidSpec):
         optim.critical_batch_scan(mobj, [1], 1e-8, seeds=2)

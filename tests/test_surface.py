@@ -118,7 +118,8 @@ def test_every_public_function_is_reached_traced_or_an_oracle(tmp_path, capsys):
 
 # names the package used to export; each was deleted with the code behind it
 _DELETED = {"knn_predict_batch", "make_neighbor_predictor", "NeighborPredictor",
-            "CLASSIFICATION", "REGRESSION", "NotClassification", "EmptyTrainingSet"}
+            "CLASSIFICATION", "REGRESSION", "NotClassification", "EmptyTrainingSet",
+            "ArchTemplate"}
 
 
 def test_all_names_resolve_and_match_the_package_namespace():
