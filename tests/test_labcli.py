@@ -1225,7 +1225,15 @@ _LAZY_SCIPY_SITES = {
     "optim._batch_one_steps": _main_source("sgd-scaling", _TINY["sgd-scaling"]),
     "netmodels._softplus_d": _main_source(
         "linearity", _TINY["linearity"] + "lin.wrap = softplus\n"),
-    "optim._loss_grad": _main_source("loss-compare", _TINY["loss-compare"]),
+    # the next two reach the one import in optim._loss_grad, full batch and
+    # with a row batch; the keys keep the ids these runs have always had
+    "optim._loss_residual": _main_source("loss-compare", _TINY["loss-compare"]),
+    "optim._batch_grad": (
+        "import numpy as np\n"
+        "X = np.arange(12.0).reshape(4, 3) / 10.0\n"
+        "obj = optim.linear_objective(X, np.array([1.0, -1.0, 1.0, -1.0]),\n"
+        "                             loss=optim.CROSS_ENTROPY)\n"
+        "optim.sgd(obj, np.zeros(3), 0.1, batch=2, iters=3, seed=0)\n"),
 }
 
 
