@@ -122,8 +122,10 @@ def sample(spec: DistributionSpec, n: int) -> Dataset:
     if isinstance(spec, TwoGaussians):
         rng = substream(spec.seed, "sample-two-gaussians", n)
         y = rng.integers(0, 2, size=n) * 2.0 - 1.0
-        X = spec.scale * rng.standard_normal((n, spec.dim))
-        X[:, 0] += y * (spec.separation / 2.0)
+        # make_dataset rejects the entries that overflow here
+        with np.errstate(over="ignore", invalid="ignore"):
+            X = spec.scale * rng.standard_normal((n, spec.dim))
+            X[:, 0] += y * (spec.separation / 2.0)
         return make_dataset(X, y)
     if isinstance(spec, UniformSimplex):
         rng = substream(spec.seed, "sample-uniform-simplex", n)

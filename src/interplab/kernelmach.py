@@ -32,13 +32,21 @@ m = n where the norm spikes, is solved through the SVD
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numlin
 from .datagen import Dataset, to_labels
-from .errors import DimensionMismatch, IllConditioned, InvalidSpec, NotPositiveDefinite
+from .errors import (
+    DimensionMismatch,
+    IllConditioned,
+    InvalidInput,
+    InvalidSpec,
+    NotPositiveDefinite,
+)
 from .rng import substream
 
 GAUSSIAN = "gaussian"
@@ -192,14 +200,44 @@ def draw_rff_freqs(m: int, dim: int, seed: int, replicate: int = 0) -> np.ndarra
 
 
 def rff_features(freqs: np.ndarray, X) -> np.ndarray:
-    """Complex feature matrix exp(i X freqs^T), one row per input point."""
+    """Complex feature matrix exp(i X freqs^T), one row per input point.
+
+    The phases X freqs^T come from one GEMM. The elementwise i * phase and
+    complex exp, most of the work, are split into one contiguous block of
+    rows per available core: block 0 runs on the calling thread and the
+    rest on threads joined before the return (numpy releases the GIL in
+    both loops). Each entry goes through the same operations as in
+    np.exp((X @ freqs.T) * 1j), so the split moves no bit. Phases that
+    overflow raise InvalidInput before any thread starts.
+    """
     X = np.asarray(X, dtype=float)
     freqs = np.asarray(freqs, dtype=float)
     if X.ndim != 2 or freqs.ndim != 2 or X.shape[1] != freqs.shape[1]:
         raise DimensionMismatch(f"points {X.shape} do not match frequencies {freqs.shape}")
-    phase = (X @ freqs.T) * 1j
-    np.exp(phase, out=phase)
-    return phase
+    with np.errstate(over="ignore"):
+        phase = X @ freqs.T
+    if not np.all(np.isfinite(phase)):
+        raise InvalidInput("random Fourier feature phases X freqs^T overflow; "
+                           "lower data.scale")
+    out = np.empty(phase.shape, dtype=complex)
+    n = phase.shape[0]
+    parts = max(1, min(len(os.sched_getaffinity(0)), n))
+    edges = [n * i // parts for i in range(parts + 1)]
+
+    def finish(i):
+        rows = slice(edges[i], edges[i + 1])
+        np.multiply(phase[rows], 1j, out=out[rows])
+        np.exp(out[rows], out=out[rows])
+
+    workers = [threading.Thread(target=finish, args=(i,)) for i in range(1, parts)]
+    for worker in workers:
+        worker.start()
+    try:
+        finish(0)
+    finally:
+        for worker in workers:
+            worker.join()
+    return out
 
 
 def rff_fit_minnorm(X, y, freqs) -> RFFModel:

@@ -42,15 +42,19 @@ from .errors import (
 from .rng import substream
 
 CONFIG_VERSION = "1"   # config files this build accepts
-FORMAT_VERSION = "10"  # CSV bytes; bumped whenever a result moves
+FORMAT_VERSION = "11"  # CSV bytes; bumped whenever a result moves
 COMMANDS = ("noise-interp", "double-descent", "raisin", "loss-compare",
             "simplex", "sgd-scaling", "linearity")
 
-# The commands that call scipy's LAPACK or BLAS. scipy links an OpenBLAS
-# of its own, so these run with numpy's held to one thread: the two
-# libraries' idle workers then do not spin against each other, and
-# numpy's results in them do not depend on the core count.
-_ONE_NUMPY_BLAS_THREAD = frozenset({"noise-interp", "raisin", "sgd-scaling"})
+# The commands that run with numpy's OpenBLAS held to one thread, so that
+# numpy's results in them do not depend on the core count. Three call
+# scipy's LAPACK or BLAS, which links an OpenBLAS of its own: the two
+# libraries' idle workers then do not spin against each other either.
+# double-descent calls no scipy, but its complex Gram products and solves
+# otherwise round differently per core count; it spends its other cores
+# on the feature map's exp (kernelmach.rff_features).
+_ONE_NUMPY_BLAS_THREAD = frozenset({"noise-interp", "double-descent", "raisin",
+                                    "sgd-scaling"})
 
 _CONFIG_ERRORS = (ConfigError, InvalidInput, InvalidSpec, NoAnalyticOracle,
                   NoCorruptedNeighbor)

@@ -12,12 +12,14 @@ module pins down the conventions (eigenvalue ordering, pseudo-inverse
 rank cutoff, jitter handling) and the error surface, which the rest of
 the package relies on.
 
-numpy and scipy each link their own OpenBLAS, and each library's worker
-thread spins for a while after every threaded call; on a machine with few
-cores the two pools then spin against each other. one_blas_thread holds
-numpy's OpenBLAS to one thread for the commands that call scipy's LAPACK
-or BLAS, and a result that numpy's BLAS computes inside it (such as
-max_eig's) no longer depends on the core count.
+A result that numpy's threaded OpenBLAS computes can round differently
+per core count: double-descent's complex Gram products do, and so does
+max_eig's eigvalsh. one_blas_thread holds numpy's OpenBLAS to one thread,
+which makes such results independent of the core count. The CLI runs
+double-descent under it, and the commands that call scipy's LAPACK or
+BLAS: scipy links an OpenBLAS of its own, and each library's worker
+thread spins for a while after every threaded call, so on a machine with
+few cores the two pools would spin against each other.
 
 minnorm_prefixes gives pinv_apply's solution for every column prefix of
 one matrix in a list of widths. It solves each width through the nested
@@ -256,8 +258,8 @@ def _gram_solve(gram: np.ndarray, rhs: np.ndarray):
     exact test, runs only on a Gram the screen refuses; either way a
     width takes the same path and the same solve, one LU factorization.
     All three LAPACK calls are numpy's, not scipy's, so double-descent
-    loads no scipy and its GEMMs and solves share one threaded pool:
-    double-descent runs outside one_blas_thread.
+    loads no scipy. It runs inside one_blas_thread, so these calls give the
+    same bits on every core count.
     """
     if not np.all(np.isfinite(gram)):
         return None

@@ -1,6 +1,8 @@
 """Kernel machines, random feature models, and the width sweep."""
 
 import math
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from interplab import datagen, kernelmach as km, numlin
 from interplab.errors import (
     DimensionMismatch,
     IllConditioned,
+    InvalidInput,
     InvalidSpec,
 )
 from interplab.rng import substream
@@ -361,6 +364,43 @@ def test_minnorm_matches_complex_lstsq_oracle():
         phi = km.rff_features(freqs, X)
         w_ref = np.linalg.lstsq(phi, y.astype(complex), rcond=None)[0]
         assert np.abs(model.weights - w_ref).max() < 1e-8
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_split_rff_features_match_one_expression(cores, monkeypatch):
+    # the row split over the cores moves no bit of exp((X F^T) i)
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(km.os, "sched_getaffinity", lambda pid: set(range(cores)))
+    monkeypatch.setattr(km.threading, "Thread", Thread)
+    rng = substream(cores, "rff-split")
+    before = threading.active_count()
+    shapes = [(1, 1, 1), (2, 7, 3), (cores + 1, 4, 2)]   # n below, at and above cores
+    shapes += [tuple(int(v) for v in rng.integers(1, 120, size=3)) for _ in range(8)]
+    for n, m, d in shapes:
+        scale = 10.0 ** rng.uniform(-2.0, 3.0)
+        X = scale * rng.standard_normal((n, d))
+        freqs = rng.standard_normal((m, d))
+        started.clear()
+        phi = km.rff_features(freqs, X)
+        assert phi.tobytes() == np.exp((X @ freqs.T) * 1j).tobytes(), (n, m, d)
+        assert len(started) == min(cores, n) - 1
+        assert not any(t.is_alive() for t in started)
+    assert threading.active_count() == before
+
+
+def test_rff_features_overflowing_phase_rejected_unwarned():
+    freqs = np.full((4, 2), 3.0)
+    X = np.full((3, 2), 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="phases"):
+            km.rff_features(freqs, X)
 
 
 def test_rff_shape_mismatch_rejected():

@@ -311,6 +311,45 @@ def test_rff_sweep_config_certifies_every_gram_without_eigvalsh(monkeypatch):
     assert calls == [(2, 2)]
 
 
+def test_double_descent_thread_invariant(tmp_path):
+    # at two numpy BLAS threads the complex Gram products round differently
+    # from one, unless the command runs them at one
+    params = {"data.train_n": "300", "rff.grid": "150, 300, 450, 600",
+              "rff.replicates": "2"}
+    one_thread, two_threads = _main_at_one_and_two_blas_threads(
+        tmp_path, "double-descent", params, 1)
+    assert one_thread == two_threads
+
+
+def _main_unwarned(tmp_path, capsys, command, params):
+    """main's exit code and stderr for one run with every warning an error."""
+    cfg = tmp_path / f"{command}.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in params.items()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = labcli.main([command, "--config", str(cfg), "--seed", "1",
+                            "--out", str(tmp_path / "o")])
+    return code, capsys.readouterr().err
+
+
+def test_double_descent_overflowing_phases_exit_two(tmp_path, capsys):
+    # the points are finite, but X freqs^T overflows
+    code, err = _main_unwarned(tmp_path, capsys, "double-descent", {
+        "data.train_n": "40", "data.test_n": "40", "rff.grid": "20, 40, 80",
+        "data.scale": "5e307"})
+    assert code == 2
+    assert err.startswith("config error: ") and "data.scale" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_overflowing_two_gaussians_exit_two(tmp_path, capsys):
+    code, err = _main_unwarned(tmp_path, capsys, "double-descent", {
+        "data.scale": "1e308", "data.separation": "1e308"})
+    assert (code, err) == (2, "config error: dataset has non-finite entries\n")
+    assert not (tmp_path / "o").exists()
+
+
 # --- raisin search ---
 
 def test_raisin_radius_bounded_by_corrupted_distance():
@@ -751,9 +790,9 @@ def test_main_end_to_end(tmp_path):
     assert (out / "simplex.csv").read_text() != first   # flag overrides config
 
 
-# the commands that call scipy's LAPACK or BLAS; every other command
-# leaves numpy's OpenBLAS at its thread count
-_ONE_BLAS_THREAD = {"noise-interp", "raisin", "sgd-scaling"}
+# the commands that call scipy's LAPACK or BLAS, and double-descent;
+# every other command leaves numpy's OpenBLAS at its thread count
+_ONE_BLAS_THREAD = {"noise-interp", "double-descent", "raisin", "sgd-scaling"}
 
 
 @pytest.mark.parametrize("command", labcli.COMMANDS)
