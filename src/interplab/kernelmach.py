@@ -93,32 +93,45 @@ def kernel_matrix(spec: KernelSpec, X, Z=None) -> np.ndarray:
     distance's diagonal is also set to 0 in each block, so K(x, x) is
     exactly 1; the one-expression form leaves there a rounding residue of
     about 1e-16 |x|^2, which laplace's sqrt lifts to about 1e-8.
+
+    InvalidInput is raised, before the GEMM, when s = max |x|^2 + max |z|^2
+    is not below 0.99 times the float maximum. s bounds every |2 x.z| and
+    every partial sum of it, so the GEMM cannot overflow. A squared
+    distance, which can reach 2 s, may: it becomes inf, and its kernel
+    value exp(-inf) is 0, the limit of the kernel, as is any entry whose
+    d / bw or d^2 / (2 bw^2) overflows.
     """
     X = np.asarray(X, dtype=float)
     Z = X if Z is None else np.asarray(Z, dtype=float)
     if X.ndim != 2 or Z.ndim != 2 or X.shape[1] != Z.shape[1]:
         raise DimensionMismatch(f"incompatible point sets {X.shape} and {Z.shape}")
+    with np.errstate(over="ignore"):
+        x_sq = (X * X).sum(axis=1)
+        z_sq = x_sq if Z is X else (Z * Z).sum(axis=1)
+        norms_fit = x_sq.max() + z_sq.max() < 0.99 * np.finfo(float).max
+    if not norms_fit:
+        raise InvalidInput("kernel matrix would overflow: squared point norms reach "
+                           f"{max(x_sq.max(), z_sq.max()):.3e}; lower data.scale")
     K = 2.0 * X @ Z.T
-    x_sq = (X * X).sum(axis=1)
-    z_sq = x_sq if Z is X else (Z * Z).sum(axis=1)
     rows = max(1, _BLOCK_BYTES // (K.itemsize * max(1, K.shape[1])))
     scratch = np.empty((min(rows, K.shape[0]), K.shape[1]))
-    for start in range(0, K.shape[0], rows):
-        block = K[start:start + rows]
-        sq = scratch[:block.shape[0]]
-        np.add(x_sq[start:start + rows, None], z_sq, out=sq)
-        np.subtract(sq, block, out=block)
-        np.maximum(block, 0.0, out=block)
-        if Z is X:
-            np.fill_diagonal(block[:, start:start + block.shape[0]], 0.0)
-        if spec.family == GAUSSIAN:
-            np.negative(block, out=block)
-            np.divide(block, 2.0 * spec.bandwidth**2, out=block)
-        else:
-            np.sqrt(block, out=block)
-            np.negative(block, out=block)
-            np.divide(block, spec.bandwidth, out=block)
-        np.exp(block, out=block)
+    with np.errstate(over="ignore"):
+        for start in range(0, K.shape[0], rows):
+            block = K[start:start + rows]
+            sq = scratch[:block.shape[0]]
+            np.add(x_sq[start:start + rows, None], z_sq, out=sq)
+            np.subtract(sq, block, out=block)
+            np.maximum(block, 0.0, out=block)
+            if Z is X:
+                np.fill_diagonal(block[:, start:start + block.shape[0]], 0.0)
+            if spec.family == GAUSSIAN:
+                np.negative(block, out=block)
+                np.divide(block, 2.0 * spec.bandwidth**2, out=block)
+            else:
+                np.sqrt(block, out=block)
+                np.negative(block, out=block)
+                np.divide(block, spec.bandwidth, out=block)
+            np.exp(block, out=block)
     return K
 
 

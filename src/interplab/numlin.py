@@ -19,7 +19,11 @@ which makes such results independent of the core count. The CLI runs
 double-descent under it, and the commands that call scipy's LAPACK or
 BLAS: scipy links an OpenBLAS of its own, and each library's worker
 thread spins for a while after every threaded call, so on a machine with
-few cores the two pools would spin against each other.
+few cores the two pools would spin against each other. scipy's pool keeps
+its threads for solve_spd's factorization, but solve_spd parks it (shuts
+its worker threads down) before and after the factorization, so that no
+worker is left spinning once it returns; the next threaded scipy call
+starts them again.
 
 minnorm_prefixes gives pinv_apply's solution for every column prefix of
 one matrix in a list of widths. It solves each width through the nested
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import threading
 
 import numpy as np
 
@@ -62,22 +67,54 @@ _BLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"))
+# OpenBLAS's call that shuts its worker threads down; the next threaded call
+# starts them again. scipy's library exports it unprefixed.
+_BLAS_SHUTDOWN_SYMBOL = "blas_thread_shutdown_"
+# held from the park before solve_spd's factorization to the park after it,
+# so that no thread shuts scipy's pool down while another one factorizes
+_SCIPY_BLAS_LOCK = threading.Lock()
+
+
+def _blas_symbols(extension, groups, loader=ctypes.CDLL):
+    """The first group of names in groups that the OpenBLAS an extension
+    module links exports in full, as a list of ctypes functions, or None.
+
+    The symbols are looked up through the handle of the extension; dlsym
+    on that handle also searches its dependencies.
+    """
+    lib = loader(extension.__file__)
+    for names in groups:
+        calls = [getattr(lib, name, None) for name in names]
+        if all(call is not None for call in calls):
+            return calls
+    return None
 
 
 def _blas_thread_calls():
-    """(get, set) for the thread count of the OpenBLAS numpy links, or None.
+    """(get, set) for the thread count of the OpenBLAS numpy links, or None."""
+    calls = _blas_symbols(np.linalg._umath_linalg, _BLAS_THREAD_SYMBOLS)
+    if calls is None:
+        return None
+    get, set_ = calls
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
 
-    The symbols are looked up through the handle of a numpy extension that
-    links the library; dlsym on that handle also searches its dependencies.
+
+def _scipy_blas_shutdown():
+    """The shutdown call of the OpenBLAS scipy links, or None.
+
+    It is loaded through ctypes.PyDLL, which keeps the GIL held across the
+    call, so no Python thread enters scipy's BLAS while the pool stops.
     """
-    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    for get_name, set_name in _BLAS_THREAD_SYMBOLS:
-        get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
-        if get is not None and set_ is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
-    return None
+    from scipy.linalg import _flapack
+
+    calls = _blas_symbols(_flapack, ((_BLAS_SHUTDOWN_SYMBOL,),), ctypes.PyDLL)
+    if calls is None:
+        return None
+    shutdown, = calls
+    shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+    return shutdown
 
 
 @contextlib.contextmanager
@@ -137,11 +174,18 @@ def require_symmetric(a: np.ndarray, name: str = "matrix") -> None:
 def solve_spd(a, b, jitter: float = 0.0) -> np.ndarray:
     """Solve (A + jitter*I) x = b for symmetric positive definite A.
 
-    Uses a Cholesky factorization, LAPACK dpotrf then dpotrs. The jitter
-    is added to the diagonal of a copy before factorizing; a itself is
-    never written. NotPositiveDefinite is raised if the shifted matrix
-    still fails to factor. b is a vector, or a matrix whose columns are
-    solved on the one factorization; x has the shape of b.
+    Uses a Cholesky factorization, LAPACK dpotrf then dpotrs, on scipy's
+    threaded OpenBLAS. The jitter is added to the diagonal of a copy
+    before factorizing; a itself is never written. NotPositiveDefinite is
+    raised if the shifted matrix still fails to factor. b is a vector, or
+    a matrix whose columns are solved on the one factorization; x has the
+    shape of b.
+
+    scipy's OpenBLAS worker threads are parked before the factorization
+    and again when the solve returns or raises, so none is left spinning
+    once the call is over; a lock serializes the park, the factorization,
+    the solve and the park across Python threads. Where scipy's library
+    has no shutdown call (another BLAS), nothing is parked.
     """
     a = as_array(a, 2, "A")
     b = as_array(b, 2 if np.ndim(b) == 2 else 1, "b")
@@ -156,14 +200,24 @@ def solve_spd(a, b, jitter: float = 0.0) -> np.ndarray:
         shifted.flat[::a.shape[0] + 1] += jitter
     from scipy.linalg.lapack import dpotrf, dpotrs
 
-    # shifted.T is the Fortran-ordered view, so LAPACK gets a plain copy
-    # (or, for the private jittered copy, the array itself) and its upper
-    # triangle is the lower triangle of shifted
-    factor, info = dpotrf(shifted.T, lower=0, clean=0, overwrite_a=shifted is not a)
-    if info > 0:
-        raise NotPositiveDefinite(
-            f"Cholesky failed at jitter={jitter:g}: leading minor {info} is not positive")
-    x, _ = dpotrs(factor, b, lower=0)
+    park = _scipy_blas_shutdown() or (lambda: None)
+    with _SCIPY_BLAS_LOCK:
+        # parking first also frees the worker OpenBLAS starts at load time,
+        # whose buffer would otherwise stay resident beside its successor's
+        park()
+        try:
+            # shifted.T is the Fortran-ordered view, so LAPACK gets a plain
+            # copy (or, for the private jittered copy, the array itself) and
+            # its upper triangle is the lower triangle of shifted
+            factor, info = dpotrf(shifted.T, lower=0, clean=0,
+                                  overwrite_a=shifted is not a)
+            if info > 0:
+                raise NotPositiveDefinite(
+                    f"Cholesky failed at jitter={jitter:g}: leading minor {info} "
+                    f"is not positive")
+            x, _ = dpotrs(factor, b, lower=0)
+        finally:
+            park()
     return x
 
 

@@ -403,6 +403,24 @@ def test_rff_features_overflowing_phase_rejected_unwarned():
             km.rff_features(freqs, X)
 
 
+@pytest.mark.parametrize("family", [km.GAUSSIAN, km.LAPLACE])
+def test_kernel_matrix_overflow_unwarned(family):
+    spec = km.KernelSpec(family, 1.0)
+    root_max = math.sqrt(np.finfo(float).max)
+    # |x|^2 + |z|^2 fits, but the squared distance (2x)^2 overflows: its
+    # kernel value is the limit 0
+    X = np.array([[0.7 * root_max], [-0.7 * root_max]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(km.kernel_matrix(spec, X), np.eye(2))
+        assert np.array_equal(km.kernel_matrix(spec, X, X[::-1]), np.eye(2)[::-1])
+        # max |x|^2 + max |z|^2 reaches the float maximum, or overflows
+        for X, Z in (([[0.71 * root_max]], None), ([[0.0]], [[root_max]]),
+                     ([[1e160, 0.0]], None), ([[1.0, 1.0]], [[0.0, 1e160]])):
+            with pytest.raises(InvalidInput, match="data.scale"):
+                km.kernel_matrix(spec, X, Z)
+
+
 def test_rff_shape_mismatch_rejected():
     freqs = km.draw_rff_freqs(4, 2, seed=1)
     with pytest.raises(DimensionMismatch):

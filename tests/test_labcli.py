@@ -148,6 +148,53 @@ def _main_at_one_and_two_blas_threads(tmp_path, command, params, seed):
     return runs
 
 
+# (command, params, seed) runs whose numpy BLAS calls are large enough to
+# thread at two; main must write the same bytes at one thread and at two
+_UNRESOLVED_THREAD_DEPENDENCE = pytest.mark.xfail(
+    reason="numpy's threaded BLAS rounds this command's products differently at "
+           "two threads; holding the command to one would move CSV bytes, which "
+           "waits for a format bump", strict=False)
+_THREAD_CHECK_RUNS = [
+    pytest.param("simplex", {}, 1, id="simplex"),
+    # numpy's kernel-matrix GEMMs run threaded at two
+    pytest.param("noise-interp", {"data.train_n": "400", "data.test_n": "400",
+                                  "seeds.count": "2", "noise.grid": "0.2",
+                                  "data.dim": "20"}, 5, id="noise-interp"),
+    # at two numpy BLAS threads the complex Gram products round differently
+    # from one, unless the command runs them at one
+    pytest.param("double-descent", {"data.train_n": "300",
+                                    "rff.grid": "150, 300, 450, 600",
+                                    "rff.replicates": "2"}, 1, id="double-descent"),
+    # the kernel GEMMs thread in numpy, the Cholesky solve in scipy
+    pytest.param("raisin", {"data.train_n": "1000"}, 1, id="raisin"),
+    pytest.param("loss-compare", {}, 1, id="loss-compare"),
+    # the tangent kernel J J^T
+    pytest.param("loss-compare", {"model.kind": "mlp", "data.train_n": "300",
+                                  "mlp.width": "64", "seeds.count": "2",
+                                  "train.iters": "50"}, 1, id="loss-compare-mlp",
+                 marks=_UNRESOLVED_THREAD_DEPENDENCE),
+    # at this draw numpy's eigvalsh gives lambda_max_h 70476.20274073446
+    # with two threads and ...444 with one, unless the command runs it at one
+    pytest.param("sgd-scaling", {"scan.n": "512", "scan.d": "1024",
+                                 "scan.target_factor": "1e-2"}, 10, id="sgd-scaling"),
+    pytest.param("linearity", {}, 1, id="linearity"),
+    pytest.param("linearity", {"lin.input_dim": "32", "lin.widths": "512, 2048",
+                               "lin.wrap": "softplus"}, 1, id="linearity-wide",
+                 marks=_UNRESOLVED_THREAD_DEPENDENCE),
+]
+
+
+def test_thread_check_covers_every_command():
+    assert {p.values[0] for p in _THREAD_CHECK_RUNS} == set(labcli.COMMANDS)
+
+
+@pytest.mark.parametrize("command, params, seed", _THREAD_CHECK_RUNS)
+def test_main_thread_invariant(tmp_path, command, params, seed):
+    one_thread, two_threads = _main_at_one_and_two_blas_threads(
+        tmp_path, command, params, seed)
+    assert one_thread == two_threads
+
+
 def test_simplex_reproducible_and_thread_invariant(tmp_path):
     params = {"simplex.draws": "5000"}
     one = labcli.run_simplex_blessing(_cfg("simplex", params))
@@ -179,17 +226,6 @@ def test_noise_interp_schema_and_interpolation():
     # rows ordered by (q, seed)
     assert [(float(r[0]), int(r[1])) for r in rows] == \
         [(0.0, 0), (0.0, 1), (0.5, 0), (0.5, 1)]
-
-
-def test_noise_interp_thread_invariant(tmp_path):
-    # large enough that numpy's kernel-matrix GEMMs run threaded at two
-    params = {"data.train_n": "400", "data.test_n": "400",
-              "seeds.count": "2", "noise.grid": "0.2", "data.dim": "20"}
-    first = labcli.run_noise_interp(_cfg("noise-interp", params))
-    assert labcli.run_noise_interp(_cfg("noise-interp", params)) == first
-    one_thread, two_threads = _main_at_one_and_two_blas_threads(
-        tmp_path, "noise-interp", params, 5)
-    assert one_thread == two_threads
 
 
 def _noise_interp_reference(cfg):
@@ -311,16 +347,6 @@ def test_rff_sweep_config_certifies_every_gram_without_eigvalsh(monkeypatch):
     assert calls == [(2, 2)]
 
 
-def test_double_descent_thread_invariant(tmp_path):
-    # at two numpy BLAS threads the complex Gram products round differently
-    # from one, unless the command runs them at one
-    params = {"data.train_n": "300", "rff.grid": "150, 300, 450, 600",
-              "rff.replicates": "2"}
-    one_thread, two_threads = _main_at_one_and_two_blas_threads(
-        tmp_path, "double-descent", params, 1)
-    assert one_thread == two_threads
-
-
 def _main_unwarned(tmp_path, capsys, command, params):
     """main's exit code and stderr for one run with every warning an error."""
     cfg = tmp_path / f"{command}.cfg"
@@ -339,6 +365,19 @@ def test_double_descent_overflowing_phases_exit_two(tmp_path, capsys):
         "data.scale": "5e307"})
     assert code == 2
     assert err.startswith("config error: ") and "data.scale" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["noise-interp", "raisin"])
+def test_overflowing_kernel_matrix_exits_two(tmp_path, capsys, command):
+    # the points are finite, but their squared norms overflow
+    params = {"data.scale": "1e160", "data.train_n": "40"}
+    if command == "noise-interp":
+        params["data.test_n"] = "40"
+    code, err = _main_unwarned(tmp_path, capsys, command, params)
+    assert code == 2
+    assert err.startswith("config error: kernel matrix would overflow") and "data.scale" in err
     assert err.count("\n") == 1
     assert not (tmp_path / "o").exists()
 
@@ -663,15 +702,6 @@ def test_sgd_scaling_csv(monkeypatch):
     assert rows[0][2] == "linear"
     mstar = max(1.0, float(stats["tr_h"]) / float(stats["lambda_max_h"]))
     assert all(float(r[3]) == mstar == rep.mstar for r in rows)
-
-
-def test_sgd_scaling_thread_invariant(tmp_path):
-    # at this draw numpy's eigvalsh gives lambda_max_h 70476.20274073446
-    # with two threads and ...444 with one, unless the command runs it at one
-    params = {"scan.n": "512", "scan.d": "1024", "scan.target_factor": "1e-2"}
-    one_thread, two_threads = _main_at_one_and_two_blas_threads(
-        tmp_path, "sgd-scaling", params, 10)
-    assert one_thread == two_threads
 
 
 def test_sgd_scaling_overflowing_gram_square_exits_zero(tmp_path, capsys):

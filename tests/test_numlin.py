@@ -1,3 +1,5 @@
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -78,6 +80,95 @@ def test_solve_spd_rejects_bad_matrix_rhs():
 def test_solve_spd_rejects_asymmetric():
     with pytest.raises(NotSymmetric):
         numlin.solve_spd(np.array([[1.0, 0.2], [0.0, 1.0]]), np.ones(2))
+
+
+def _task_count():
+    """Threads of this process; skips where /proc is absent."""
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count threads in")
+    return len(os.listdir("/proc/self/task"))
+
+
+def _scipy_blas_threads():
+    """Thread count of scipy's OpenBLAS, or None where no getter is found."""
+    from scipy.linalg import _flapack
+
+    calls = numlin._blas_symbols(_flapack, (("scipy_openblas_get_num_threads",),
+                                            ("openblas_get_num_threads",)))
+    return None if calls is None else calls[0]()
+
+
+def test_solve_spd_leaves_no_blas_worker_behind(monkeypatch):
+    if numlin._scipy_blas_shutdown() is None:
+        pytest.skip("scipy's BLAS has no thread shutdown call")
+    rng = np.random.default_rng(5)
+    n = 800    # large enough that dpotrf runs on scipy's worker threads
+    a, b = _spd(rng, n, 1e-2), rng.standard_normal(n)
+    indefinite = a.copy()
+    indefinite[-1, -1] = -1.0     # fails at the last minor, after the threaded work
+
+    def refused():
+        with pytest.raises(NotPositiveDefinite):
+            numlin.solve_spd(indefinite, b)
+
+    numlin.solve_spd(np.eye(2), np.ones(2))   # parks what earlier scipy calls left
+    for solve in (lambda: numlin.solve_spd(a, b),
+                  lambda: numlin.solve_spd(a, b, jitter=1e-8), refused):
+        before = _task_count()
+        solve()
+        assert _task_count() == before
+    # the control: unparked, the same solve leaves scipy's worker behind
+    threads = _scipy_blas_threads()
+    monkeypatch.setattr(numlin, "_BLAS_SHUTDOWN_SYMBOL", "no_such_thread_shutdown")
+    before = _task_count()
+    numlin.solve_spd(a, b)
+    left = _task_count() - before
+    monkeypatch.undo()
+    numlin.solve_spd(np.eye(2), np.ones(2))
+    if threads is not None and threads > 1:
+        assert left > 0
+
+
+def test_solve_spd_without_a_shutdown_parks_nothing(monkeypatch):
+    rng = np.random.default_rng(6)
+    a, b = _spd(rng, 300, 1e-2), rng.standard_normal(300)
+    parked = numlin.solve_spd(a, b, jitter=1e-10)
+    monkeypatch.setattr(numlin, "_BLAS_SHUTDOWN_SYMBOL", "no_such_thread_shutdown")
+    assert numlin._scipy_blas_shutdown() is None
+    assert numlin.solve_spd(a, b, jitter=1e-10).tobytes() == parked.tobytes()
+    with pytest.raises(NotPositiveDefinite):
+        numlin.solve_spd(-np.eye(3), np.ones(3))
+
+
+def test_concurrent_solves_match_serial_bits():
+    # two Python threads solve threaded-size systems at once; the lock
+    # around solve_spd's park, factorization and solve keeps them apart
+    rng = np.random.default_rng(7)
+    systems = [(_spd(rng, n, 1e-2), rng.standard_normal((n, k) if k else n), jitter)
+               for n, k, jitter in ((600, 0, 0.0), (700, 3, 1e-10), (650, 0, 1e-8),
+                                    (800, 2, 0.0))]
+    serial = [numlin.solve_spd(a, b, jitter=j).tobytes() for a, b, j in systems]
+    results, errors = {}, []
+
+    def worker(k):
+        order = range(len(systems)) if k == 0 else range(len(systems) - 1, -1, -1)
+        try:
+            for rep in range(3):
+                for i in order:
+                    a, b, j = systems[i]
+                    results[k, rep, i] = numlin.solve_spd(a, b, jitter=j).tobytes()
+        except Exception as exc:   # reported on the main thread below
+            errors.append(exc)
+
+    workers = [threading.Thread(target=worker, args=(k,), daemon=True) for k in range(2)]
+    for t in workers:
+        t.start()
+    for t in workers:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in workers)
+    assert errors == []
+    assert len(results) == 2 * 3 * len(systems)
+    assert all(got == serial[i] for (_, _, i), got in results.items())
 
 
 def _require_symmetric_full_scan(a, name="matrix"):
