@@ -62,7 +62,22 @@ def simplex_example_predict(x) -> float:
     return 1.0 if value > 0.0 else -1.0
 
 
-def simplex_minority_volume(d: int, draws: int, seed: int) -> tuple[float, float]:
+def simplex_scratch(draws: int) -> tuple:
+    """Buffers for simplex_minority_volume at this draw count.
+
+    The (g, e, hit) arrays hold one chunk of min(200_000, draws) points:
+    Gamma draws, exponential draws and hit flags, 3.4 MB at full size.
+    draws is checked first, so a bad count raises InvalidSpec before
+    anything is allocated.
+    """
+    if draws < 1:
+        raise InvalidSpec("draws must be at least 1")
+    chunk = min(200_000, draws)
+    return np.empty(chunk), np.empty(chunk), np.empty(chunk, dtype=bool)
+
+
+def simplex_minority_volume(d: int, draws: int, seed: int,
+                            scratch: tuple | None = None) -> tuple[float, float]:
     """Monte Carlo volume fraction of the -1 region of simplex_example_predict.
 
     Returns (fraction, standard error) over uniform draws from the
@@ -76,19 +91,29 @@ def simplex_minority_volume(d: int, draws: int, seed: int) -> tuple[float, float
     one standard_exponential per point, and a hit is e >= g. No point is
     ever formed; the boundary counts as a hit, as a tie does in
     simplex_example_predict.
+
+    The chunks are filled in place, in the buffers simplex_scratch(draws)
+    returns; their length is the chunk size, which fixes which draws land
+    in g and which in e. ``scratch`` passes such buffers in, so that
+    callers running several dimensions at once (labcli's simplex command,
+    one set per thread) allocate them once on the calling thread; without
+    it the call allocates its own. d and draws are checked before any
+    buffer is made.
     """
     if d < 1:
         raise InvalidSpec("d must be at least 1")
     if draws < 1:
         raise InvalidSpec("draws must be at least 1")
+    g, e, hit = simplex_scratch(draws) if scratch is None else scratch
     rng = substream(seed, "simplex-volume", d)
     hits = 0.0
     done = 0
     while done < draws:
-        chunk = min(200_000, draws - done)
-        g = rng.standard_gamma(d, chunk)
-        e = rng.standard_exponential(chunk)
-        hits += float(np.count_nonzero(e >= g))
+        chunk = min(g.size, draws - done)
+        rng.standard_gamma(d, out=g[:chunk])
+        rng.standard_exponential(out=e[:chunk])
+        np.greater_equal(e[:chunk], g[:chunk], out=hit[:chunk])
+        hits += float(np.count_nonzero(hit[:chunk]))
         done += chunk
     p = hits / draws
     se = float(np.sqrt(max(p * (1.0 - p), 0.0) / draws))

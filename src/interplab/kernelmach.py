@@ -32,8 +32,6 @@ m = n where the norm spikes, is solved through the SVD
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,9 +83,16 @@ def kernel_matrix(spec: KernelSpec, X, Z=None) -> np.ndarray:
     finished in blocks of about _BLOCK_BYTES, so each block stays in cache
     through the whole epilogue: the squared distance
     max(|x|^2 + |z|^2 - 2 x.z, 0), then exp(-d / bw) for laplace with
-    d = sqrt(d^2), or exp(-d^2 / (2 bw^2)) for gaussian. Every entry goes
-    through the same IEEE operations in the same order as the one-expression
-    form, so the blocking does not move a bit. The epilogue treats (i, j)
+    d = sqrt(d^2), or exp(-d^2 / (2 bw^2)) for gaussian. The blocks are
+    split into one contiguous run per core (numlin.on_cores), each with a
+    scratch block allocated before any thread starts, when every run gets
+    at least four blocks; starting and joining a thread costs about as much
+    as two blocks' epilogue, so a call of fewer blocks, such as a
+    prediction at a few points, runs on the calling thread alone. The GEMM
+    is not split, since row blocks of it can round differently from the
+    whole product. Every entry goes through the same IEEE operations in the
+    same order as the one-expression form, so neither the blocking nor the
+    split moves a bit. The epilogue treats (i, j)
     and (j, i) alike, so when Z is None K equals its transpose exactly
     wherever the GEMM's 2 X X^T does. When Z is X (or None) the squared
     distance's diagonal is also set to 0 in each block, so K(x, x) is
@@ -114,24 +119,31 @@ def kernel_matrix(spec: KernelSpec, X, Z=None) -> np.ndarray:
                            f"{max(x_sq.max(), z_sq.max()):.3e}; lower data.scale")
     K = 2.0 * X @ Z.T
     rows = max(1, _BLOCK_BYTES // (K.itemsize * max(1, K.shape[1])))
-    scratch = np.empty((min(rows, K.shape[0]), K.shape[1]))
-    with np.errstate(over="ignore"):
-        for start in range(0, K.shape[0], rows):
-            block = K[start:start + rows]
-            sq = scratch[:block.shape[0]]
-            np.add(x_sq[start:start + rows, None], z_sq, out=sq)
-            np.subtract(sq, block, out=block)
-            np.maximum(block, 0.0, out=block)
-            if Z is X:
-                np.fill_diagonal(block[:, start:start + block.shape[0]], 0.0)
-            if spec.family == GAUSSIAN:
-                np.negative(block, out=block)
-                np.divide(block, 2.0 * spec.bandwidth**2, out=block)
-            else:
-                np.sqrt(block, out=block)
-                np.negative(block, out=block)
-                np.divide(block, spec.bandwidth, out=block)
-            np.exp(block, out=block)
+    starts = range(0, K.shape[0], rows)
+    parts = min(numlin.core_count(), len(starts) // 4) or 1
+    scratch = np.empty((parts, min(rows, K.shape[0]), K.shape[1]))
+
+    def finish(part):
+        own = starts[len(starts) * part // parts:len(starts) * (part + 1) // parts]
+        with np.errstate(over="ignore"):   # numpy's error state is per thread
+            for start in own:
+                block = K[start:start + rows]
+                sq = scratch[part, :block.shape[0]]
+                np.add(x_sq[start:start + rows, None], z_sq, out=sq)
+                np.subtract(sq, block, out=block)
+                np.maximum(block, 0.0, out=block)
+                if Z is X:
+                    np.fill_diagonal(block[:, start:start + block.shape[0]], 0.0)
+                if spec.family == GAUSSIAN:
+                    np.negative(block, out=block)
+                    np.divide(block, 2.0 * spec.bandwidth**2, out=block)
+                else:
+                    np.sqrt(block, out=block)
+                    np.negative(block, out=block)
+                    np.divide(block, spec.bandwidth, out=block)
+                np.exp(block, out=block)
+
+    numlin.on_cores(finish, parts)
     return K
 
 
@@ -217,9 +229,8 @@ def rff_features(freqs: np.ndarray, X) -> np.ndarray:
 
     The phases X freqs^T come from one GEMM. The elementwise i * phase and
     complex exp, most of the work, are split into one contiguous block of
-    rows per available core: block 0 runs on the calling thread and the
-    rest on threads joined before the return (numpy releases the GIL in
-    both loops). Each entry goes through the same operations as in
+    rows per available core, run by numlin.on_cores (numpy releases the
+    GIL in both loops). Each entry goes through the same operations as in
     np.exp((X @ freqs.T) * 1j), so the split moves no bit. Phases that
     overflow raise InvalidInput before any thread starts.
     """
@@ -234,22 +245,14 @@ def rff_features(freqs: np.ndarray, X) -> np.ndarray:
                            "lower data.scale")
     out = np.empty(phase.shape, dtype=complex)
     n = phase.shape[0]
-    parts = max(1, min(len(os.sched_getaffinity(0)), n))
-    edges = [n * i // parts for i in range(parts + 1)]
+    parts = min(numlin.core_count(), n)
 
     def finish(i):
-        rows = slice(edges[i], edges[i + 1])
+        rows = slice(n * i // parts, n * (i + 1) // parts)
         np.multiply(phase[rows], 1j, out=out[rows])
         np.exp(out[rows], out=out[rows])
 
-    workers = [threading.Thread(target=finish, args=(i,)) for i in range(1, parts)]
-    for worker in workers:
-        worker.start()
-    try:
-        finish(0)
-    finally:
-        for worker in workers:
-            worker.join()
+    numlin.on_cores(finish, parts)
     return out
 
 

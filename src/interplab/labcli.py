@@ -42,19 +42,20 @@ from .errors import (
 from .rng import substream
 
 CONFIG_VERSION = "1"   # config files this build accepts
-FORMAT_VERSION = "11"  # CSV bytes; bumped whenever a result moves
+FORMAT_VERSION = "12"  # CSV bytes; bumped whenever a result moves
 COMMANDS = ("noise-interp", "double-descent", "raisin", "loss-compare",
             "simplex", "sgd-scaling", "linearity")
 
 # The commands that run with numpy's OpenBLAS held to one thread, so that
-# numpy's results in them do not depend on the core count. Three call
-# scipy's LAPACK or BLAS, which links an OpenBLAS of its own: the two
-# libraries' idle workers then do not spin against each other either.
-# double-descent calls no scipy, but its complex Gram products and solves
-# otherwise round differently per core count; it spends its other cores
-# on the feature map's exp (kernelmach.rff_features).
-_ONE_NUMPY_BLAS_THREAD = frozenset({"noise-interp", "double-descent", "raisin",
-                                    "sgd-scaling"})
+# numpy's results in them do not depend on the core count: every command
+# but simplex, which makes no BLAS call. Those that call scipy's LAPACK or
+# BLAS, which links an OpenBLAS of its own, also keep the two libraries'
+# idle workers from spinning against each other. The others' products
+# round differently per core count at some sizes: double-descent's complex
+# Gram products, loss-compare's tangent kernel J J^T, linearity's wide
+# scans. Where a command splits work over the cores, it does so itself
+# (numlin.on_cores), bit for bit.
+_ONE_NUMPY_BLAS_THREAD = frozenset(COMMANDS) - {"simplex"}
 
 _CONFIG_ERRORS = (ConfigError, InvalidInput, InvalidSpec, NoAnalyticOracle,
                   NoCorruptedNeighbor)
@@ -310,12 +311,20 @@ def run_simplex_blessing(cfg: ExperimentConfig) -> dict:
     if min(dims) < 1:
         raise ConfigError(f"simplex.dims must be positive, got {min(dims)}")
 
-    def cell(d):
-        est, se = direct.simplex_minority_volume(
-            d, draws, _subseed(cfg.seed, "simplex", d))
-        return d, est, se, 2.0 ** -d
+    # one set of chunk buffers per thread, made here before any thread starts
+    parts = min(numlin.core_count(), len(dims))
+    scratch = [direct.simplex_scratch(draws) for _ in range(parts)]
 
-    rows = [cell(d) for d in dims]
+    def cells(part):
+        rows = []
+        for d in dims[part::parts]:
+            est, se = direct.simplex_minority_volume(
+                d, draws, _subseed(cfg.seed, "simplex", d), scratch[part])
+            rows.append((d, est, se, 2.0 ** -d))
+        return rows
+
+    done = numlin.on_cores(cells, parts)
+    rows = [done[i % parts][i // parts] for i in range(len(dims))]
     return {"simplex.csv": _csv(cfg, "d,estimate,stderr,expected", rows)}
 
 

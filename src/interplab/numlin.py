@@ -25,6 +25,19 @@ its worker threads down) before and after the factorization, so that no
 worker is left spinning once it returns; the next threaded scipy call
 starts them again.
 
+on_cores is the package's one way to use several cores from Python: it
+calls fn(0), ..., fn(count - 1) on at most one thread per core the process
+may run on, the calling thread among them, and joins every thread before
+it returns. kernelmach.kernel_matrix finishes its row blocks through it,
+kernelmach.rff_features its rows, and labcli's simplex command its
+dimensions; numpy releases the GIL in the loops they run. Each caller
+allocates its per-thread scratch arrays on the calling thread before
+calling it: buffers that workers allocate come from fresh malloc arenas
+and raise the peak resident memory. The GEMMs before kernel_matrix's and
+rff_features's epilogues stay single calls: on OpenBLAS, row blocks of a
+product computed apart often round differently from the whole product,
+which would tie the results to the core count.
+
 minnorm_prefixes gives pinv_apply's solution for every column prefix of
 one matrix in a list of widths. It solves each width through the nested
 Gram matrices with one linear solve, and keeps that solution only when
@@ -41,6 +54,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import os
 import threading
 
 import numpy as np
@@ -135,6 +149,52 @@ def one_blas_thread():
         yield
     finally:
         set_(before)
+
+
+def core_count() -> int:
+    """The number of cores this process may run on (its CPU affinity)."""
+    return len(os.sched_getaffinity(0))
+
+
+def on_cores(fn, count: int) -> list:
+    """[fn(0), ..., fn(count - 1)], computed on min(core_count(), count) threads.
+
+    The calling thread is one of them and takes indices 0, t, 2t, ... for
+    t threads; thread w takes w, w + t, and so on. Every thread started is
+    joined before the return, also when fn raises. A thread stops at the
+    first index whose fn raises, and once all are joined the exception of
+    the lowest such index is re-raised: the one a plain loop over the
+    indices would raise. fn runs concurrently with itself, so it should
+    write only to its own index's part of any shared array, and spend its
+    time in numpy loops that release the GIL.
+    """
+    threads = min(core_count(), count)
+    if threads < 1:
+        return []
+    results, errors = [None] * count, [None] * count
+
+    def run(w):
+        for i in range(w, count, threads):
+            try:
+                results[i] = fn(i)
+            except BaseException as exc:   # re-raised on the calling thread
+                errors[i] = exc
+                return
+
+    started = []
+    try:
+        for w in range(1, threads):
+            worker = threading.Thread(target=run, args=(w,))
+            worker.start()
+            started.append(worker)
+        run(0)
+    finally:
+        for worker in started:
+            worker.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def as_array(a, ndim: int, name: str, allow_complex: bool = False) -> np.ndarray:

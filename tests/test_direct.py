@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from interplab import datagen, direct
+from interplab import datagen, direct, numlin
 from interplab.datagen import TwoGaussians
-from interplab.errors import DimensionMismatch, OutsideSimplex
+from interplab.errors import DimensionMismatch, InvalidSpec, OutsideSimplex
 from interplab.rng import substream
 
 
@@ -115,11 +115,11 @@ class _FixedDraws:
     def __init__(self, g, e):
         self.g, self.e = np.asarray(g, dtype=float), np.asarray(e, dtype=float)
 
-    def standard_gamma(self, shape, size):
-        return np.resize(self.g, size)
+    def standard_gamma(self, shape, *, out):
+        out[:] = np.resize(self.g, out.size)
 
-    def standard_exponential(self, size):
-        return np.resize(self.e, size)
+    def standard_exponential(self, *, out):
+        out[:] = np.resize(self.e, out.size)
 
 
 def test_simplex_boundary_counts_as_hit(monkeypatch):
@@ -143,13 +143,13 @@ class _RecordingDraws:
         self.calls = []
         self.rng = np.random.default_rng(0)
 
-    def standard_gamma(self, shape, size):
-        self.calls.append(("gamma", shape, size))
-        return self.rng.standard_gamma(shape, size)
+    def standard_gamma(self, shape, *, out):
+        self.calls.append(("gamma", shape, out.size))
+        self.rng.standard_gamma(shape, out=out)
 
-    def standard_exponential(self, size):
-        self.calls.append(("exponential", size))
-        return self.rng.standard_exponential(size)
+    def standard_exponential(self, *, out):
+        self.calls.append(("exponential", out.size))
+        self.rng.standard_exponential(out=out)
 
 
 def test_simplex_draws_two_numbers_per_point_whatever_d(monkeypatch):
@@ -159,6 +159,41 @@ def test_simplex_draws_two_numbers_per_point_whatever_d(monkeypatch):
         direct.simplex_minority_volume(d, 200_007, seed=0)
         assert stub.calls == [("gamma", d, 200_000), ("exponential", 200_000),
                               ("gamma", d, 7), ("exponential", 7)], d
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_simplex_threads_reusing_scratch_match_serial_calls(cores, force_cores):
+    # each thread reuses one set of buffers across its dims, and a partial
+    # last chunk reads only its prefix: the estimates match fresh buffers
+    draws = 200_007
+    dims = (1, 4, 9, 2, 17)
+    serial = [direct.simplex_minority_volume(d, draws, seed=3 + d) for d in dims]
+    force_cores(cores)
+    parts = min(numlin.core_count(), len(dims))
+    scratch = [direct.simplex_scratch(draws) for _ in range(parts)]
+
+    def cells(part):
+        return [direct.simplex_minority_volume(d, draws, 3 + d, scratch[part])
+                for d in dims[part::parts]]
+
+    done = numlin.on_cores(cells, parts)
+    assert [done[i % parts][i // parts] for i in range(len(dims))] == serial
+
+
+def test_simplex_scratch_sizes_and_validation(monkeypatch):
+    for draws, size in ((1, 1), (7, 7), (200_000, 200_000), (10**9, 200_000)):
+        g, e, hit = direct.simplex_scratch(draws)
+        assert (g.size, e.size, hit.size) == (size, size, size)
+        assert g.dtype == e.dtype == float and hit.dtype == bool
+    # bad counts raise before anything is allocated
+    monkeypatch.setattr(direct.np, "empty", None)
+    for draws in (0, -5):
+        with pytest.raises(InvalidSpec, match="draws"):
+            direct.simplex_scratch(draws)
+        with pytest.raises(InvalidSpec, match="draws"):
+            direct.simplex_minority_volume(3, draws, seed=0)
+    with pytest.raises(InvalidSpec, match="d must"):
+        direct.simplex_minority_volume(0, 10, seed=0)
 
 
 # --- risk sanity ---

@@ -123,6 +123,59 @@ def test_blocked_kernel_matrix_matches_one_expression(seed, monkeypatch):
         check(_points(rng, n, 1))
 
 
+def _split_points(rng, n, dim, root_max):
+    # a quarter of the rows at +-0.7 sqrt(float max) on the first axis:
+    # two of them of opposite sign are a squared distance 1.96 * float max
+    # apart, which overflows to inf and gives the kernel's limit 0
+    X = _points(rng, n, dim)
+    far = rng.random(n) < 0.25
+    X[far] = 0.0
+    X[far, 0] = 0.7 * root_max * rng.choice([-1.0, 1.0], size=int(far.sum()))
+    return X
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_split_kernel_matrix_matches_one_expression(cores, force_cores, monkeypatch):
+    # the row blocks split over the cores move no bit of the one-expression
+    # form, whose diagonal is 1 where kernel_matrix zeroes the distance
+    started = force_cores(cores)
+    rng = substream(cores, "km-split")
+    root_max = math.sqrt(np.finfo(float).max)
+    before = threading.active_count()
+    rows = [1, cores, cores + 1, 4 * cores - 1, 4 * cores, 4 * cores + 1]
+    rows += [int(v) for v in rng.integers(1, 60, size=6)]
+    limits = 0
+    for n in rows:
+        dim = int(rng.integers(1, 6))
+        X = _split_points(rng, n, dim, root_max)
+        Z = _split_points(rng, int(rng.integers(1, 40)), dim, root_max)
+        for family in (km.GAUSSIAN, km.LAPLACE):
+            spec = km.KernelSpec(family, float(rng.choice([0.05, 1.0, 7.3])))
+            for other in (None, X, Z):
+                cols = n if other is None or other is X else Z.shape[0]
+                # one row per block, so that there are n blocks to split
+                monkeypatch.setattr(km, "_BLOCK_BYTES", 8 * cols)
+                with np.errstate(over="ignore"):
+                    want = _kernel_matrix_one_expression(spec, X, other)
+                if other is None or other is X:
+                    np.fill_diagonal(want, 1.0)
+                started.clear()
+                with warnings.catch_warnings():
+                    # an overflow warned on a worker would raise there, then here
+                    warnings.simplefilter("error")
+                    got = km.kernel_matrix(spec, X, other)
+                assert got.tobytes() == want.tobytes(), (n, family, cols)
+                assert len(started) < cores
+                if n < 4:
+                    assert not started, n                 # a few blocks run inline
+                if n >= 4 * cores:
+                    assert len(started) == cores - 1, n   # many use every core
+                assert not any(t.is_alive() for t in started)
+                limits += int(np.count_nonzero(got == 0.0))
+    assert limits > 0
+    assert threading.active_count() == before
+
+
 def test_kernel_matrix_diagonal_is_exactly_one():
     # |x|^2 + |x|^2 - 2 x.x rounds away from 0 on many rows at these sizes,
     # and laplace's sqrt lifts that to about 1e-8 of the diagonal
@@ -367,17 +420,9 @@ def test_minnorm_matches_complex_lstsq_oracle():
 
 
 @pytest.mark.parametrize("cores", [1, 2, 3])
-def test_split_rff_features_match_one_expression(cores, monkeypatch):
+def test_split_rff_features_match_one_expression(cores, force_cores):
     # the row split over the cores moves no bit of exp((X F^T) i)
-    started = []
-
-    class Thread(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(km.os, "sched_getaffinity", lambda pid: set(range(cores)))
-    monkeypatch.setattr(km.threading, "Thread", Thread)
+    started = force_cores(cores)
     rng = substream(cores, "rff-split")
     before = threading.active_count()
     shapes = [(1, 1, 1), (2, 7, 3), (cores + 1, 4, 2)]   # n below, at and above cores

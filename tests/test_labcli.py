@@ -150,10 +150,6 @@ def _main_at_one_and_two_blas_threads(tmp_path, command, params, seed):
 
 # (command, params, seed) runs whose numpy BLAS calls are large enough to
 # thread at two; main must write the same bytes at one thread and at two
-_UNRESOLVED_THREAD_DEPENDENCE = pytest.mark.xfail(
-    reason="numpy's threaded BLAS rounds this command's products differently at "
-           "two threads; holding the command to one would move CSV bytes, which "
-           "waits for a format bump", strict=False)
 _THREAD_CHECK_RUNS = [
     pytest.param("simplex", {}, 1, id="simplex"),
     # numpy's kernel-matrix GEMMs run threaded at two
@@ -168,24 +164,26 @@ _THREAD_CHECK_RUNS = [
     # the kernel GEMMs thread in numpy, the Cholesky solve in scipy
     pytest.param("raisin", {"data.train_n": "1000"}, 1, id="raisin"),
     pytest.param("loss-compare", {}, 1, id="loss-compare"),
-    # the tangent kernel J J^T
+    # the tangent kernel J J^T rounds differently at two numpy BLAS threads,
+    # unless the command runs it at one
     pytest.param("loss-compare", {"model.kind": "mlp", "data.train_n": "300",
                                   "mlp.width": "64", "seeds.count": "2",
-                                  "train.iters": "50"}, 1, id="loss-compare-mlp",
-                 marks=_UNRESOLVED_THREAD_DEPENDENCE),
+                                  "train.iters": "50"}, 1, id="loss-compare-mlp"),
     # at this draw numpy's eigvalsh gives lambda_max_h 70476.20274073446
     # with two threads and ...444 with one, unless the command runs it at one
     pytest.param("sgd-scaling", {"scan.n": "512", "scan.d": "1024",
                                  "scan.target_factor": "1e-2"}, 10, id="sgd-scaling"),
     pytest.param("linearity", {}, 1, id="linearity"),
+    # so does this wide scan, unless the command runs at one
     pytest.param("linearity", {"lin.input_dim": "32", "lin.widths": "512, 2048",
-                               "lin.wrap": "softplus"}, 1, id="linearity-wide",
-                 marks=_UNRESOLVED_THREAD_DEPENDENCE),
+                               "lin.wrap": "softplus"}, 1, id="linearity-wide"),
 ]
 
 
 def test_thread_check_covers_every_command():
+    # every command is checked at one and two threads, and no run is excused
     assert {p.values[0] for p in _THREAD_CHECK_RUNS} == set(labcli.COMMANDS)
+    assert not any(p.marks for p in _THREAD_CHECK_RUNS)
 
 
 @pytest.mark.parametrize("command, params, seed", _THREAD_CHECK_RUNS)
@@ -193,6 +191,19 @@ def test_main_thread_invariant(tmp_path, command, params, seed):
     one_thread, two_threads = _main_at_one_and_two_blas_threads(
         tmp_path, command, params, seed)
     assert one_thread == two_threads
+
+
+def test_simplex_bytes_match_at_any_core_count(force_cores):
+    # the dims split over the cores, one set of chunk buffers per thread
+    params = {"simplex.draws": "200007", "simplex.dims": "1, 2, 3, 6, 10"}
+    runs = {}
+    for cores in (1, 2, 3):
+        started = force_cores(cores)
+        started.clear()
+        runs[cores] = labcli.run_simplex_blessing(_cfg("simplex", params))
+        assert len(started) == cores - 1
+        assert not any(t.is_alive() for t in started)
+    assert runs[1] == runs[2] == runs[3]
 
 
 def test_simplex_reproducible_and_thread_invariant(tmp_path):
@@ -820,9 +831,10 @@ def test_main_end_to_end(tmp_path):
     assert (out / "simplex.csv").read_text() != first   # flag overrides config
 
 
-# the commands that call scipy's LAPACK or BLAS, and double-descent;
-# every other command leaves numpy's OpenBLAS at its thread count
-_ONE_BLAS_THREAD = {"noise-interp", "double-descent", "raisin", "sgd-scaling"}
+# every command but simplex, which makes no BLAS call and leaves numpy's
+# OpenBLAS at its thread count
+_ONE_BLAS_THREAD = {"noise-interp", "double-descent", "raisin", "loss-compare",
+                    "sgd-scaling", "linearity"}
 
 
 @pytest.mark.parametrize("command", labcli.COMMANDS)

@@ -1,5 +1,6 @@
 import os
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -799,3 +800,63 @@ def test_one_blas_thread_without_a_setter_does_nothing(monkeypatch):
         assert threads() == before
         x = numlin.solve_spd(np.eye(2), np.ones(2))
     assert np.array_equal(x, np.ones(2))
+
+
+# --- on_cores ---
+
+def test_core_count_is_the_affinity():
+    assert numlin.core_count() == len(os.sched_getaffinity(0))
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_on_cores_returns_results_in_index_order(cores, force_cores):
+    started = force_cores(cores)
+    before = threading.active_count()
+    for count in sorted({0, 1, max(1, cores - 1), cores, cores + 1, 3 * cores + 2}):
+        started.clear()
+        ran_on = {}
+
+        def fn(i):
+            ran_on[i] = threading.get_ident()
+            return i * i
+
+        assert numlin.on_cores(fn, count) == [i * i for i in range(count)]
+        assert sorted(ran_on) == list(range(count))
+        assert len(started) == max(0, min(cores, count) - 1), count
+        assert len(set(ran_on.values())) <= min(cores, count)
+        if count:
+            assert ran_on[0] == threading.get_ident()   # the caller is one of them
+        assert not any(t.is_alive() for t in started)
+    assert threading.active_count() == before
+
+
+def test_on_cores_raises_the_lowest_index_after_every_join(force_cores):
+    started = force_cores(2)
+    before = threading.active_count()
+    finished = []
+
+    def fn(i):
+        if i == 0:
+            raise ValueError(i)
+        if i == 1:
+            time.sleep(0.1)        # still running long after index 0 raised
+            finished.append(i)
+            raise KeyError(i)
+        finished.append(i)
+        return i
+
+    with pytest.raises(ValueError) as info:
+        numlin.on_cores(fn, 4)
+    assert info.value.args == (0,)
+    assert finished == [1]          # index 1 finished; the caller's 2 never ran
+    assert len(started) == 1 and not started[0].is_alive()
+    assert threading.active_count() == before
+
+    def late(i):
+        if i >= 2:
+            raise ValueError(i)
+        return i
+
+    with pytest.raises(ValueError) as info:
+        numlin.on_cores(late, 5)
+    assert info.value.args == (2,)
