@@ -3,12 +3,12 @@
 Modules
 -------
 rng         deterministic per-purpose random substreams
-numlin      validated dense linear algebra (eig, svd, pinv, solves)
+numlin      validated dense linear algebra (min-norm and SPD solves, top eigenvalue)
 datagen     two-class datasets: synthetic sources, IDX loading, label corruption
 kernelmach  interpolating kernel machines and random-feature sweeps
 direct      the 1-nearest-neighbor rule and the simplex minority volume
-netmodels   one-hidden-layer nets: exact jacobians, hessians, tangent kernels
-optim       full/mini-batch descent on linear or network objectives, certificates
+netmodels   one-hidden-layer nets: exact jacobians, curvature, tangent kernels
+optim       gradient descent on linear or network objectives, batch-size scans
 labcli      experiment runner behind the ``interplab`` command
 """
 
@@ -35,7 +35,6 @@ from .kernelmach import (
     kernel_matrix,
     kernel_predict,
     rff_fit_minnorm,
-    rff_predict,
 )
 from .labcli import ExperimentConfig, main
 from .netmodels import (
@@ -51,8 +50,6 @@ from .optim import (
     gd,
     linear_objective,
     mlp_objective,
-    rate_fit,
-    sgd,
 )
 from .rng import substream
 
@@ -95,12 +92,9 @@ __all__ = [
     "netmodels",
     "numlin",
     "optim",
-    "rate_fit",
     "rff_fit_minnorm",
-    "rff_predict",
     "rng",
     "sample",
-    "sgd",
     "simplex_minority_volume",
     "substream",
     "tangent_kernel",

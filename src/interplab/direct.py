@@ -17,10 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from .datagen import Dataset
-from .errors import DimensionMismatch, InvalidSpec, OutsideSimplex
+from .errors import DimensionMismatch, InvalidSpec
 from .rng import substream
-
-COINCIDENCE_TOL = 1e-12
 
 
 def nearest_neighbor_predict(train: Dataset, X) -> np.ndarray:
@@ -44,24 +42,6 @@ def nearest_neighbor_predict(train: Dataset, X) -> np.ndarray:
 
 # --- standard-simplex worked example ---
 
-def simplex_example_predict(x) -> float:
-    """Closed-form simplicial classifier on the standard simplex.
-
-    This is the piecewise-linear interpolant of the canonical training
-    set: the d unit vertices labeled +1 and the origin labeled -1. On the
-    simplex it reduces to sign(2*sum(x) - 1); an exact tie classifies as
-    -1. Queries outside the standard simplex raise OutsideSimplex.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise DimensionMismatch(f"query must be a nonempty 1-D point, got shape {x.shape}")
-    s = float(x.sum())
-    if np.any(x < -COINCIDENCE_TOL) or s > 1.0 + 1e-9:
-        raise OutsideSimplex("query outside the standard simplex")
-    value = 2.0 * s - 1.0
-    return 1.0 if value > 0.0 else -1.0
-
-
 def simplex_scratch(draws: int) -> tuple:
     """Buffers for simplex_minority_volume at this draw count.
 
@@ -78,9 +58,12 @@ def simplex_scratch(draws: int) -> tuple:
 
 def simplex_minority_volume(d: int, draws: int, seed: int,
                             scratch: tuple | None = None) -> tuple[float, float]:
-    """Monte Carlo volume fraction of the -1 region of simplex_example_predict.
+    """Monte Carlo volume fraction of the -1 region of the simplicial rule.
 
-    Returns (fraction, standard error) over uniform draws from the
+    The rule is the piecewise-linear interpolant of the canonical
+    training set, the d unit vertices labeled +1 and the origin labeled
+    -1; on the standard simplex it is sign(2 sum(x) - 1), a tie going to
+    -1. Returns (fraction, standard error) over uniform draws from the
     standard d-simplex. The exact value is 2**-d.
 
     A uniform point is x = e[:d] / sum(e) for d + 1 iid standard
@@ -89,8 +72,7 @@ def simplex_minority_volume(d: int, draws: int, seed: int,
     which is Gamma(d, 1) (Devroye 1986), so each point costs two draws
     whatever d is: per chunk, first one standard_gamma(d) per point, then
     one standard_exponential per point, and a hit is e >= g. No point is
-    ever formed; the boundary counts as a hit, as a tie does in
-    simplex_example_predict.
+    ever formed; the boundary counts as a hit, as the rule's tie does.
 
     The chunks are filled in place, in the buffers simplex_scratch(draws)
     returns; their length is the chunk size, which fixes which draws land

@@ -50,12 +50,6 @@ class UnknownClass(InterpLabError):
     """A requested class label does not occur in the label file."""
 
 
-# --- direct interpolators ---
-
-class OutsideSimplex(InterpLabError):
-    """Query point lies outside the standard simplex."""
-
-
 # --- numerics ---
 
 class NumericalError(InterpLabError):
@@ -78,16 +72,8 @@ class IllConditioned(NumericalError):
     """Linear system too ill-conditioned to certify the requested residual."""
 
 
-class TooLarge(NumericalError):
-    """Dense computation refused above the size cap."""
-
-
 class Diverged(NumericalError):
     """Optimization trace left the finite range."""
-
-
-class NonPositiveLoss(NumericalError):
-    """Log-domain fit attempted on non-positive loss values."""
 
 
 class TargetUnreachable(NumericalError):

@@ -271,11 +271,6 @@ def rff_fit_minnorm(X, y, freqs) -> RFFModel:
     return RFFModel(freqs=np.array(freqs, dtype=float, copy=True), weights=w)
 
 
-def rff_predict(model: RFFModel, X) -> np.ndarray:
-    """Real part of f(w, x) at the rows of X."""
-    return np.real(rff_features(model.freqs, X) @ model.weights)
-
-
 # --- double descent sweep ---
 
 @dataclass(frozen=True)

@@ -46,17 +46,6 @@ FORMAT_VERSION = "12"  # CSV bytes; bumped whenever a result moves
 COMMANDS = ("noise-interp", "double-descent", "raisin", "loss-compare",
             "simplex", "sgd-scaling", "linearity")
 
-# The commands that run with numpy's OpenBLAS held to one thread, so that
-# numpy's results in them do not depend on the core count: every command
-# but simplex, which makes no BLAS call. Those that call scipy's LAPACK or
-# BLAS, which links an OpenBLAS of its own, also keep the two libraries'
-# idle workers from spinning against each other. The others' products
-# round differently per core count at some sizes: double-descent's complex
-# Gram products, loss-compare's tangent kernel J J^T, linearity's wide
-# scans. Where a command splits work over the cores, it does so itself
-# (numlin.on_cores), bit for bit.
-_ONE_NUMPY_BLAS_THREAD = frozenset(COMMANDS) - {"simplex"}
-
 _CONFIG_ERRORS = (ConfigError, InvalidInput, InvalidSpec, NoAnalyticOracle,
                   NoCorruptedNeighbor)
 
@@ -687,8 +676,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="interplab-out",
                         help="output directory for CSVs and plot scripts")
     parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility and ignored; cells "
-                             "run in order (must be at least 1)")
+                        help="accepted for compatibility and ignored (must be "
+                             "at least 1); numpy's BLAS runs on one thread, and "
+                             "work split over the cores uses every core")
     return parser
 
 
@@ -724,8 +714,8 @@ def main(argv=None) -> int:
         if args.threads < 1:
             raise ConfigError("threads must be at least 1")
         cfg = experiment_config(args.command, params, args.seed, args.out)
-        with (numlin.one_blas_thread() if args.command in _ONE_NUMPY_BLAS_THREAD
-              else contextlib.nullcontext()):
+        # on one numpy BLAS thread, no result depends on the core count
+        with numlin.one_blas_thread():
             artifacts = RUNNERS[args.command](cfg)
         _write_artifacts(cfg.out_dir, artifacts)
         return 0

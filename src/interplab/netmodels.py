@@ -11,9 +11,9 @@ nearly linear around a random init, and that effect is quantified here
 by spectral curvature norms, gradient norms, and tangent-kernel drift
 over a parameter ball.
 
-hessian_norm gives the curvature norm in closed form;
-numlin.spectral_norm(hessian(...)) is the general method and its test
-oracle.
+hessian_norm gives the curvature norm in closed form. The tests check it
+against the general method: the spectral norm of the dense Hessian,
+built one column per hvp.
 """
 
 from dataclasses import dataclass
@@ -21,12 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numlin
-from .errors import InvalidSpec, ShapeMismatch, TooLarge
+from .errors import InvalidSpec, ShapeMismatch
 from .rng import substream
 
 ACTIVATIONS = ("identity", "tanh", "softplus")
 OUTPUT_WRAPS = ("none", "softplus")
-DENSE_HESSIAN_CAP = 3000
 
 
 def _identity(z):
@@ -163,10 +162,6 @@ def forward_batch(model: MLPModel, w, X) -> np.ndarray:
     return _WRAP[model.output_wrap][0](s)
 
 
-def forward(model: MLPModel, w, x) -> float:
-    return float(forward_batch(model, w, _as_point(model, x)[None, :])[0])
-
-
 def jacobian(model: MLPModel, w, X) -> np.ndarray:
     """Per-row gradient of the scalar output, one flat row per input."""
     W = _unflatten(model, w)
@@ -207,21 +202,6 @@ def hvp(model: MLPModel, w, x, vec) -> np.ndarray:
     return np.outer(ddot, x).ravel()
 
 
-def hessian(model: MLPModel, w, x) -> np.ndarray:
-    """Exact dense Hessian of the scalar output, column by column."""
-    n = param_count(model)
-    if n > DENSE_HESSIAN_CAP:
-        raise TooLarge(f"{n} parameters exceed the dense cap {DENSE_HESSIAN_CAP}")
-    x = _as_point(model, x)
-    H = np.empty((n, n))
-    e = np.zeros(n)
-    for j in range(n):
-        e[j] = 1.0
-        H[:, j] = hvp(model, w, x, e)
-        e[j] = 0.0
-    return H
-
-
 def _diag_rank_one_extremes(d, u, rho: float):
     """Smallest and largest eigenvalue of diag(d) + rho u u^T, rho >= 0.
 
@@ -246,8 +226,7 @@ def _diag_rank_one_extremes(d, u, rho: float):
 
 
 def hessian_norm(model: MLPModel, w, x) -> float:
-    """Exact spectral norm of the output Hessian (the general method,
-    numlin.spectral_norm(hessian(...)), is its test oracle).
+    """Exact spectral norm of the output Hessian, in closed form.
 
     The Hessian is A kron x x^T with A = g'(s) c diag(v act''(z)) +
     g''(s) c^2 u u^T, u = v act'(z), z = W x and g the output wrap, so the

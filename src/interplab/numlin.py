@@ -7,23 +7,22 @@ every entry must be finite. Factorizations and eigensolvers are
 delegated to LAPACK through numpy. The one exception is solve_spd's
 Cholesky factor and solve, which call LAPACK dpotrf and dpotrs through
 scipy.linalg.lapack, imported inside solve_spd so that importing this
-module loads no scipy. This
-module pins down the conventions (eigenvalue ordering, pseudo-inverse
-rank cutoff, jitter handling) and the error surface, which the rest of
-the package relies on.
+module loads no scipy. This module pins down the conventions
+(pseudo-inverse rank cutoff, jitter handling) and the error surface,
+which the rest of the package relies on.
 
 A result that numpy's threaded OpenBLAS computes can round differently
 per core count: double-descent's complex Gram products do, and so does
 max_eig's eigvalsh. one_blas_thread holds numpy's OpenBLAS to one thread,
 which makes such results independent of the core count. The CLI runs
-double-descent under it, and the commands that call scipy's LAPACK or
-BLAS: scipy links an OpenBLAS of its own, and each library's worker
-thread spins for a while after every threaded call, so on a machine with
-few cores the two pools would spin against each other. scipy's pool keeps
-its threads for solve_spd's factorization, but solve_spd parks it (shuts
-its worker threads down) before and after the factorization, so that no
-worker is left spinning once it returns; the next threaded scipy call
-starts them again.
+every command under it. For the commands that call scipy's LAPACK or
+BLAS it also matters for speed: scipy links an OpenBLAS of its own, and
+each library's worker thread spins for a while after every threaded
+call, so on a machine with few cores the two pools would spin against
+each other. scipy's pool keeps its threads for solve_spd's
+factorization, but solve_spd parks it (shuts its worker threads down)
+before and after the factorization, so that no worker is left spinning
+once it returns; the next threaded scipy call starts them again.
 
 on_cores is the package's one way to use several cores from Python: it
 calls fn(0), ..., fn(count - 1) on at most one thread per core the process
@@ -66,9 +65,8 @@ from .errors import (
     NotPositiveDefinite,
     NotSymmetric,
 )
-from .rng import substream
 
-RANK_TOL = 1e-10     # pinv and pinv_apply drop singular values <= this * the largest
+RANK_TOL = 1e-10     # pinv_apply drops singular values <= this * the largest
 GRAM_CERT = 1e-8     # minnorm_prefixes keeps a Gram solve when lambda_min > this * lambda_max
 GRAM_PATH, SVD_PATH = "gram", "svd"
 _SCREEN_C = 4        # the Gram screen shifts by (GRAM_CERT + this * k^2 * eps) * ||G||_F
@@ -281,22 +279,6 @@ def solve_spd(a, b, jitter: float = 0.0) -> np.ndarray:
     return x
 
 
-def sym_eig(a) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a symmetric matrix.
-
-    Returns (values, vectors) with eigenvalues sorted descending and
-    eigenvectors as the matching columns of an orthogonal matrix.
-    """
-    a = as_array(a, 2, "A")
-    require_symmetric(a, "A")
-    try:
-        vals, vecs = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"symmetric eigensolver did not converge: {exc}") from exc
-    order = np.argsort(vals)[::-1]
-    return vals[order], vecs[:, order]
-
-
 def max_eig(a) -> float:
     """Largest eigenvalue of a symmetric matrix.
 
@@ -317,43 +299,23 @@ def max_eig(a) -> float:
     return float(vals[-1])
 
 
-def _svd(a: np.ndarray):
-    try:
-        return np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"SVD did not converge: {exc}") from exc
-
-
-def pinv(a) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse with a relative singular value cutoff.
-
-    Singular values at or below RANK_TOL times the largest are treated as
-    exact zeros. The zero matrix maps to the zero matrix of transposed
-    shape.
-    """
-    a = as_array(a, 2, "A")
-    u, s, vt = _svd(a)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((a.shape[1], a.shape[0]))
-    keep = s > RANK_TOL * s[0]
-    inv = np.zeros_like(s)
-    inv[keep] = 1.0 / s[keep]
-    return (vt.T * inv) @ u.T
-
-
 def pinv_apply(a, b) -> np.ndarray:
-    """Return pinv(A) @ b without forming the pseudo-inverse.
+    """The minimum-norm least-squares solution of A x = b, pinv(A) @ b.
 
-    Same singular value cutoff as pinv, RANK_TOL; this is the minimum-norm
-    least-squares solution of A x = b. A and b may be complex, in which
-    case the transposes are conjugate ones and the result is complex.
+    Singular values at or below RANK_TOL times the largest count as exact
+    zeros, the cutoff of np.linalg.pinv(A, rcond=RANK_TOL); the zero
+    matrix gives the zero vector. A and b may be complex, in which case
+    the transposes are conjugate ones and the result is complex.
     """
     a = as_array(a, 2, "A", allow_complex=True)
     b = as_array(b, 1, "b", allow_complex=True)
     if a.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"A is {a.shape} but b has length {b.shape[0]}")
-    u, s, vt = _svd(a)
-    if s.size == 0 or s[0] == 0.0:
+    try:
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"SVD did not converge: {exc}") from exc
+    if s[0] == 0.0:
         return np.zeros(a.shape[1], dtype=np.result_type(a, b))
     # s is sorted descending, so the kept values are a prefix and the
     # slices below are views; conj(conj(b) @ u) is u^H b with no copy of u

@@ -1,16 +1,17 @@
-"""Gradient descent and mini-batch SGD on square-loss fitting problems.
+"""Gradient descent, and the batch-size scan of mini-batch SGD.
 
-The training loss is L(w) = (1/2) sum_i (F(w)_i - y_i)^2, summed rather
+The square loss is L(w) = (1/2) sum_i (F(w)_i - y_i)^2, summed rather
 than averaged, so for linear models the gradient is X^T r, the descent
 certificate uses the Gram matrix X X^T directly, and a unit step solves
-the 1-d quadratic in one move. Mini-batch gradients are rescaled by n/m
-to stay unbiased for the full gradient, which makes the full-batch
-special case coincide with plain gradient descent bit for bit.
+the 1-d quadratic in one move. One function, _loss_grad, gives the loss
+and the gradient of every objective: square or cross-entropy loss, on a
+linear model or a network.
 
-Alongside the optimizers: traces that record the instantaneous
+Alongside gradient descent: traces that record the instantaneous
 gradient-domination ratio (a running lower bound for the
-exponential-rate constant), log-linear rate fits, and a batch-size scan
-that locates where SGD stops scaling linearly.
+exponential-rate constant), and a batch-size scan that locates where
+mini-batch SGD stops scaling linearly. The scan rescales each mini-batch
+gradient by n/m, so that it stays unbiased for the full gradient.
 """
 
 import math
@@ -23,7 +24,6 @@ from .errors import (
     Diverged,
     DimensionMismatch,
     InvalidSpec,
-    NonPositiveLoss,
     TargetUnreachable,
 )
 from .rng import substream
@@ -74,9 +74,9 @@ def param_dim(obj: Objective) -> int:
     return netmodels.param_count(obj.mlp)
 
 
-def _loss_grad(obj: Objective, w, rows=slice(None)) -> tuple:
-    """(loss, gradient) at w over the selected rows of the dataset."""
-    X, y = obj.X[rows], obj.y[rows]
+def _loss_grad(obj: Objective, w) -> tuple:
+    """(loss, gradient) at w over the whole dataset."""
+    X, y = obj.X, obj.y
     if obj.mlp is None:
         f, J = X @ np.asarray(w, dtype=float), X
     else:
@@ -89,14 +89,6 @@ def _loss_grad(obj: Objective, w, rows=slice(None)) -> tuple:
 
     margins = -y * f
     return float(np.sum(np.logaddexp(0.0, margins))), J.T @ (-y * expit(margins))
-
-
-def loss_value(obj: Objective, w) -> float:
-    return _loss_grad(obj, w)[0]
-
-
-def loss_grad(obj: Objective, w) -> np.ndarray:
-    return _loss_grad(obj, w)[1]
 
 
 @dataclass(frozen=True)
@@ -136,22 +128,17 @@ class _Recorder:
             param_norm=a[:, 3], plstar=a[:, 4], final_w=np.array(w))
 
 
-def _check_run_args(obj, w0, step, iters, record_every):
-    w0 = np.asarray(w0, dtype=float)
-    if w0.shape != (param_dim(obj),):
+def gd(obj: Objective, w0, step: float, iters: int,
+       record_every: int = 1) -> OptimTrace:
+    """Full-gradient descent; records every record_every steps plus the ends."""
+    w = np.array(w0, dtype=float)
+    if w.shape != (param_dim(obj),):
         raise DimensionMismatch(
-            f"w0 has shape {w0.shape}, expected ({param_dim(obj)},)")
+            f"w0 has shape {w.shape}, expected ({param_dim(obj)},)")
     if not 0.0 < step < math.inf:
         raise InvalidSpec(f"step must be positive and finite, got {step}")
     if iters < 0 or record_every < 1:
         raise InvalidSpec("iters must be nonnegative and record_every positive")
-    return w0
-
-
-def gd(obj: Objective, w0, step: float, iters: int,
-       record_every: int = 1) -> OptimTrace:
-    """Full-gradient descent; records every record_every steps plus the ends."""
-    w = _check_run_args(obj, w0, step, iters, record_every).copy()
     rec = _Recorder()
     for t in range(iters + 1):
         lv, g = _loss_grad(obj, w)
@@ -162,58 +149,6 @@ def gd(obj: Objective, w0, step: float, iters: int,
         if t < iters:
             w -= step * g
     return rec.done(w)
-
-
-def sgd(obj: Objective, w0, step: float, batch: int, iters: int, seed: int,
-        record_every: int = 1) -> OptimTrace:
-    """Mini-batch descent, batches uniform without replacement each step.
-
-    The batch gradient is scaled by n/batch so it estimates the full
-    gradient; with batch=n the update reproduces gd exactly. Loss and
-    gradient norms are evaluated at the recording cadence (divergence is
-    checked there too, so a blow-up between sparse records surfaces at
-    the next record).
-    """
-    w = _check_run_args(obj, w0, step, iters, record_every).copy()
-    n = obj.X.shape[0]
-    if not 1 <= batch <= n:
-        raise InvalidSpec(f"batch must lie in [1, {n}], got {batch}")
-    rng = substream(seed, "sgd-batches")
-    scale = n / batch
-    rec = _Recorder()
-    for t in range(iters + 1):
-        if t % record_every == 0 or t == iters:
-            lv, g = _loss_grad(obj, w)
-            if not lv <= DIVERGE_CAP:
-                raise Diverged(f"loss {lv:.3e} exceeded {DIVERGE_CAP:.0e} at step {t}")
-            rec.add(t, w, lv, g)
-        if t < iters:
-            idx = np.sort(rng.choice(n, size=batch, replace=False))
-            w -= step * scale * _loss_grad(obj, w, idx)[1]
-    return rec.done(w)
-
-
-def rate_fit(trace: OptimTrace, window: tuple) -> tuple:
-    """Least-squares slope of log loss over the iteration window.
-
-    Returns (rate, r_squared); rate is the per-iteration log decrement.
-    A perfectly flat window fits exactly, so its r_squared is 1.
-    """
-    lo, hi = window
-    mask = (trace.iters >= lo) & (trace.iters <= hi)
-    if mask.sum() < 2:
-        raise InvalidSpec(f"window {window} selects fewer than two records")
-    losses = trace.loss[mask]
-    if np.any(losses <= 0.0):
-        raise NonPositiveLoss("log fit needs strictly positive losses")
-    t = trace.iters[mask].astype(float)
-    logl = np.log(losses)
-    slope, intercept = np.polyfit(t, logl, 1)
-    pred = slope * t + intercept
-    ss_res = float(np.sum((logl - pred) ** 2))
-    ss_tot = float(np.sum((logl - logl.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), r2
 
 
 # --- batch-size scaling ---

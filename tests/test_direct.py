@@ -3,8 +3,10 @@ import pytest
 
 from interplab import datagen, direct, numlin
 from interplab.datagen import TwoGaussians
-from interplab.errors import DimensionMismatch, InvalidSpec, OutsideSimplex
+from interplab.errors import DimensionMismatch, InvalidSpec
 from interplab.rng import substream
+
+from oracles import simplex_rule
 
 
 def _toy(X, y):
@@ -37,20 +39,13 @@ def test_neighbor_predictor_validation():
 # --- standard-simplex closed form ---
 
 def test_simplex_example_vertices_and_origin():
-    assert direct.simplex_example_predict(np.array([1.0, 0.0, 0.0])) == 1.0
-    assert direct.simplex_example_predict(np.zeros(3)) == -1.0
+    assert simplex_rule(np.array([1.0, 0.0, 0.0])) == 1.0
+    assert simplex_rule(np.zeros(3)) == -1.0
 
 
 def test_simplex_example_tie_goes_negative():
-    assert direct.simplex_example_predict(np.array([0.25, 0.25])) == -1.0
-    assert direct.simplex_example_predict(np.array([0.5])) == -1.0
-
-
-def test_simplex_example_outside():
-    with pytest.raises(OutsideSimplex):
-        direct.simplex_example_predict(np.array([0.8, 0.3]))
-    with pytest.raises(OutsideSimplex):
-        direct.simplex_example_predict(np.array([-0.1, 0.2]))
+    assert simplex_rule(np.array([0.25, 0.25])) == -1.0
+    assert simplex_rule(np.array([0.5])) == -1.0
 
 
 def test_simplex_minority_volume_d3():
@@ -62,15 +57,15 @@ def test_simplex_minority_volume_agrees_with_scalar_predictor():
     rng = np.random.default_rng(9)
     e = rng.standard_exponential((500, 4))
     pts = (e / e.sum(axis=1, keepdims=True))[:, :3]
-    scalar = np.array([direct.simplex_example_predict(p) for p in pts])
+    scalar = np.array([simplex_rule(p) for p in pts])
     vector = np.where(2.0 * pts.sum(axis=1) - 1.0 > 0, 1.0, -1.0)
     assert np.array_equal(scalar, vector)
 
 
 def _normalized_hits(d, draws, rng):
     """Hit count of the d + 1 exponential form: each point e[:d] / sum(e)
-    is formed on the simplex and classified as simplex_example_predict
-    does. Kept as the reference for the law of simplex_minority_volume."""
+    is formed on the simplex and classified as the simplex rule does.
+    Kept as the reference for the law of simplex_minority_volume."""
     hits = done = 0
     while done < draws:
         chunk = min(200_000, draws - done)
@@ -124,7 +119,7 @@ class _FixedDraws:
 
 def test_simplex_boundary_counts_as_hit(monkeypatch):
     # a tie e == g puts the point on 2 * sum(x) = 1, with sum(x) =
-    # g / (g + e), which simplex_example_predict classifies as -1: a hit
+    # g / (g + e), which the simplex rule classifies as -1: a hit
     g = [1.0, 2.0, 0.75, 3.0, 0.5, 0.5]
     e = [1.0, 1.0, 0.75, 3.0, 0.25, 0.75]
     for d in (1, 2, 7):
@@ -132,7 +127,7 @@ def test_simplex_boundary_counts_as_hit(monkeypatch):
         frac, _ = direct.simplex_minority_volume(d, len(g), seed=0)
         assert frac * len(g) == 4                 # the three ties and e > g
     for gi, ei in zip(g, e):
-        hit = direct.simplex_example_predict(np.array([gi / (gi + ei)])) == -1.0
+        hit = simplex_rule(np.array([gi / (gi + ei)])) == -1.0
         assert hit == (ei >= gi), (gi, ei)
 
 

@@ -831,12 +831,6 @@ def test_main_end_to_end(tmp_path):
     assert (out / "simplex.csv").read_text() != first   # flag overrides config
 
 
-# every command but simplex, which makes no BLAS call and leaves numpy's
-# OpenBLAS at its thread count
-_ONE_BLAS_THREAD = {"noise-interp", "double-descent", "raisin", "loss-compare",
-                    "sgd-scaling", "linearity"}
-
-
 @pytest.mark.parametrize("command", labcli.COMMANDS)
 @pytest.mark.parametrize("code, error", [(0, None), (2, ConfigError("bad value")),
                                          (3, NoConvergence("stalled")),
@@ -862,7 +856,7 @@ def test_main_holds_numpy_blas_to_one_thread(tmp_path, capsys, monkeypatch,
                 labcli.main(argv)
         else:
             assert labcli.main(argv) == code
-        assert inside == [1 if command in _ONE_BLAS_THREAD else 2]
+        assert inside == [1]
         assert get() == 2
     finally:
         set_(before)
@@ -1306,15 +1300,16 @@ _LAZY_SCIPY_SITES = {
     "optim._batch_one_steps": _main_source("sgd-scaling", _TINY["sgd-scaling"]),
     "netmodels._softplus_d": _main_source(
         "linearity", _TINY["linearity"] + "lin.wrap = softplus\n"),
-    # the next two reach the one import in optim._loss_grad, full batch and
-    # with a row batch; the keys keep the ids these runs have always had
+    # the next two reach the one import in optim._loss_grad, through a
+    # command and through gd on its own; the keys keep the ids these runs
+    # have always had
     "optim._loss_residual": _main_source("loss-compare", _TINY["loss-compare"]),
     "optim._batch_grad": (
         "import numpy as np\n"
         "X = np.arange(12.0).reshape(4, 3) / 10.0\n"
         "obj = optim.linear_objective(X, np.array([1.0, -1.0, 1.0, -1.0]),\n"
         "                             loss=optim.CROSS_ENTROPY)\n"
-        "optim.sgd(obj, np.zeros(3), 0.1, batch=2, iters=3, seed=0)\n"),
+        "optim.gd(obj, np.zeros(3), 0.1, 3)\n"),
 }
 
 

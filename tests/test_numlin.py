@@ -310,64 +310,81 @@ def test_solve_spd_jitter_shifts_system():
     assert np.allclose(x, [1.0 / 3.0, 1.0 / 5.0], atol=1e-14)
 
 
-# --- sym_eig ---
+# --- max_eig ---
 
 def test_sym_eig_diagonal():
-    vals, vecs = numlin.sym_eig(np.diag([1.0, 3.0]))
-    assert np.allclose(vals, [3.0, 1.0])
-    assert np.allclose(np.abs(vecs), [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
+    assert numlin.max_eig(np.diag([1.0, 3.0])) == 3.0
 
 
 def test_sym_eig_exchange_matrix():
-    vals, vecs = numlin.sym_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(vals, [1.0, -1.0], atol=1e-14)
-    for j, lam in enumerate(vals):
-        v = vecs[:, j]
-        assert np.allclose(np.array([[0.0, 1.0], [1.0, 0.0]]) @ v, lam * v, atol=1e-14)
+    a = np.array([[0.0, 1.0], [1.0, 0.0]])
+    lam = numlin.max_eig(a)
+    assert abs(lam - 1.0) <= 1e-14
+    v = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    assert np.allclose(a @ v, lam * v, atol=1e-14)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_sym_eig_reconstruction_and_orthonormality(seed):
+    # the top eigenvalue is scipy's, a - lam I is singular, and no Rayleigh
+    # quotient exceeds it
     rng = np.random.default_rng(100 + seed)
     n = rng.integers(2, 30)
     m = rng.standard_normal((n, n))
     a = 0.5 * (m + m.T)
-    vals, vecs = numlin.sym_eig(a)
-    scale = max(np.abs(vals).max(), 1e-300)
-    assert np.all(np.diff(vals) <= 1e-12 * scale)
-    recon = (vecs * vals) @ vecs.T
-    assert np.abs(recon - a).max() <= 1e-8 * max(np.abs(a).max(), 1.0)
-    assert np.abs(vecs.T @ vecs - np.eye(n)).max() <= 1e-10
-    assert abs(vals.sum() - np.trace(a)) <= 1e-8 * max(abs(np.trace(a)), 1.0)
+    lam = numlin.max_eig(a)
+    scale = max(np.abs(a).max(), 1.0)
+    assert abs(lam - eigh(a, eigvals_only=True)[-1]) <= 1e-12 * scale
+    shifted = a - lam * np.eye(n)
+    assert np.linalg.svd(shifted, compute_uv=False)[-1] <= 1e-10 * scale
+    v = rng.standard_normal((n, 50))
+    rayleigh = np.einsum("ij,ij->j", v, a @ v) / np.einsum("ij,ij->j", v, v)
+    assert np.all(rayleigh <= lam + 1e-12 * scale)
 
 
 def test_sym_eig_det_sign_2x2():
+    # for a 2 x 2 matrix the other eigenvalue is trace - lam, and the two
+    # multiply to the determinant
     rng = np.random.default_rng(7)
     for _ in range(20):
         m = rng.standard_normal((2, 2))
         a = 0.5 * (m + m.T)
-        vals, _ = numlin.sym_eig(a)
+        lam = numlin.max_eig(a)
         det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        assert np.sign(vals[0] * vals[1]) == np.sign(det) or abs(det) < 1e-12
+        closed = 0.5 * (np.trace(a) + np.hypot(a[0, 0] - a[1, 1], 2.0 * a[0, 1]))
+        assert abs(lam - closed) <= 1e-14 * max(1.0, abs(closed))
+        assert np.sign(lam * (np.trace(a) - lam)) == np.sign(det) or abs(det) < 1e-12
 
 
-# --- pinv / pinv_apply ---
+# --- pinv_apply ---
+
+def _pinv_columns(a):
+    """pinv(A), one pinv_apply call per column."""
+    return np.column_stack([numlin.pinv_apply(a, e) for e in np.eye(a.shape[0])])
+
+
+def _numpy_pinv(a):
+    """numpy's pseudo-inverse at pinv_apply's rank cutoff, the reference."""
+    return np.linalg.pinv(a, rcond=numlin.RANK_TOL)
+
 
 def test_pinv_identity():
-    assert np.allclose(numlin.pinv(np.eye(3)), np.eye(3), atol=1e-12)
+    assert np.allclose(_pinv_columns(np.eye(3)), np.eye(3), atol=1e-12)
 
 
 def test_pinv_row_vector_known_value():
     # Minimum-norm preimage of 1 under [1 1] is (1/2, 1/2).
-    p = numlin.pinv(np.array([[1.0, 1.0]]))
+    p = _pinv_columns(np.array([[1.0, 1.0]]))
     assert p.shape == (2, 1)
     assert np.allclose(p, [[0.5], [0.5]], atol=1e-14)
+    assert np.allclose(_numpy_pinv(np.array([[1.0, 1.0]])), p, atol=1e-14)
 
 
 def test_pinv_zero_matrix():
-    p = numlin.pinv(np.zeros((3, 5)))
+    p = _pinv_columns(np.zeros((3, 5)))
     assert p.shape == (5, 3)
     assert np.all(p == 0.0)
+    assert np.all(_numpy_pinv(np.zeros((3, 5))) == 0.0)
 
 
 def _penrose_gap(a, p):
@@ -387,7 +404,7 @@ def test_pinv_penrose_identities(seed):
     n, m = rng.integers(2, 25, size=2)
     r = int(min(n, m) if seed % 2 == 0 else max(1, min(n, m) // 2))
     a = rng.standard_normal((n, r)) @ rng.standard_normal((r, m))
-    p = numlin.pinv(a)
+    p = _pinv_columns(a)
     assert _penrose_gap(a, p) <= 1e-7
 
 
@@ -395,7 +412,7 @@ def test_pinv_overparam_matches_right_inverse_formula():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((5, 12))
     oracle = x.T @ np.linalg.inv(x @ x.T)
-    assert np.abs(numlin.pinv(x) - oracle).max() <= 1e-10
+    assert np.abs(_pinv_columns(x) - oracle).max() <= 1e-10
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -404,17 +421,18 @@ def test_pinv_apply_matches_pinv(seed):
     n, m = rng.integers(2, 30, size=2)
     a = rng.standard_normal((n, m))
     b = rng.standard_normal(n)
-    assert np.allclose(numlin.pinv_apply(a, b), numlin.pinv(a) @ b, atol=1e-10)
+    assert np.allclose(numlin.pinv_apply(a, b), _numpy_pinv(a) @ b, atol=1e-10)
 
 
 def test_pinv_rank_tol_zeroes_small_directions():
     # RANK_TOL is 1e-10: a singular value at 1e-13 of the largest is dropped,
-    # one at 1e-9 is kept
+    # one at 1e-9 is kept, by pinv_apply and by numpy's cutoff alike
     a = np.diag([1.0, 1e-13])
-    p = numlin.pinv(a)
-    assert np.allclose(p, np.diag([1.0, 0.0]), atol=1e-14)
-    p_keep = numlin.pinv(np.diag([1.0, 1e-9]))
-    assert p_keep[1, 1] == pytest.approx(1e9, rel=1e-10)
+    for p in (_pinv_columns(a), _numpy_pinv(a)):
+        assert np.allclose(p, np.diag([1.0, 0.0]), atol=1e-14)
+    keep = np.diag([1.0, 1e-9])
+    for p in (_pinv_columns(keep), _numpy_pinv(keep)):
+        assert p[1, 1] == pytest.approx(1e9, rel=1e-10)
 
 
 # --- spectral_norm ---

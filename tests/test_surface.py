@@ -2,47 +2,25 @@
 
 Every command runs once through labcli.main under a profile hook that
 records each Python function called. Each public module-level function of
-the package must then be reached by a command, be wrapped by the
-benchmark's traced run (perfbench/workloads.py TRACED), or be listed in
-ORACLES with the test that uses it as a reference.
+the package must then be reached by a command or be wrapped by the
+benchmark's traced run (perfbench/workloads.py TRACED). Reference methods
+that only tests use live in tests/oracles.py. Each error class must be
+raised by package code, or be a base class of one that is.
 """
 
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 import sys
 
 import numpy as np
 
 import interplab
-from interplab import labcli
+from interplab import errors, labcli
 from test_labcli import _TINY, _write_idx
 from test_trace_targets import _workloads
-
-# functions no command calls, kept because the named test checks a command's
-# fast path against them, or asserts a paper claim with them
-ORACLES = {
-    "interplab.direct.simplex_example_predict":
-        "test_direct.py::test_simplex_minority_volume_agrees_with_scalar_predictor",
-    "interplab.kernelmach.rff_predict":
-        "test_kernelmach.py::test_sweep_matches_per_width_fit_reference",
-    "interplab.netmodels.forward":
-        "test_acceptance.py::test_transition_to_linearity_and_wrap",
-    "interplab.netmodels.hessian":
-        "test_acceptance.py::test_transition_to_linearity_and_wrap",
-    "interplab.numlin.pinv":
-        "test_acceptance.py::test_min_norm_alignment_50_problems",
-    "interplab.numlin.sym_eig":
-        "test_acceptance.py::test_min_norm_alignment_50_problems",
-    "interplab.optim.sgd":
-        "test_acceptance.py::test_sgd_exponential_vs_plateau",
-    "interplab.optim.rate_fit":
-        "test_acceptance.py::test_sgd_exponential_vs_plateau",
-    "interplab.optim.loss_value":
-        "test_acceptance.py::test_sgd_exponential_vs_plateau",
-    "interplab.optim.loss_grad":
-        "test_optim.py::test_cross_entropy_objective_path",
-}
 
 
 def _public_functions():
@@ -102,24 +80,36 @@ def test_every_public_function_is_reached_traced_or_an_oracle(tmp_path, capsys):
               for name in names}
     reached = _reached_code(tmp_path)
     capsys.readouterr()
-    functions = _public_functions()
-    unreached = {name for name, fn in functions.items() if fn.__code__ not in reached}
-    orphans = sorted(unreached - traced - set(ORACLES))
-    assert not orphans, f"no command, traced run or oracle test uses {orphans}"
-    # the table stays exact: each entry is a function no command reaches,
-    # and the test it names exists and calls it
-    assert not set(ORACLES) - unreached, sorted(set(ORACLES) - unreached)
-    for dotted, where in ORACLES.items():
-        path, test = where.split("::")
-        module = importlib.import_module(path.removesuffix(".py"))
-        source = inspect.getsource(getattr(module, test))
-        assert dotted.rsplit(".", 1)[1] + "(" in source, (dotted, where)
+    unreached = {name for name, fn in _public_functions().items()
+                 if fn.__code__ not in reached}
+    orphans = sorted(unreached - traced)
+    assert not orphans, f"no command or traced run uses {orphans}"
+
+
+def _raised_names():
+    """Names of the classes that the package's raise statements construct."""
+    names = set()
+    for path in pathlib.Path(interplab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                names.add(ast.unparse(node.exc.func).rsplit(".", 1)[-1])
+    return names
+
+
+def test_every_error_class_is_raised():
+    classes = {name: cls for name, cls in vars(errors).items()
+               if inspect.isclass(cls) and issubclass(cls, Exception)}
+    names = _raised_names()
+    raised = [cls for name, cls in classes.items() if name in names]
+    unused = sorted(name for name, cls in classes.items()
+                    if not any(issubclass(r, cls) for r in raised))
+    assert not unused, f"no package code raises {unused}"
 
 
 # names the package used to export; each was deleted with the code behind it
 _DELETED = {"knn_predict_batch", "make_neighbor_predictor", "NeighborPredictor",
             "CLASSIFICATION", "REGRESSION", "NotClassification", "EmptyTrainingSet",
-            "ArchTemplate"}
+            "ArchTemplate", "sgd", "rate_fit", "rff_predict"}
 
 
 def test_all_names_resolve_and_match_the_package_namespace():
