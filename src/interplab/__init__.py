@@ -8,7 +8,7 @@ datagen     two-class datasets: synthetic sources, IDX loading, label corruption
 kernelmach  interpolating kernel machines and random-feature sweeps
 direct      the 1-nearest-neighbor rule and the simplex minority volume
 netmodels   one-hidden-layer nets: exact jacobians, curvature, tangent kernels
-optim       gradient descent on linear or network objectives, batch-size scans
+optim       gradient descent on linear models or networks, batch-size scans
 labcli      experiment runner behind the ``interplab`` command
 """
 
@@ -44,13 +44,7 @@ from .netmodels import (
     linearity_scan,
     tangent_kernel,
 )
-from .optim import (
-    OptimTrace,
-    critical_batch_scan,
-    gd,
-    linear_objective,
-    mlp_objective,
-)
+from .optim import critical_batch_scan, gd
 from .rng import substream
 
 __version__ = "0.1.0"
@@ -63,7 +57,6 @@ __all__ = [
     "KernelMachine",
     "KernelSpec",
     "MLPModel",
-    "OptimTrace",
     "RFFModel",
     "TwoGaussians",
     "UniformSimplex",
@@ -82,12 +75,10 @@ __all__ = [
     "kernel_predict",
     "kernelmach",
     "labcli",
-    "linear_objective",
     "linearity_scan",
     "load_idx",
     "main",
     "make_dataset",
-    "mlp_objective",
     "nearest_neighbor_predict",
     "netmodels",
     "numlin",

@@ -73,7 +73,7 @@ class IllConditioned(NumericalError):
 
 
 class Diverged(NumericalError):
-    """Optimization trace left the finite range."""
+    """Gradient descent's loss left the finite range."""
 
 
 class TargetUnreachable(NumericalError):

@@ -521,16 +521,14 @@ def run_loss_comparison(cfg: ExperimentConfig) -> dict:
         train, test, _ = _train_test(cfg, _subseed(cfg.seed, "lc", s),
                                      train_n, test_n)
         if kind == "linear":
+            model = None
             w0 = np.zeros(train.dim)
-            make = lambda loss: optim.linear_objective(train.X, train.y, loss=loss)
             with np.errstate(over="ignore", invalid="ignore"):   # checked below
                 K = train.X @ train.X.T
         elif kind == "mlp":
             model = netmodels.init_mlp(train.dim, values["mlp.width"], "tanh",
                                        seed=_subseed(cfg.seed, "lc-init", s))
             w0 = netmodels.flatten_params(model)
-            make = lambda loss: optim.mlp_objective(model, train.X, train.y,
-                                                    loss=loss)
             K = netmodels.tangent_kernel(model, None, train.X)
         else:
             raise ConfigError(f"model.kind must be linear or mlp, got {kind!r}")
@@ -550,10 +548,8 @@ def run_loss_comparison(cfg: ExperimentConfig) -> dict:
 
         out = []
         for loss in (optim.SQUARE, optim.CROSS_ENTROPY):
-            obj = make(loss)
-            trace = optim.gd(obj, w0, step, iters, record_every=iters)
-            w = trace.final_w
-            if kind == "linear":
+            w = optim.gd(train.X, train.y, w0, step, iters, loss=loss, model=model)
+            if model is None:
                 f_train, f_test = train.X @ w, test.X @ w
             else:
                 f_train = netmodels.forward_batch(model, w, train.X)
@@ -598,10 +594,9 @@ def run_sgd_scaling(cfg: ExperimentConfig) -> dict:
     cov_sqrt = np.sqrt(np.concatenate([[spike], np.ones(d - 1)]))
     X = rng.standard_normal((n, d)) * cov_sqrt
     y = X @ rng.standard_normal(d)
-    obj = optim.linear_objective(X, y)
     with np.errstate(over="ignore"):    # the scan rejects an overflowed y @ y
         target = values["scan.target_factor"] * 0.5 * float(y @ y)
-    report = optim.critical_batch_scan(obj, grid, target, values["scan.seeds"],
+    report = optim.critical_batch_scan(X, y, grid, target, values["scan.seeds"],
                                        iter_cap=values["scan.iter_cap"])
 
     stats = (f"# tr_h={_fmt(report.tr_h)} lambda_max_h={_fmt(report.lambda_max_h)} "

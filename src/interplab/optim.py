@@ -1,17 +1,15 @@
 """Gradient descent, and the batch-size scan of mini-batch SGD.
 
 The square loss is L(w) = (1/2) sum_i (F(w)_i - y_i)^2, summed rather
-than averaged, so for linear models the gradient is X^T r, the descent
-certificate uses the Gram matrix X X^T directly, and a unit step solves
+than averaged, so for linear models the gradient is X^T r, the Gram
+matrix X X^T sets the contraction per step, and a unit step solves
 the 1-d quadratic in one move. One function, _loss_grad, gives the loss
 and the gradient of every objective: square or cross-entropy loss, on a
 linear model or a network.
 
-Alongside gradient descent: traces that record the instantaneous
-gradient-domination ratio (a running lower bound for the
-exponential-rate constant), and a batch-size scan that locates where
-mini-batch SGD stops scaling linearly. The scan rescales each mini-batch
-gradient by n/m, so that it stays unbiased for the full gradient.
+Alongside gradient descent, a batch-size scan locates where mini-batch
+SGD stops scaling linearly. The scan rescales each mini-batch gradient
+by n/m, so that it stays unbiased for the full gradient.
 """
 
 import math
@@ -34,55 +32,28 @@ DIVERGE_CAP = 1e12
 DEFAULT_ITER_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
-class Objective:
-    """Square or logistic loss over a fixed dataset.
-
-    mlp=None means the linear model F(w) = X w, where the rows of X are
-    whatever features the caller built (raw inputs, kernel features,
-    embedded trig features). Otherwise X holds network inputs and the
-    parameters follow the model's flat layout.
-    """
-
-    X: np.ndarray
-    y: np.ndarray
-    mlp: object = None
-    loss: str = SQUARE
-
-
-def _objective(X, y, mlp, loss: str) -> Objective:
+def _arrays(X, y):
+    """X and y as float arrays, checked: X 2-D with one target per row."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or y.shape != (X.shape[0],):
         raise DimensionMismatch(f"rows {X.shape} incompatible with targets {y.shape}")
-    if loss not in (SQUARE, CROSS_ENTROPY):
-        raise InvalidSpec(f"unknown loss {loss!r}")
-    return Objective(X=X, y=y, mlp=mlp, loss=loss)
+    return X, y
 
 
-def linear_objective(X, y, loss: str = SQUARE) -> Objective:
-    return _objective(X, y, None, loss)
+def _loss_grad(X, y, w, loss: str = SQUARE, model=None) -> tuple:
+    """(loss, gradient) at w over the whole dataset.
 
-
-def mlp_objective(model, X, y, loss: str = SQUARE) -> Objective:
-    return _objective(X, y, model, loss)
-
-
-def param_dim(obj: Objective) -> int:
-    if obj.mlp is None:
-        return obj.X.shape[1]
-    return netmodels.param_count(obj.mlp)
-
-
-def _loss_grad(obj: Objective, w) -> tuple:
-    """(loss, gradient) at w over the whole dataset."""
-    X, y = obj.X, obj.y
-    if obj.mlp is None:
+    model=None means the linear model F(w) = X w, where the rows of X are
+    whatever features the caller built. Otherwise X holds network inputs
+    and w follows the model's flat parameter layout.
+    """
+    if model is None:
         f, J = X @ np.asarray(w, dtype=float), X
     else:
-        f = netmodels.forward_batch(obj.mlp, w, X)
-        J = netmodels.jacobian(obj.mlp, w, X)
-    if obj.loss == SQUARE:
+        f = netmodels.forward_batch(model, w, X)
+        J = netmodels.jacobian(model, w, X)
+    if loss == SQUARE:
         r = f - y
         return 0.5 * float(r @ r), J.T @ r
     from scipy.special import expit
@@ -91,64 +62,31 @@ def _loss_grad(obj: Objective, w) -> tuple:
     return float(np.sum(np.logaddexp(0.0, margins))), J.T @ (-y * expit(margins))
 
 
-@dataclass(frozen=True)
-class OptimTrace:
-    iters: np.ndarray       # strictly increasing record indices
-    loss: np.ndarray
-    grad_norm: np.ndarray
-    param_norm: np.ndarray
-    plstar: np.ndarray      # 0.5 * grad_norm^2 / loss, +inf at zero loss
-    final_w: np.ndarray
+def gd(X, y, w0, step: float, iters: int, loss: str = SQUARE, model=None) -> np.ndarray:
+    """The weights after iters steps of full-gradient descent from w0, on
+    the loss and model that _loss_grad takes.
 
-
-def _norm(v) -> float:
-    """|v|, computed on v scaled by a power of two near its largest entry,
-    so the sum of squares cannot overflow (or underflow) for a finite v;
-    otherwise the same bits as np.linalg.norm(v)."""
-    top = float(np.max(np.abs(v), initial=0.0))
-    if not 0.0 < top < math.inf:
-        return float(np.linalg.norm(v))
-    s = math.ldexp(1.0, math.frexp(top)[1])
-    return s * float(np.linalg.norm(v / s))
-
-
-class _Recorder:
-    def __init__(self):
-        self.rows = []
-
-    def add(self, t, w, lv, g):
-        gn = _norm(g)
-        ratio = 0.5 * gn * gn / lv if lv > 0.0 else math.inf
-        self.rows.append((t, lv, gn, _norm(w), ratio))
-
-    def done(self, w):
-        a = np.array(self.rows)
-        return OptimTrace(
-            iters=a[:, 0].astype(int), loss=a[:, 1], grad_norm=a[:, 2],
-            param_norm=a[:, 3], plstar=a[:, 4], final_w=np.array(w))
-
-
-def gd(obj: Objective, w0, step: float, iters: int,
-       record_every: int = 1) -> OptimTrace:
-    """Full-gradient descent; records every record_every steps plus the ends."""
+    Raises Diverged as soon as an iterate's loss, the last one's included,
+    exceeds DIVERGE_CAP or is not a number.
+    """
+    X, y = _arrays(X, y)
+    if loss not in (SQUARE, CROSS_ENTROPY):
+        raise InvalidSpec(f"unknown loss {loss!r}")
+    dim = X.shape[1] if model is None else netmodels.param_count(model)
     w = np.array(w0, dtype=float)
-    if w.shape != (param_dim(obj),):
-        raise DimensionMismatch(
-            f"w0 has shape {w.shape}, expected ({param_dim(obj)},)")
+    if w.shape != (dim,):
+        raise DimensionMismatch(f"w0 has shape {w.shape}, expected ({dim},)")
     if not 0.0 < step < math.inf:
         raise InvalidSpec(f"step must be positive and finite, got {step}")
-    if iters < 0 or record_every < 1:
-        raise InvalidSpec("iters must be nonnegative and record_every positive")
-    rec = _Recorder()
+    if iters < 0:
+        raise InvalidSpec(f"iters must be nonnegative, got {iters}")
     for t in range(iters + 1):
-        lv, g = _loss_grad(obj, w)
+        lv, g = _loss_grad(X, y, w, loss, model)
         if not lv <= DIVERGE_CAP:     # a NaN loss diverged too
             raise Diverged(f"loss {lv:.3e} exceeded {DIVERGE_CAP:.0e} at step {t}")
-        if t % record_every == 0 or t == iters:
-            rec.add(t, w, lv, g)
         if t < iters:
             w -= step * g
-    return rec.done(w)
+    return w
 
 
 # --- batch-size scaling ---
@@ -266,7 +204,7 @@ def _batch_one_steps(G, G2, r, c: float, target: float, iter_cap: int, rng):
     return None
 
 
-def critical_batch_scan(obj: Objective, batch_grid, target_loss: float,
+def critical_batch_scan(X, y, batch_grid, target_loss: float,
                         seeds: int, iter_cap: int = DEFAULT_ITER_CAP
                         ) -> BatchScalingReport:
     """Median steps-to-target per batch size on an interpolated linear fit.
@@ -301,9 +239,8 @@ def critical_batch_scan(obj: Objective, batch_grid, target_loss: float,
     could overflow (n max|y| max_i |x_i|^2 beyond the float range), raise
     InvalidSpec before any step is taken.
     """
-    if obj.mlp is not None or obj.loss != SQUARE:
-        raise InvalidSpec("batch scan is defined for linear square-loss fits")
-    n = obj.X.shape[0]
+    X, y = _arrays(X, y)
+    n = X.shape[0]
     grid = sorted({1} | {int(m) for m in np.asarray(batch_grid).ravel()})
     if grid[0] < 1 or grid[-1] > n:
         raise InvalidSpec(f"batch sizes must lie in [1, {n}]")
@@ -312,29 +249,29 @@ def critical_batch_scan(obj: Objective, batch_grid, target_loss: float,
     if iter_cap < 1:
         raise InvalidSpec(f"iter_cap must be at least 1, got {iter_cap}")
     with np.errstate(over="ignore"):
-        y_sq = float(obj.y @ obj.y)
+        y_sq = float(y @ y)
     if not np.isfinite(y_sq):
         raise InvalidSpec("the targets' squared norm y @ y overflows")
     if y_sq == 0.0:
-        zero = "every feature and target" if not obj.X.any() else "every target"
+        zero = "every feature and target" if not X.any() else "every target"
         raise InvalidSpec(f"{zero} is zero, so the starting loss is already zero")
     if not target_loss > 0.0:
         raise InvalidSpec(f"the target loss must be positive, got {target_loss:g}")
     if 0.5 * y_sq <= target_loss:
         raise InvalidSpec("target not below the starting loss")
 
-    row_sq = np.einsum("ij,ij->i", obj.X, obj.X)
+    row_sq = np.einsum("ij,ij->i", X, X)
     tr_h = float(row_sq.sum())
     max_row = float(row_sq.max())
     if tr_h == 0.0:
         raise TargetUnreachable("every feature is zero, so the loss cannot fall")
     # |G_ij| <= |x_i| |x_j| (Cauchy-Schwarz), so every entry of the first
     # step's r[idx] @ G[idx] (r = -y, at most n terms) is at most this
-    first_step = n * float(np.abs(obj.y).max()) * max_row
+    first_step = n * float(np.abs(y).max()) * max_row
     if not first_step < np.finfo(float).max:
         raise InvalidSpec(f"a first step could overflow: n max|y| max_i |x_i|^2 = "
                           f"{first_step:.3e}")
-    G = obj.X @ obj.X.T
+    G = X @ X.T
     lam = numlin.max_eig(G)
     mstar = max(1.0, tr_h / lam)
     with np.errstate(over="ignore"):    # an inf in G G only sends blocks to replay
@@ -343,7 +280,7 @@ def critical_batch_scan(obj: Objective, batch_grid, target_loss: float,
     def run_cell(m, s):
         c = scan_step_rule(m, n, max_row, lam) * (n / m)
         rng = substream(s, "batch-scan", m)
-        r = -obj.y.copy()               # residual X w - y at w = 0
+        r = -y.copy()                   # residual X w - y at w = 0
         if m == 1:
             t = _batch_one_steps(G, G2, r, c, target_loss, iter_cap, rng)
             if t is not None:

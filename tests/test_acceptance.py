@@ -111,18 +111,17 @@ def test_min_norm_alignment_50_problems():
         span_scale = float(np.linalg.norm(wstar)) + 1.0
         iters = min(int(math.log(1e-8 / span_scale) / math.log(rho)) + 10,
                     200_000)
-        obj = optim.linear_objective(X, y)
 
-        trace = optim.gd(obj, np.zeros(30), step, iters, record_every=iters)
-        err = float(np.linalg.norm(trace.final_w - wstar))
+        w = optim.gd(X, y, np.zeros(30), step, iters)
+        err = float(np.linalg.norm(w - wstar))
         worst_sol = max(worst_sol, err)
         assert err <= 1e-6, f"seed {seed}: |w - pinv solution| = {err:.2e}"
 
         v = rng.standard_normal(30)
         off = v - pinv @ (X @ v)      # component GD cannot touch
-        trace = optim.gd(obj, off, step, iters, record_every=iters)
-        drift = float(np.linalg.norm(trace.final_w - off - wstar))
-        off_final = trace.final_w - pinv @ (X @ trace.final_w)
+        w = optim.gd(X, y, off, step, iters)
+        drift = float(np.linalg.norm(w - off - wstar))
+        off_final = w - pinv @ (X @ w)
         span_err = float(np.linalg.norm(off_final - off))
         worst_span = max(worst_span, span_err)
         assert drift <= 1e-6
@@ -141,13 +140,12 @@ def test_sgd_exponential_vs_plateau():
         X = rng.standard_normal((16, 64))
         w_true = rng.standard_normal(64)
         y = X @ w_true
-        obj = optim.linear_objective(X, y)
         row = float(np.max(np.einsum("ij,ij->i", X, X)))
         lam = numlin.spectral_norm(X) ** 2
         step = optim.scan_step_rule(4, 16, row, lam) / 8.0
-        trace = oracles.sgd(obj, np.zeros(64), step, 4, 2000, seed=seed,
-                            record_every=25)
-        rate, r2 = oracles.rate_fit(trace, (200, 2000))
+        iters, losses, _ = oracles.sgd(X, y, np.zeros(64), step, 4, 2000, seed=seed,
+                                       record_every=25)
+        rate, r2 = oracles.rate_fit(iters, losses, (200, 2000))
         worst_r2 = min(worst_r2, r2)
         assert rate < 0.0
         assert r2 >= 0.99, f"seed {seed}: log-loss fit R^2 = {r2:.4f}"
@@ -157,15 +155,14 @@ def test_sgd_exponential_vs_plateau():
         rng = substream(seed, "probe-under")
         X = rng.standard_normal((40, 20))
         y = X @ rng.standard_normal(20) + rng.standard_normal(40)
-        obj = optim.linear_objective(X, y)
         wls = np.linalg.pinv(X, rcond=numlin.RANK_TOL) @ y
-        floor = optim._loss_grad(obj, wls)[0]
+        floor = optim._loss_grad(X, y, wls)[0]
         row = float(np.max(np.einsum("ij,ij->i", X, X)))
         lam = numlin.spectral_norm(X) ** 2
         step = optim.scan_step_rule(1, 40, row, lam) * 1.75
-        trace = oracles.sgd(obj, np.zeros(20), step, 1, 4000, seed=seed,
-                            record_every=100)
-        ratios.append(float(np.median(trace.loss[-10:])) / floor)
+        _, losses, _ = oracles.sgd(X, y, np.zeros(20), step, 1, 4000, seed=seed,
+                                   record_every=100)
+        ratios.append(float(np.median(losses[-10:])) / floor)
     plateau = min(ratios)
     assert plateau >= 1.5, f"noise floor only {plateau:.2f}x the optimum"
     _done("sgd-exponential-vs-plateau", t0, 120,
@@ -181,10 +178,9 @@ def test_critical_batch_scaling_bands():
     cov_sqrt = np.sqrt(np.concatenate([[(d - 1) / 7.0], np.ones(d - 1)]))
     X = rng.standard_normal((n, d)) * cov_sqrt
     y = X @ rng.standard_normal(d)
-    obj = optim.linear_objective(X, y)
     target = 1e-8 * 0.5 * float(y @ y)
     grid = [1, 2, 4, 16, 32, 64, 128, 512]
-    report = optim.critical_batch_scan(obj, grid, target, seeds=5)
+    report = optim.critical_batch_scan(X, y, grid, target, seeds=5)
 
     assert abs(report.mstar - report.tr_h / report.lambda_max_h) <= 1e-12
     assert 5.0 < report.mstar < 10.0
@@ -251,13 +247,11 @@ def test_plstar_certificate_every_step():
         rng = substream(seed, "accept-plstar")
         X = rng.standard_normal((12, 36))
         y = rng.standard_normal(12)
-        obj = optim.linear_objective(X, y)
         vals = np.linalg.eigh(X @ X.T)[0]
         lam_max, mu = float(vals[-1]), float(vals[0])
         for frac in (1.0, 0.65):
             eta = frac / lam_max
-            trace = optim.gd(obj, np.zeros(36), eta, 300, record_every=1)
-            loss = trace.loss
+            loss, plstar, _ = oracles.gd_path(X, y, np.zeros(36), eta, 300)
             factor = 1.0 - eta * mu
             # below ~eps^2 of the initial loss the squared residual is pure
             # rounding noise, so the certificate applies above that floor
@@ -268,7 +262,7 @@ def test_plstar_certificate_every_step():
             assert np.all(ok), f"seed {seed}, step {frac}/lam: bound broken"
             if not bool(live.all()):
                 assert float(loss[-1]) <= floor   # stayed in the noise band
-            ratios = trace.plstar[:-1][live]
+            ratios = plstar[:-1][live]
             assert np.all(ratios >= mu * (1.0 - 1e-9))
             certified += int(live.sum())
     _done("plstar-certificate", t0, 60,

@@ -53,13 +53,17 @@ def test_simplex_minority_volume_d3():
     assert abs(frac - 0.125) < 4 * se
 
 
+def _simplex_rule_rows(coords):
+    """The simplex rule on each row of coords, as _normalized_hits applies it."""
+    return np.where(2.0 * coords.sum(axis=1) - 1.0 > 0, 1.0, -1.0)
+
+
 def test_simplex_minority_volume_agrees_with_scalar_predictor():
     rng = np.random.default_rng(9)
     e = rng.standard_exponential((500, 4))
     pts = (e / e.sum(axis=1, keepdims=True))[:, :3]
     scalar = np.array([simplex_rule(p) for p in pts])
-    vector = np.where(2.0 * pts.sum(axis=1) - 1.0 > 0, 1.0, -1.0)
-    assert np.array_equal(scalar, vector)
+    assert np.array_equal(scalar, _simplex_rule_rows(pts))
 
 
 def _normalized_hits(d, draws, rng):
@@ -71,7 +75,7 @@ def _normalized_hits(d, draws, rng):
         chunk = min(200_000, draws - done)
         e = rng.standard_exponential((chunk, d + 1))
         coords = (e / e.sum(axis=1, keepdims=True))[:, :d]
-        hits += int(np.count_nonzero(2.0 * coords.sum(axis=1) - 1.0 <= 0.0))
+        hits += int(np.count_nonzero(_simplex_rule_rows(coords) < 0.0))
         done += chunk
     return hits
 

@@ -654,8 +654,8 @@ def test_loss_compare_overflowing_linear_kernel_is_a_config_error(tmp_path):
 
 
 def test_loss_compare_gradient_norm_past_sqrt_float_max_exits_zero(tmp_path, capsys):
-    # the gradient is finite but its squared norm overflows: the trace must
-    # record its norm without a RuntimeWarning
+    # the gradient is finite but its squared norm overflows: the run must
+    # finish without a RuntimeWarning
     cfg = tmp_path / "big.cfg"
     cfg.write_text("model.kind = linear\ndata.scale = 4.204639961228302e+153\n"
                    "data.train_n = 4\ndata.test_n = 2\nseeds.count = 1\n"
@@ -700,7 +700,7 @@ def test_sgd_scaling_csv(monkeypatch):
 
     # every cell is its field of a scan run again on the same inputs
     (args, kwargs), = calls
-    assert list(args[1]) == [1, 2, 8, 24] and args[3] == 3
+    assert list(args[2]) == [1, 2, 8, 24] and args[4] == 3
     rep = real_scan(*args, **kwargs)
     stats = dict(f.split("=") for f in text.splitlines()[1][2:].split())
     assert list(stats) == ["tr_h", "lambda_max_h", "max_row_norm_sq",
@@ -1300,22 +1300,14 @@ _LAZY_SCIPY_SITES = {
     "optim._batch_one_steps": _main_source("sgd-scaling", _TINY["sgd-scaling"]),
     "netmodels._softplus_d": _main_source(
         "linearity", _TINY["linearity"] + "lin.wrap = softplus\n"),
-    # the next two reach the one import in optim._loss_grad, through a
-    # command and through gd on its own; the keys keep the ids these runs
-    # have always had
-    "optim._loss_residual": _main_source("loss-compare", _TINY["loss-compare"]),
-    "optim._batch_grad": (
-        "import numpy as np\n"
-        "X = np.arange(12.0).reshape(4, 3) / 10.0\n"
-        "obj = optim.linear_objective(X, np.array([1.0, -1.0, 1.0, -1.0]),\n"
-        "                             loss=optim.CROSS_ENTROPY)\n"
-        "optim.gd(obj, np.zeros(3), 0.1, 3)\n"),
+    # every loss-compare run takes a cross-entropy pass
+    "optim._loss_grad": _main_source("loss-compare", _TINY["loss-compare"]),
 }
 
 
 @pytest.mark.parametrize("site", sorted(_LAZY_SCIPY_SITES))
 def test_lazy_scipy_import_sites_run(tmp_path, site):
-    proc = _fresh_python(tmp_path, "-c", "from interplab import labcli, optim\n"
+    proc = _fresh_python(tmp_path, "-c", "from interplab import labcli\n"
                                + _LAZY_SCIPY_SITES[site])
     assert proc.returncode == 0, proc.stderr
 

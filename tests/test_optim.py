@@ -16,7 +16,7 @@ from interplab.errors import (
 )
 from interplab.rng import substream
 
-from oracles import rate_fit, sgd
+from oracles import gd_path, rate_fit, sgd
 
 
 def _handrolled_gd(X, y, w0, step, iters):
@@ -49,12 +49,12 @@ def _random_problem(seed, n, d, noisy=False):
 
 
 def test_gd_one_step_solves_scalar_quadratic():
-    obj = optim.linear_objective(np.array([[1.0]]), np.array([0.0]))
-    tr = optim.gd(obj, np.array([3.0]), step=1.0, iters=1)
-    assert tr.final_w[0] == 0.0
-    assert tr.loss[-1] == 0.0
-    assert math.isinf(tr.plstar[-1])
-    assert tr.loss[0] == 4.5
+    X, y = np.array([[1.0]]), np.array([0.0])
+    assert optim.gd(X, y, np.array([3.0]), step=1.0, iters=1)[0] == 0.0
+    loss, plstar, _ = gd_path(X, y, np.array([3.0]), 1.0, 1)
+    assert loss[-1] == 0.0
+    assert math.isinf(plstar[-1])
+    assert loss[0] == 4.5
 
 
 def test_gd_matches_handrolled_loop():
@@ -65,8 +65,7 @@ def test_gd_matches_handrolled_loop():
         lam_max, _ = _gram_extremes(X)
         step = 0.5 / lam_max
         want = _handrolled_gd(X, y, w0, step, 25)
-        got = optim.gd(optim.linear_objective(X, y), w0, step, 25,
-                       record_every=25).final_w
+        got = optim.gd(X, y, w0, step, 25)
         assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
 
 
@@ -75,9 +74,8 @@ def test_gd_reaches_minnorm_from_zero():
         X, y = _random_problem(seed, 8, 24)
         pin = np.linalg.pinv(X) @ y
         lam_max, _ = _gram_extremes(X)
-        tr = optim.gd(optim.linear_objective(X, y), np.zeros(24),
-                      1.0 / lam_max, 2000, record_every=2000)
-        assert np.linalg.norm(tr.final_w - pin) <= 1e-6
+        w = optim.gd(X, y, np.zeros(24), 1.0 / lam_max, 2000)
+        assert np.linalg.norm(w - pin) <= 1e-6
 
 
 def test_gd_never_leaves_row_span_offset():
@@ -91,13 +89,12 @@ def test_gd_never_leaves_row_span_offset():
         lam_max, _ = _gram_extremes(X)
         step = 1.0 / lam_max
 
-        obj = optim.linear_objective(X, y)
         w = c.copy()
         for _ in range(25):
-            w = optim.gd(obj, w, step, 1, record_every=1).final_w
+            w = optim.gd(X, y, w, step, 1)
             drift = (np.eye(24) - span_proj) @ (w - c)
             assert np.linalg.norm(drift) <= 1e-10
-        final = optim.gd(obj, c, step, 2000, record_every=2000).final_w
+        final = optim.gd(X, y, c, step, 2000)
         assert np.linalg.norm(final - (c + pinv @ y)) <= 1e-6
 
 
@@ -106,19 +103,17 @@ def test_gd_monotone_descent_and_pl_certificate():
         X, y = _random_problem(seed, 10, 30)
         lam_max, lam_min = _gram_extremes(X)
         step = (1.0 if seed == 0 else 0.9) / lam_max
-        tr = optim.gd(optim.linear_objective(X, y),
-                      np.zeros(30), step, 150, record_every=1)
-        assert np.all(np.diff(tr.loss) <= 0.0)
-        bound = (1.0 - step * lam_min) * tr.loss[:-1]
-        assert np.all(tr.loss[1:] <= bound * (1.0 + 1e-10) + 1e-300)
+        loss, _, _ = gd_path(X, y, np.zeros(30), step, 150)
+        assert np.all(np.diff(loss) <= 0.0)
+        bound = (1.0 - step * lam_min) * loss[:-1]
+        assert np.all(loss[1:] <= bound * (1.0 + 1e-10) + 1e-300)
 
 
 def test_gd_diverges_at_oversized_step():
     X, y = _random_problem(3, 6, 12)
     lam_max, _ = _gram_extremes(X)
     with pytest.raises(Diverged):
-        optim.gd(optim.linear_objective(X, y), np.zeros(12),
-                 10.0 / lam_max, 200, record_every=50)
+        optim.gd(X, y, np.zeros(12), 10.0 / lam_max, 200)
 
 
 def test_nan_loss_is_divergence():
@@ -126,28 +121,16 @@ def test_nan_loss_is_divergence():
     # prediction inf - inf is nan; nan > DIVERGE_CAP is false, so only a
     # test that the loss is at most the cap catches it
     X, y = np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([0.0, 4.0])
-    obj = optim.linear_objective(X, y)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(Diverged, match="loss nan"):
-        optim.gd(obj, np.zeros(2), 1e308, 3)
+        optim.gd(X, y, np.zeros(2), 1e308, 3)
 
 
 @pytest.mark.parametrize("step", [math.inf, math.nan, 0.0, -1.0])
 def test_step_must_be_positive_and_finite(step):
     X, y = _random_problem(6, 8, 20)
     with pytest.raises(InvalidSpec, match="step must be positive and finite"):
-        optim.gd(optim.linear_objective(X, y), np.zeros(20), step, 3)
-
-
-def test_trace_recording_and_csv():
-    X, y = _random_problem(6, 8, 20)
-    lam_max, _ = _gram_extremes(X)
-    tr = optim.gd(optim.linear_objective(X, y), np.zeros(20),
-                  1.0 / lam_max, 23, record_every=7)
-    assert list(tr.iters) == [0, 7, 14, 21, 23]
-    assert np.all(np.diff(tr.iters) > 0)
-    assert np.all(np.isfinite(tr.loss))
-    assert tr.param_norm[-1] == pytest.approx(np.linalg.norm(tr.final_w), rel=1e-12)
+        optim.gd(X, y, np.zeros(20), step, 3)
 
 
 def test_sgd_full_batch_is_gd_bitwise():
@@ -156,55 +139,33 @@ def test_sgd_full_batch_is_gd_bitwise():
         lam_max, _ = _gram_extremes(X)
         model = netmodels.init_mlp(5, 7, "tanh", seed=seed)
         cases = [
-            (optim.linear_objective(X, y), substream(seed, "fb-w0").standard_normal(5)),
-            (optim.linear_objective(X, np.sign(y), loss=optim.CROSS_ENTROPY),
+            (y, optim.SQUARE, None, substream(seed, "fb-w0").standard_normal(5)),
+            (np.sign(y), optim.CROSS_ENTROPY, None,
              substream(seed, "fb-w0").standard_normal(5)),
-            (optim.mlp_objective(model, X, y), netmodels.flatten_params(model)),
-            (optim.mlp_objective(model, X, np.sign(y), loss=optim.CROSS_ENTROPY),
-             netmodels.flatten_params(model)),
+            (y, optim.SQUARE, model, netmodels.flatten_params(model)),
+            (np.sign(y), optim.CROSS_ENTROPY, model, netmodels.flatten_params(model)),
         ]
-        for obj, w0 in cases:
-            a = optim.gd(obj, w0, 0.3 / lam_max, 40, record_every=8)
-            b = sgd(obj, w0, 0.3 / lam_max, batch=6, iters=40, seed=seed,
-                          record_every=8)
-            assert np.array_equal(a.final_w, b.final_w)
-            assert np.array_equal(a.loss, b.loss)
-            assert np.array_equal(a.grad_norm, b.grad_norm)
-            assert np.array_equal(a.param_norm, b.param_norm)
-            assert not np.array_equal(a.final_w, w0)
-
-
-def test_trace_norms_do_not_overflow():
-    # g = X^T r = (1e160, 3e159) at a loss of 0.5: g @ g overflows
-    X = np.array([[1e160, 3e159]])
-    obj = optim.linear_objective(X, np.array([0.0]))
-    w0 = np.array([1e-160, 0.0])
-    g = X[0] * float(X[0] @ w0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        tr = optim.gd(obj, w0, 1.0, 0)
-    s = float(np.abs(g).max())
-    want = s * float(np.linalg.norm(g / s))
-    assert np.isfinite(tr.grad_norm[0])
-    assert abs(tr.grad_norm[0] - want) <= 1e-12 * want
-    assert tr.plstar[0] == math.inf and tr.loss[0] == 0.5
-    # below the overflow the recorded norm is np.linalg.norm's, bit for bit
-    for seed in range(5):
-        v = substream(seed, "trace-norm").standard_normal(9) * 10.0 ** (seed - 2)
-        assert optim._norm(v) == float(np.linalg.norm(v))
+        for targets, loss, mlp, w0 in cases:
+            w = optim.gd(X, targets, w0, 0.3 / lam_max, 40, loss=loss, model=mlp)
+            path_loss, _, path_w = gd_path(X, targets, w0, 0.3 / lam_max, 40,
+                                           loss=loss, model=mlp)
+            iters, losses, sgd_w = sgd(X, targets, w0, 0.3 / lam_max, batch=6, iters=40,
+                                       seed=seed, record_every=8, loss=loss, model=mlp)
+            assert np.array_equal(w, sgd_w) and np.array_equal(w, path_w)
+            assert np.array_equal(path_loss[iters], losses)
+            assert not np.array_equal(w, w0)
 
 
 def test_sgd_deterministic_and_seed_sensitive():
     X, y = _random_problem(9, 12, 30)
-    obj = optim.linear_objective(X, y)
     lam_max, _ = _gram_extremes(X)
     kw = dict(step=0.2 / lam_max, batch=3, iters=80, record_every=20)
-    a = sgd(obj, np.zeros(30), seed=5, **kw)
-    b = sgd(obj, np.zeros(30), seed=5, **kw)
-    c = sgd(obj, np.zeros(30), seed=6, **kw)
-    assert np.array_equal(a.final_w, b.final_w)
-    assert np.array_equal(a.loss, b.loss)
-    assert not np.array_equal(a.loss, c.loss)
+    _, a_loss, a_w = sgd(X, y, np.zeros(30), seed=5, **kw)
+    _, b_loss, b_w = sgd(X, y, np.zeros(30), seed=5, **kw)
+    _, c_loss, _ = sgd(X, y, np.zeros(30), seed=6, **kw)
+    assert np.array_equal(a_w, b_w)
+    assert np.array_equal(a_loss, b_loss)
+    assert not np.array_equal(a_loss, c_loss)
 
 
 def test_sgd_interpolated_decay_is_loglinear():
@@ -212,62 +173,42 @@ def test_sgd_interpolated_decay_is_loglinear():
         rng = substream(seed, "probe-interp")
         X = rng.standard_normal((16, 64))
         y = rng.standard_normal(16)
-        obj = optim.linear_objective(X, y)
         lam = numlin.spectral_norm(X) ** 2
         row = float(np.einsum("ij,ij->i", X, X).max())
         step = optim.scan_step_rule(4, 16, row, lam) / 8.0
-        tr = sgd(obj, np.zeros(64), step, batch=4, iters=2000,
-                       seed=seed, record_every=25)
-        rate, r2 = rate_fit(tr, (200, 2000))
+        iters, losses, _ = sgd(X, y, np.zeros(64), step, batch=4, iters=2000,
+                               seed=seed, record_every=25)
+        rate, r2 = rate_fit(iters, losses, (200, 2000))
         assert rate < 0.0
         assert r2 >= 0.99
 
 
-def test_sgd_underparam_plateaus_above_ls_floor():
-    worst = math.inf
-    for seed in range(12):
-        rng = substream(seed, "probe-under")
-        X = rng.standard_normal((40, 20))
-        y = X @ rng.standard_normal(20) + rng.standard_normal(40)
-        obj = optim.linear_objective(X, y)
-        ls_min = 0.5 * float(np.sum((X @ (np.linalg.pinv(X) @ y) - y) ** 2))
-        lam = numlin.spectral_norm(X) ** 2
-        row = float(np.einsum("ij,ij->i", X, X).max())
-        step = optim.scan_step_rule(1, 40, row, lam) * 1.75
-        tr = sgd(obj, np.zeros(20), step, batch=1, iters=4000,
-                       seed=seed, record_every=100)
-        worst = min(worst, float(np.median(tr.loss[-10:])) / ls_min)
-    assert worst >= 1.5
-
-
-def _plstar_ratio(obj, w):
-    """The trace's gradient-domination ratio 0.5*||grad||^2 / L at w."""
-    return float(optim.gd(obj, w, 1.0, 0).plstar[0])
+def _plstar_ratio(X, y, w):
+    """The gradient-domination ratio 0.5*||grad||^2 / L at w."""
+    return float(gd_path(X, y, w, 1.0, 0)[1][0])
 
 
 def test_plstar_ratio_identity_quadratic():
-    obj = optim.linear_objective(np.eye(5), np.zeros(5))
+    X, y = np.eye(5), np.zeros(5)
     for seed in range(5):
         w = substream(seed, "plstar-w").standard_normal(5)
-        assert abs(_plstar_ratio(obj, w) - 1.0) <= 1e-12
-    assert math.isinf(_plstar_ratio(obj, np.zeros(5)))
+        assert abs(_plstar_ratio(X, y, w) - 1.0) <= 1e-12
+    assert math.isinf(_plstar_ratio(X, y, np.zeros(5)))
 
 
 def test_plstar_ratio_bounded_below_by_gram_min_eig():
     for seed in range(10):
         X, y = _random_problem(seed, 6, 20)
-        obj = optim.linear_objective(X, y)
         _, lam_min = _gram_extremes(X)
         w = substream(seed, "plstar-rand", 20).standard_normal(20)
-        assert _plstar_ratio(obj, w) >= lam_min * (1.0 - 1e-9)
+        assert _plstar_ratio(X, y, w) >= lam_min * (1.0 - 1e-9)
 
 
 def test_plstar_ratio_vanishes_at_ls_solution():
     X, y = _random_problem(2, 30, 6, noisy=True)
-    obj = optim.linear_objective(X, y)
     w_ls = np.linalg.pinv(X) @ y
-    assert optim._loss_grad(obj, w_ls)[0] > 0.1
-    assert _plstar_ratio(obj, w_ls) <= 1e-15
+    assert optim._loss_grad(X, y, w_ls)[0] > 0.1
+    assert _plstar_ratio(X, y, w_ls) <= 1e-15
 
 
 def test_tangent_kernel_wide_net_stays_conditioned():
@@ -279,22 +220,12 @@ def test_tangent_kernel_wide_net_stays_conditioned():
         assert vals[0] >= 0.01 * vals[-1]
 
 
-def _synthetic_trace(losses):
-    t = np.arange(len(losses), dtype=float)
-    z = np.zeros(len(losses))
-    return optim.OptimTrace(iters=t.astype(int), loss=np.array(losses, dtype=float),
-                            grad_norm=z, param_norm=z, plstar=z,
-                            final_w=np.zeros(1))
-
-
 def test_rate_fit_geometric_and_constant():
-    tr = _synthetic_trace([0.5 ** t for t in range(10)])
-    rate, r2 = rate_fit(tr, (0, 9))
+    rate, r2 = rate_fit(np.arange(10), np.array([0.5 ** t for t in range(10)]), (0, 9))
     assert rate == pytest.approx(math.log(0.5), abs=1e-12)
     assert r2 == pytest.approx(1.0, abs=1e-12)
 
-    flat = _synthetic_trace([2.0] * 8)
-    rate, r2 = rate_fit(flat, (0, 7))
+    rate, r2 = rate_fit(np.arange(8), np.full(8, 2.0), (0, 7))
     assert abs(rate) <= 1e-15
     assert r2 == 1.0
 
@@ -307,9 +238,8 @@ def test_rate_fit_matches_slow_mode_prediction():
         q2, _ = np.linalg.qr(rng.standard_normal((6, 6)))
         X = q1 @ np.diag(np.sqrt(lams)) @ q2.T
         y = X @ rng.standard_normal(6)
-        tr = optim.gd(optim.linear_objective(X, y), np.zeros(6), 0.8, 600,
-                      record_every=10)
-        rate, r2 = rate_fit(tr, (300, 600))
+        losses = gd_path(X, y, np.zeros(6), 0.8, 600)[0][::10]
+        rate, r2 = rate_fit(np.arange(0, 601, 10), losses, (300, 600))
         pred = 2.0 * math.log(1.0 - 0.8 * lams[-1])
         assert abs(rate - pred) <= 0.1 * abs(pred)
         assert r2 >= 0.999
@@ -317,8 +247,7 @@ def test_rate_fit_matches_slow_mode_prediction():
 
 def test_scan_identity_features():
     y = substream(3, "probe-id").standard_normal(8)
-    obj = optim.linear_objective(np.eye(8), y)
-    rep = optim.critical_batch_scan(obj, [1, 2, 4, 8],
+    rep = optim.critical_batch_scan(np.eye(8), y, [1, 2, 4, 8],
                                     1e-8 * 0.5 * float(y @ y), seeds=9)
     assert rep.mstar == pytest.approx(8.0, abs=1e-9)
     assert rep.tr_h == pytest.approx(8.0, abs=1e-12)
@@ -329,8 +258,7 @@ def test_scan_identity_features():
 def test_scan_rank_one_features():
     X = np.zeros((2, 2))
     X[0, 0] = 1.0
-    obj = optim.linear_objective(X, np.array([1.0, 0.0]))
-    rep = optim.critical_batch_scan(obj, [1, 2], 1e-8 * 0.5, seeds=9)
+    rep = optim.critical_batch_scan(X, np.array([1.0, 0.0]), [1, 2], 1e-8 * 0.5, seeds=9)
     assert rep.mstar == pytest.approx(1.0, abs=1e-12)
     assert rep.regimes[0] == "linear"
     assert rep.regimes[-1] == "saturation"
@@ -343,8 +271,7 @@ def test_scan_gaussian_features_regimes():
     cov_sqrt = np.sqrt(np.concatenate([[a], np.ones(d - 1)]))
     X = rng.standard_normal((n, d)) * cov_sqrt
     y = X @ rng.standard_normal(d)
-    obj = optim.linear_objective(X, y)
-    rep = optim.critical_batch_scan(obj, [1, 2, 4, 32, 64, 128],
+    rep = optim.critical_batch_scan(X, y, [1, 2, 4, 32, 64, 128],
                                     1e-8 * 0.5 * float(y @ y), seeds=5)
     assert 5.0 < rep.mstar < 10.0
     by_m = dict(zip(rep.batch_grid.tolist(), rep.regimes))
@@ -355,8 +282,7 @@ def test_scan_gaussian_features_regimes():
 
 def test_scan_always_anchors_at_batch_one():
     y = substream(8, "probe-anchor").standard_normal(4)
-    obj = optim.linear_objective(np.eye(4), y)
-    rep = optim.critical_batch_scan(obj, [2, 4], 1e-6 * 0.5 * float(y @ y),
+    rep = optim.critical_batch_scan(np.eye(4), y, [2, 4], 1e-6 * 0.5 * float(y @ y),
                                     seeds=3)
     assert rep.batch_grid.tolist() == [1, 2, 4]
 
@@ -379,12 +305,11 @@ def _floyd_oracle_rows(rng, n, m):
         yield from _floyd_oracle(rng, n, m, 256)
 
 
-def _column_gather_scan(obj, grid, target, seeds):
+def _column_gather_scan(X, y, grid, target, seeds):
     """Reference for critical_batch_scan: sorted subsets from the scalar
     Floyd loop, 256 per block, and a column gather of the Gram matrix at
     every step. At m = 1 the blocks are integers(0, n) draws, the stream
     of the scan's batch-1 blocks; at m = n every subset is range(n)."""
-    X, y = obj.X, obj.y
     n = X.shape[0]
     row_sq = np.einsum("ij,ij->i", X, X)
     lam = numlin.spectral_norm(X) ** 2
@@ -417,11 +342,10 @@ def test_scan_matches_column_gather_reference():
     for n, d in [(5, 3), (9, 160), (17, 8), (40, 12), (64, 24), (80, 160)]:
         X = rng.standard_normal((n, d))
         y = X @ rng.standard_normal(d)
-        obj = optim.linear_objective(X, y)
         grid = [1, 2, max(3, n // 2), n - 1, n]
         target = 1e-10 * 0.5 * float(y @ y)
-        want_med, want_reg = _column_gather_scan(obj, sorted(set(grid)), target, 3)
-        rep = optim.critical_batch_scan(obj, grid, target, seeds=3)
+        want_med, want_reg = _column_gather_scan(X, y, sorted(set(grid)), target, 3)
+        rep = optim.critical_batch_scan(X, y, grid, target, seeds=3)
         assert np.array_equal(rep.median_iters, want_med), (n, d)
         assert rep.regimes == want_reg, (n, d)
 
@@ -471,8 +395,7 @@ def test_scan_makes_no_choice_call(monkeypatch):
     rng = substream(36, "probe-scan-choice")
     X = rng.standard_normal((24, 40))
     y = X @ rng.standard_normal(40)
-    obj = optim.linear_objective(X, y)
-    args = (obj, [1, 2, 5, 23, 24], 1e-8 * 0.5 * float(y @ y))
+    args = (X, y, [1, 2, 5, 23, 24], 1e-8 * 0.5 * float(y @ y))
     want = optim.critical_batch_scan(*args, seeds=3)
     real_substream = optim.substream
     monkeypatch.setattr(optim, "substream",
@@ -643,37 +566,36 @@ def test_scan_takes_one_top_eigenvalue_and_no_svd(monkeypatch):
     rng = substream(35, "probe-scan-calls")
     X = rng.standard_normal((40, 60))
     y = X @ rng.standard_normal(60)
-    obj = optim.linear_objective(X, y)
-    rep = optim.critical_batch_scan(obj, [1, 4, 40], 1e-6 * 0.5 * float(y @ y),
+    rep = optim.critical_batch_scan(X, y, [1, 4, 40], 1e-6 * 0.5 * float(y @ y),
                                     seeds=2)
     assert calls == {"max_eig": 1, "svd": 0}
     assert rep.mstar == max(1.0, rep.tr_h / rep.lambda_max_h)
 
     # a target at or above the starting loss fails before any eigensolve
     with pytest.raises(InvalidSpec, match="target not below"):
-        optim.critical_batch_scan(obj, [1], 0.5 * float(y @ y), seeds=1)
+        optim.critical_batch_scan(X, y, [1], 0.5 * float(y @ y), seeds=1)
     assert calls == {"max_eig": 1, "svd": 0}
 
 
 def test_scan_unreachable_target_raises():
     X = np.diag([1.0, 0.01])
-    obj = optim.linear_objective(X, np.array([1.0, 1.0]))
     with pytest.raises(TargetUnreachable):
-        optim.critical_batch_scan(obj, [1], 1e-12, seeds=2, iter_cap=2)
+        optim.critical_batch_scan(X, np.array([1.0, 1.0]), [1], 1e-12, seeds=2,
+                                  iter_cap=2)
 
 
 def test_mlp_objective_gradient_spot_check():
     model = netmodels.init_mlp(2, 6, "tanh", seed=1)
     X = substream(11, "mlp-obj").standard_normal((5, 2))
     y = substream(12, "mlp-obj-y").standard_normal(5)
-    obj = optim.mlp_objective(model, X, y)
     w = netmodels.flatten_params(model)
-    g = optim._loss_grad(obj, w)[1]
+    g = optim._loss_grad(X, y, w, model=model)[1]
     h = 1e-6
     for j in [0, 3, 7, g.size - 1]:
         e = np.zeros(g.size)
         e[j] = h
-        fd = (optim._loss_grad(obj, w + e)[0] - optim._loss_grad(obj, w - e)[0]) / (2 * h)
+        fd = (optim._loss_grad(X, y, w + e, model=model)[0]
+              - optim._loss_grad(X, y, w - e, model=model)[0]) / (2 * h)
         assert abs(g[j] - fd) <= 1e-6 * (1.0 + abs(fd))
 
 
@@ -681,79 +603,74 @@ def test_sgd_on_mlp_objective_descends():
     model = netmodels.init_mlp(1, 8, "tanh", seed=2)
     X = np.linspace(-1.0, 1.0, 6).reshape(-1, 1)
     y = np.sin(2.0 * X[:, 0])
-    obj = optim.mlp_objective(model, X, y)
     w0 = netmodels.flatten_params(model)
-    a = sgd(obj, w0, 0.05, batch=2, iters=120, seed=3, record_every=30)
-    b = sgd(obj, w0, 0.05, batch=2, iters=120, seed=3, record_every=30)
-    assert a.loss[-1] < a.loss[0]
-    assert np.array_equal(a.loss, b.loss)
-    tr = optim.gd(obj, w0, 0.05, 60, record_every=15)
-    assert tr.loss[-1] < tr.loss[0]
+    kw = dict(batch=2, iters=120, seed=3, record_every=30, model=model)
+    _, a, _ = sgd(X, y, w0, 0.05, **kw)
+    _, b, _ = sgd(X, y, w0, 0.05, **kw)
+    assert a[-1] < a[0]
+    assert np.array_equal(a, b)
+    w = optim.gd(X, y, w0, 0.05, 60, model=model)
+    assert (optim._loss_grad(X, y, w, model=model)[0]
+            < optim._loss_grad(X, y, w0, model=model)[0])
 
 
 def test_cross_entropy_objective_path():
     rng = substream(13, "ce-probe")
     X = rng.standard_normal((12, 30))
     y = np.sign(rng.standard_normal(12))
-    obj = optim.linear_objective(X, y, loss="cross_entropy")
+    ce = optim.CROSS_ENTROPY
 
     w = rng.standard_normal(30) * 0.1
     want = sum(math.log1p(math.exp(-yi * fi))
                for yi, fi in zip(y, X @ w))
-    loss, g = optim._loss_grad(obj, w)
+    loss, g = optim._loss_grad(X, y, w, ce)
     assert loss == pytest.approx(want, rel=1e-12)
 
     h = 1e-6
     for j in [0, 11, 29]:
         e = np.zeros(30)
         e[j] = h
-        fd = (optim._loss_grad(obj, w + e)[0] - optim._loss_grad(obj, w - e)[0]) / (2 * h)
+        fd = (optim._loss_grad(X, y, w + e, ce)[0]
+              - optim._loss_grad(X, y, w - e, ce)[0]) / (2 * h)
         assert abs(g[j] - fd) <= 1e-6 * (1.0 + abs(fd))
 
     lam_max, _ = _gram_extremes(X)
-    tr = optim.gd(obj, np.zeros(30), 1.0 / lam_max, 100, record_every=10)
-    assert np.all(np.diff(tr.loss) <= 0.0)
+    losses = gd_path(X, y, np.zeros(30), 1.0 / lam_max, 100, loss=ce)[0]
+    assert np.all(np.diff(losses[::10]) <= 0.0)
 
 
 def test_validation_errors():
     X, y = _random_problem(1, 5, 4)
-    obj = optim.linear_objective(X, y)
     with pytest.raises(DimensionMismatch):
-        optim.linear_objective(X, y[:-1])
+        optim.gd(X, y[:-1], np.zeros(4), 0.1, 5)
     with pytest.raises(InvalidSpec):
-        optim.linear_objective(X, y, loss="hinge")
+        optim.gd(X, y, np.zeros(4), 0.1, 5, loss="hinge")
     with pytest.raises(DimensionMismatch):
-        optim.gd(obj, np.zeros(3), 0.1, 5)
+        optim.gd(X, y, np.zeros(3), 0.1, 5)
     with pytest.raises(InvalidSpec):
-        optim.gd(obj, np.zeros(4), 0.0, 5)
+        optim.gd(X, y, np.zeros(4), 0.0, 5)
+    with pytest.raises(InvalidSpec, match="iters must be nonnegative"):
+        optim.gd(X, y, np.zeros(4), 0.1, -1)
+    with pytest.raises(DimensionMismatch):
+        optim.critical_batch_scan(X, y[:-1], [1], 1e-8, seeds=2)
     with pytest.raises(InvalidSpec):
-        optim.gd(obj, np.zeros(4), 0.1, 5, record_every=0)
+        optim.critical_batch_scan(X, y, [1, 9], 1e-8, seeds=2)
     with pytest.raises(InvalidSpec):
-        optim.critical_batch_scan(obj, [1, 9], 1e-8, seeds=2)
-    with pytest.raises(InvalidSpec):
-        optim.critical_batch_scan(obj, [1], 1e6, seeds=2)
+        optim.critical_batch_scan(X, y, [1], 1e6, seeds=2)
     for cap in (0, -1):
         with pytest.raises(InvalidSpec, match="iter_cap"):
-            optim.critical_batch_scan(obj, [1], 1e-8, seeds=2, iter_cap=cap)
+            optim.critical_batch_scan(X, y, [1], 1e-8, seeds=2, iter_cap=cap)
     with pytest.raises(TargetUnreachable, match="every feature is zero"):
-        optim.critical_batch_scan(optim.linear_objective(np.zeros_like(X), y),
-                                  [1], 1e-8, seeds=2)
+        optim.critical_batch_scan(np.zeros_like(X), y, [1], 1e-8, seeds=2)
     with pytest.raises(InvalidSpec, match="need at least one seed, got 0"):
-        optim.critical_batch_scan(obj, [1], 1e-8, seeds=0)
+        optim.critical_batch_scan(X, y, [1], 1e-8, seeds=0)
     for target in (0.0, -1.0, np.nan):
         with pytest.raises(InvalidSpec, match="target loss must be positive"):
-            optim.critical_batch_scan(obj, [1], target, seeds=2)
+            optim.critical_batch_scan(X, y, [1], target, seeds=2)
     with pytest.raises(InvalidSpec, match="^every target is zero"):
-        optim.critical_batch_scan(optim.linear_objective(X, np.zeros_like(y)),
-                                  [1], 1e-8, seeds=2)
+        optim.critical_batch_scan(X, np.zeros_like(y), [1], 1e-8, seeds=2)
     with pytest.raises(InvalidSpec, match="every feature and target is zero"):
-        optim.critical_batch_scan(optim.linear_objective(np.zeros_like(X),
-                                                         np.zeros_like(y)),
-                                  [1], 0.0, seeds=2)
-    model = netmodels.init_mlp(4, 4, "tanh", seed=0)
-    mobj = optim.mlp_objective(model, X, y)
-    with pytest.raises(InvalidSpec):
-        optim.critical_batch_scan(mobj, [1], 1e-8, seeds=2)
+        optim.critical_batch_scan(np.zeros_like(X), np.zeros_like(y), [1], 0.0, seeds=2)
 
 
 def test_scan_runs_the_full_batch_cell_once(monkeypatch):
@@ -762,7 +679,6 @@ def test_scan_runs_the_full_batch_cell_once(monkeypatch):
     n, d, seeds = 24, 40, 5
     X = rng.standard_normal((n, d))
     y = X @ rng.standard_normal(d)
-    obj = optim.linear_objective(X, y)
     target = 1e-10 * 0.5 * float(y @ y)
     batches, calls = optim._batches, []
 
@@ -771,7 +687,7 @@ def test_scan_runs_the_full_batch_cell_once(monkeypatch):
         return batches(rng, n, m)
 
     monkeypatch.setattr(optim, "_batches", counted)
-    rep = optim.critical_batch_scan(obj, [1, 4, n], target, seeds=seeds)
+    rep = optim.critical_batch_scan(X, y, [1, 4, n], target, seeds=seeds)
     assert calls.count(n) == 1 and calls.count(4) == seeds
     G = X @ X.T
     c = optim.scan_step_rule(n, n, float(np.einsum("ij,ij->i", X, X).max()),

@@ -109,7 +109,8 @@ def test_every_error_class_is_raised():
 # names the package used to export; each was deleted with the code behind it
 _DELETED = {"knn_predict_batch", "make_neighbor_predictor", "NeighborPredictor",
             "CLASSIFICATION", "REGRESSION", "NotClassification", "EmptyTrainingSet",
-            "ArchTemplate", "sgd", "rate_fit", "rff_predict"}
+            "ArchTemplate", "sgd", "rate_fit", "rff_predict", "OptimTrace",
+            "linear_objective", "mlp_objective"}
 
 
 def test_all_names_resolve_and_match_the_package_namespace():
