@@ -24,18 +24,24 @@ factorization, but solve_spd parks it (shuts its worker threads down)
 before and after the factorization, so that no worker is left spinning
 once it returns; the next threaded scipy call starts them again.
 
-on_cores is the package's one way to use several cores from Python: it
-calls fn(0), ..., fn(count - 1) on at most one thread per core the process
-may run on, the calling thread among them, and joins every thread before
-it returns. kernelmach.kernel_matrix finishes its row blocks through it,
+The package uses several cores from Python through two helpers with one
+contract: each computes [fn(0), ..., fn(count - 1)] on at most one worker
+per core the process may run on, the caller among them, is done with
+every worker before it returns, and re-raises the exception of the lowest
+index that raised. on_cores runs fn on threads, for work that releases
+the GIL: kernelmach.kernel_matrix finishes its row blocks through it,
 kernelmach.rff_features its rows, and labcli's simplex command its
-dimensions; numpy releases the GIL in the loops they run. Each caller
-allocates its per-thread scratch arrays on the calling thread before
-calling it: buffers that workers allocate come from fresh malloc arenas
-and raise the peak resident memory. The GEMMs before kernel_matrix's and
-rff_features's epilogues stay single calls: on OpenBLAS, row blocks of a
-product computed apart often round differently from the whole product,
-which would tie the results to the core count.
+dimensions, all in numpy loops. on_processes runs fn in forked worker
+processes, for work that holds the GIL: optim.critical_batch_scan runs
+its (batch size, seed) cells through it, whose step loops spend their
+time in the interpreter. It forks only while the caller is the one
+Python thread, and a worker that dies costs time, not a result. Each
+caller of on_cores allocates its per-thread scratch arrays on the calling
+thread before calling it: buffers that workers allocate come from fresh
+malloc arenas and raise the peak resident memory. The GEMMs before
+kernel_matrix's and rff_features's epilogues stay single calls: on
+OpenBLAS, row blocks of a product computed apart often round differently
+from the whole product, which would tie the results to the core count.
 
 minnorm_prefixes gives pinv_apply's solution for every column prefix of
 one matrix in a list of widths. It solves each width through the nested
@@ -53,6 +59,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import os
 import threading
 
@@ -80,19 +87,23 @@ _BLAS_THREAD_SYMBOLS = (
     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"))
 # OpenBLAS's call that shuts its worker threads down; the next threaded call
-# starts them again. scipy's library exports it unprefixed.
+# starts them again. numpy's library and scipy's both export it unprefixed.
 _BLAS_SHUTDOWN_SYMBOL = "blas_thread_shutdown_"
 # held from the park before solve_spd's factorization to the park after it,
 # so that no thread shuts scipy's pool down while another one factorizes
 _SCIPY_BLAS_LOCK = threading.Lock()
 
 
+@functools.cache
 def _blas_symbols(extension, groups, loader=ctypes.CDLL):
     """The first group of names in groups that the OpenBLAS an extension
     module links exports in full, as a list of ctypes functions, or None.
 
     The symbols are looked up through the handle of the extension; dlsym
-    on that handle also searches its dependencies.
+    on that handle also searches its dependencies. Each lookup is made
+    once per process: one_blas_thread makes two on every command, and
+    made afresh, their small allocations between the scan's large arrays
+    raised sgd-scaling's peak resident memory by 2 MB.
     """
     lib = loader(extension.__file__)
     for names in groups:
@@ -113,20 +124,25 @@ def _blas_thread_calls():
     return get, set_
 
 
-def _scipy_blas_shutdown():
-    """The shutdown call of the OpenBLAS scipy links, or None.
+def _blas_shutdown(extension):
+    """The shutdown call of the OpenBLAS an extension module links, or None.
 
     It is loaded through ctypes.PyDLL, which keeps the GIL held across the
-    call, so no Python thread enters scipy's BLAS while the pool stops.
+    call, so no Python thread enters that BLAS while the pool stops.
     """
-    from scipy.linalg import _flapack
-
-    calls = _blas_symbols(_flapack, ((_BLAS_SHUTDOWN_SYMBOL,),), ctypes.PyDLL)
+    calls = _blas_symbols(extension, ((_BLAS_SHUTDOWN_SYMBOL,),), ctypes.PyDLL)
     if calls is None:
         return None
     shutdown, = calls
     shutdown.argtypes, shutdown.restype = [], ctypes.c_int
     return shutdown
+
+
+def _scipy_blas_shutdown():
+    """The shutdown call of the OpenBLAS scipy links, or None."""
+    from scipy.linalg import _flapack
+
+    return _blas_shutdown(_flapack)
 
 
 @contextlib.contextmanager
@@ -135,18 +151,27 @@ def one_blas_thread():
 
     The previous count is restored on leaving, by an exception too. Where
     numpy links no OpenBLAS with a known thread setter, this does nothing.
+    Each change of the count is followed by a park of numpy's pool.
+    OpenBLAS shuts its pool down before every fork (on_processes forks),
+    the next change of the count starts it again, and a pool just started
+    spins its worker threads for about 0.1 s of CPU (on the 2-vCPU VM of
+    BENCH_26.json), on cores the command's own work could use. A threaded
+    call made after the block starts the pool on demand.
     """
     calls = _blas_thread_calls()
     if calls is None:
         yield
         return
     get, set_ = calls
+    park = _blas_shutdown(np.linalg._umath_linalg) or (lambda: None)
     before = get()
     set_(1)
+    park()
     try:
         yield
     finally:
         set_(before)
+        park()
 
 
 def core_count() -> int:
@@ -192,6 +217,151 @@ def on_cores(fn, count: int) -> list:
     for exc in errors:
         if exc is not None:
             raise exc
+    return results
+
+
+_TOKEN_BYTES = 4        # one claim on on_processes's task pipe: a run's first index
+
+
+def _claim_and_run(fn, count: int, per: int, tasks_fd: int, parent=None) -> dict:
+    """{i: (fn(i), None) or (None, exception)} for the runs of per indices
+    this process claims from tasks_fd, until the pipe is empty or an fn
+    raises an Exception, whose index is the last one run. A worker passes
+    the pid of its parent, and claims nothing more once that is gone."""
+    done = {}
+    while (parent is None or os.getppid() == parent) and (
+            token := os.read(tasks_fd, _TOKEN_BYTES)):
+        start = int.from_bytes(token, "little")
+        for i in range(start, min(start + per, count)):
+            try:
+                done[i] = (fn(i), None)
+            except Exception as exc:   # re-raised by the caller if it is the lowest
+                done[i] = (None, exc)
+                return done
+    return done
+
+
+def _worker(fn, count: int, per: int, tasks_fd: int, out_fd: int, parent: int) -> None:
+    """A forked worker's life: claim and run indices, send what it ran
+    down out_fd as one pickle, and leave by os._exit.
+
+    A worker whose results cannot be pickled, or that is interrupted
+    before it sends them, sends nothing; the caller then runs the indices
+    it claimed.
+    """
+    import pickle
+
+    status = 1
+    try:
+        done = _claim_and_run(fn, count, per, tasks_fd, parent)
+        data = memoryview(pickle.dumps(done, pickle.HIGHEST_PROTOCOL))
+        while data:
+            data = data[os.write(out_fd, data):]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _read_results(fd: int) -> dict:
+    """The pickled results a worker sent down fd; {} if it sent none."""
+    import pickle
+
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    try:
+        return pickle.loads(b"".join(chunks))
+    except Exception:   # nothing, or a cut-off pickle: the worker died first
+        return {}
+
+
+def _run_forked(fn, count: int, procs: int) -> dict:
+    """_claim_and_run's results of the caller and of procs - 1 forked
+    workers, all claiming from one task pipe; every worker reaped.
+
+    select, signal and pickle are imported where they are used, so that
+    importing this module costs the commands that never fork nothing more.
+    """
+    import select
+    import signal
+
+    # the tokens fit in one atomic pipe write, so writing them never blocks
+    per = -(-count * _TOKEN_BYTES // select.PIPE_BUF)
+    try:
+        tasks_fd, fill_fd = os.pipe()
+    except OSError:     # no descriptor to spare: the caller runs every index
+        return {}
+    try:
+        os.write(fill_fd, b"".join(i.to_bytes(_TOKEN_BYTES, "little")
+                                   for i in range(0, count, per)))
+    finally:
+        os.close(fill_fd)   # so that a drained pipe reads as empty
+    caller, workers = os.getpid(), []     # workers: (pid, read end of its pipe)
+    try:
+        for _ in range(1, procs):
+            try:
+                read_fd, write_fd = os.pipe()
+            except OSError:
+                break
+            try:
+                pid = os.fork()
+            except OSError:     # no process to spare: the others claim its share
+                os.close(read_fd)
+                os.close(write_fd)
+                break
+            if pid == 0:
+                _worker(fn, count, per, tasks_fd, write_fd, caller)
+            os.close(write_fd)
+            workers.append((pid, read_fd))
+        done = _claim_and_run(fn, count, per, tasks_fd)
+        for _, read_fd in workers:
+            done.update(_read_results(read_fd))
+    except BaseException:
+        if os.getpid() != caller:   # a worker interrupted before its own handler
+            os._exit(1)
+        for pid, _ in workers:
+            os.kill(pid, signal.SIGKILL)    # not reaped yet, so the pid is still ours
+        raise
+    finally:
+        for pid, read_fd in workers:
+            os.waitpid(pid, 0)
+            os.close(read_fd)
+        os.close(tasks_fd)
+    return done
+
+
+def on_processes(fn, count: int) -> list:
+    """[fn(0), ..., fn(count - 1)], computed on min(core_count(), count) processes.
+
+    on_cores's contract for work that holds the GIL. The calling process
+    is one of the processes; it forks the others, which run on a copy of
+    its memory. Each process claims the next index not yet claimed, in
+    index order, from one pipe, so the indices listed first start first
+    and a process that finishes early takes more. A worker sends what it
+    computed back through a pipe of its own, pickled; what does not
+    survive pickling the caller computes again. fn must change nothing
+    the caller reads afterwards: a worker's changes stay in the worker. A
+    process stops at the first index whose fn raises, and the exception
+    of the lowest such index is re-raised, with its class and message:
+    the one a plain loop over the indices would raise.
+
+    It runs serially on one core, and while any other Python thread is
+    alive (an on_cores worker among them), since a fork copies the locks
+    such a thread may hold. A worker that dies without sending its
+    results costs time, not a result: the caller runs the indices it had
+    claimed. Every worker is reaped before the return; if the caller
+    leaves by an exception (KeyboardInterrupt included), it kills the
+    workers still running first. A worker whose caller was killed
+    finishes its current index and claims no more.
+    """
+    procs = 1 if threading.active_count() > 1 else min(core_count(), count)
+    done = _run_forked(fn, count, procs) if procs > 1 else {}
+    results = []
+    for i in range(count):
+        result, exc = done[i] if i in done else (fn(i), None)
+        if exc is not None:
+            raise exc
+        results.append(result)
     return results
 
 

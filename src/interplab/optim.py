@@ -235,6 +235,15 @@ def critical_batch_scan(X, y, batch_grid, target_loss: float,
     batch (m = n) draws no random numbers, so its cell runs once and its
     count stands for every seed.
 
+    Each cell, one per (batch size, seed), draws from its own substream,
+    starts from its own copy of -y and only reads G and G2, so the cells
+    are independent. Their step loops hold the GIL, so they run on forked
+    processes (numlin.on_processes), longest first: the batch sizes from
+    2 up, then batch 1, whose blocked steps make it quicker than its step
+    count. A cell's count is the one a serial run gives it, so no byte
+    depends on the core count. A cell that misses its target raises
+    TargetUnreachable, for the first such cell in that order.
+
     Targets whose y @ y overflows or is zero, and data whose first step
     could overflow (n max|y| max_i |x_i|^2 beyond the float range), raise
     InvalidSpec before any step is taken.
@@ -294,13 +303,16 @@ def critical_batch_scan(X, y, batch_grid, target_loss: float,
             f"batch {m}, seed {s}: loss {0.5 * float(r @ r):.3e} above "
             f"target {target_loss:.3e} after {iter_cap} steps")
 
-    counts = []
-    for m in grid:
-        if m == n:      # the full batch draws nothing: one count serves every seed
-            counts += [run_cell(m, 0)] * seeds
-        else:
-            counts += [run_cell(m, s) for s in range(seeds)]
-    by_m = np.array(counts, dtype=float).reshape(len(grid), seeds)
+    # the full batch draws nothing, so its one cell (seed 0) serves every seed
+    cells = [(m, s) for m in sorted(grid, key=lambda m: (m == 1, m))
+             for s in (range(seeds) if m < n else (0,))]
+    # batch 1's dtrsv, imported before the fork: a worker importing scipy
+    # itself spends about 0.25 s on it
+    from scipy.linalg.blas import dtrsv  # noqa: F401
+
+    found = dict(zip(cells, numlin.on_processes(lambda i: run_cell(*cells[i]), len(cells))))
+    by_m = np.array([[found[m, s if m < n else 0] for s in range(seeds)] for m in grid],
+                    dtype=float)
     med = [float(np.median(row)) for row in by_m]
     ref = med[0]
     regimes = tuple(

@@ -10,6 +10,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -772,6 +773,75 @@ def test_sgd_scaling_default_grid_follows_scan_n(tmp_path):
     assert [int(r[0]) for r in rows] == [1, 2, 4, 16, 32, 64, 100]
 
 
+def _sgd_scaling_main(tmp_path, capsys, params, seed, name):
+    """(exit code, stderr, CSV bytes or None) of labcli.main on sgd-scaling."""
+    cfg, out = tmp_path / f"{name}.cfg", tmp_path / name
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in params.items()))
+    code = labcli.main(["sgd-scaling", "--config", str(cfg), "--seed", str(seed),
+                        "--out", str(out)])
+    csv = out / "sgd-scaling.csv"
+    return code, capsys.readouterr().err, csv.read_bytes() if csv.exists() else None
+
+
+def test_sgd_scaling_bytes_match_at_any_core_count(tmp_path, capsys, force_cores):
+    # the cells run on forked workers; each comes back with the count a
+    # serial run gives it, on randomized small configs
+    rng = np.random.default_rng(26)
+    for case in range(4):
+        n = int(rng.integers(6, 33))
+        d = int(rng.choice([rng.integers(2, n // 2 + 1), rng.integers(2 * n, 3 * n)]))
+        grid = sorted({int(m) for m in rng.integers(1, n + 1, size=int(rng.integers(1, 6)))})
+        params = {"scan.n": n, "scan.d": d, "batch.grid": ", ".join(map(str, grid)),
+                  "scan.seeds": int(rng.integers(1, 4)),
+                  "scan.target_factor": f"{10.0 ** -rng.uniform(2, 6):.3g}"}
+        seed = int(rng.integers(0, 2**32))
+        # the full batch runs once; batch 1 is always scanned
+        cells = sum(1 if m == n else params["scan.seeds"] for m in {1, *grid})
+        runs = {}
+        for cores in (1, 2, 3):
+            started = force_cores(cores)
+            started.clear()
+            runs[cores] = _sgd_scaling_main(tmp_path, capsys, params, seed,
+                                             f"{case}-{cores}")
+            assert len(started.forked) == min(cores, cells) - 1, params
+        assert runs[1][:2] == (0, ""), params
+        assert runs[1] == runs[2] == runs[3], params
+
+
+def test_sgd_scaling_unreachable_in_a_worker_exits_three(tmp_path, capsys, force_cores,
+                                                          monkeypatch):
+    # batch 4 meets the target within 1000 steps at every seed and batch 1
+    # at none. The caller sleeps in each cell it takes, so the worker
+    # takes the first batch-1 cell, the lowest failing one.
+    params = {"scan.n": 16, "scan.d": 8, "batch.grid": "1, 4", "scan.seeds": 3,
+              "scan.iter_cap": 1000}
+    force_cores(1)
+    code, serial, csv = _sgd_scaling_main(tmp_path, capsys, params, 1, "serial")
+    assert code == 3 and csv is None
+    assert serial.startswith("numerical failure: batch 1, seed 0: loss ")
+    assert serial.endswith(" after 1000 steps\n")
+
+    caller, log, real_substream = os.getpid(), tmp_path / "cells", optim.substream
+
+    def logged_substream(seed, *key):
+        if key[0] == "batch-scan":
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{key[1]} {seed} {os.getpid()}\n")
+            if os.getpid() == caller:
+                time.sleep(0.3)
+        return real_substream(seed, *key)
+
+    monkeypatch.setattr(optim, "substream", logged_substream)
+    started = force_cores(2)
+    started.clear()
+    code, forked, csv = _sgd_scaling_main(tmp_path, capsys, params, 1, "forked")
+    assert (code, forked, csv) == (3, serial, None)
+    assert "Traceback" not in forked
+    ran = {(int(m), int(s)): int(pid) for m, s, pid in
+           (line.split() for line in log.read_text().splitlines())}
+    assert ran[1, 0] == started.forked[0]
+
+
 def test_linearity_csv_and_plot_range():
     params = {"lin.widths": "24,48,96", "lin.probes": "3", "lin.points": "3"}
     arts = labcli.run_linearity(_cfg("linearity", params, seed=2))
@@ -937,6 +1007,40 @@ def test_main_unwritable_out_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot write {str(out)!r}")
     assert "Traceback" not in err
+
+
+def test_directory_in_the_way_leaves_the_old_files(tmp_path, capsys):
+    # sgd-scaling.gp is a directory: nothing is renamed, so the CSV of the
+    # earlier run keeps its bytes
+    params = {"scan.n": 16, "scan.d": 8}
+    code, _, old = _sgd_scaling_main(tmp_path, capsys, params, 1, "out")
+    assert code == 0
+    (tmp_path / "out" / "sgd-scaling.gp").unlink()
+    (tmp_path / "out" / "sgd-scaling.gp").mkdir()
+    code, err, kept = _sgd_scaling_main(tmp_path, capsys, params, 2, "out")
+    assert code == 2 and "Is a directory" in err
+    assert kept == old
+    assert sorted(os.listdir(tmp_path / "out")) == ["sgd-scaling.csv", "sgd-scaling.gp"]
+
+
+def test_failed_rename_puts_the_old_files_back(tmp_path, capsys, monkeypatch):
+    # the second rename into place fails: the first file is put back
+    params = {"scan.n": 16, "scan.d": 8}
+    code, _, old_csv = _sgd_scaling_main(tmp_path, capsys, params, 1, "out")
+    old_gp = (tmp_path / "out" / "sgd-scaling.gp").read_bytes()
+    real_replace = os.replace
+
+    def failing_replace(src, dst):
+        if src.endswith(".tmp") and dst.endswith("sgd-scaling.gp"):
+            raise OSError(errno.EIO, "Input/output error", dst)
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(labcli.os, "replace", failing_replace)
+    code, err, csv = _sgd_scaling_main(tmp_path, capsys, params, 2, "out")
+    assert code == 2 and "Input/output error" in err
+    assert csv == old_csv
+    assert (tmp_path / "out" / "sgd-scaling.gp").read_bytes() == old_gp
+    assert sorted(os.listdir(tmp_path / "out")) == ["sgd-scaling.csv", "sgd-scaling.gp"]
 
 
 def test_failed_write_leaves_no_artifact(tmp_path, capsys, monkeypatch):

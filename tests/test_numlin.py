@@ -1,4 +1,5 @@
 import os
+import signal
 import threading
 import time
 import warnings
@@ -13,6 +14,7 @@ from interplab.errors import (
     InvalidInput,
     NotPositiveDefinite,
     NotSymmetric,
+    TargetUnreachable,
 )
 
 
@@ -878,3 +880,152 @@ def test_on_cores_raises_the_lowest_index_after_every_join(force_cores):
     with pytest.raises(ValueError) as info:
         numlin.on_cores(late, 5)
     assert info.value.args == (2,)
+
+
+# --- on_processes ---
+
+def _log_index(path, i):
+    """Append 'i pid' to path: a forked worker's record of what it ran."""
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(f"{i} {os.getpid()}\n")
+
+
+def _ran_where(path):
+    """[(index, pid)] in the order _log_index recorded them."""
+    return [tuple(map(int, line.split())) for line in path.read_text().splitlines()]
+
+
+def _assert_no_child_left():
+    # every worker was reaped: this process has no child, running or dead
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_on_processes_returns_results_in_index_order(cores, force_cores, tmp_path):
+    started = force_cores(cores)
+    log = tmp_path / "ran"
+    for count in sorted({0, 1, max(1, cores - 1), cores, cores + 1, 3 * cores + 2}):
+        started.clear()
+        log.write_text("")
+
+        def fn(i):
+            _log_index(log, i)
+            return i * i, np.full(3, float(i))     # an array comes back pickled
+
+        got = numlin.on_processes(fn, count)
+        assert [sq for sq, _ in got] == [i * i for i in range(count)]
+        assert all(np.array_equal(a, np.full(3, float(i))) for i, (_, a) in enumerate(got))
+        assert len(started.forked) == max(0, min(cores, count) - 1), count
+        ran = _ran_where(log)
+        assert sorted(i for i, _ in ran) == list(range(count))   # each index once
+        assert {pid for _, pid in ran} <= {os.getpid(), *started.forked}
+        _assert_no_child_left()
+
+
+def _fails_at_5_and_8(i):
+    if i == 5:
+        raise TargetUnreachable(f"cell {i} missed its target")
+    if i == 8:
+        raise ValueError(i)
+    return i
+
+
+def test_on_processes_raises_the_lowest_index_from_a_worker(force_cores, tmp_path):
+    started = force_cores(2)
+    caller, log, napped = os.getpid(), tmp_path / "ran", []
+
+    def fn(i):
+        _log_index(log, i)
+        if os.getpid() == caller and not napped:
+            napped.append(i)
+            time.sleep(0.3)    # meanwhile the worker claims the indices up to 5
+        return _fails_at_5_and_8(i)
+
+    with pytest.raises(TargetUnreachable) as info:
+        numlin.on_processes(fn, 12)
+    assert type(info.value) is TargetUnreachable
+    assert str(info.value) == "cell 5 missed its target"
+    assert dict(_ran_where(log))[5] == started.forked[0]   # raised in the worker
+    _assert_no_child_left()
+
+    # one process: the plain loop's exception, and nothing forked
+    started = force_cores(1)
+    started.clear()
+    with pytest.raises(TargetUnreachable, match="^cell 5 missed its target$"):
+        numlin.on_processes(_fails_at_5_and_8, 12)
+    assert not started.forked
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+def test_on_processes_runs_what_a_dead_worker_claimed(cores, force_cores):
+    started = force_cores(cores)
+    caller = os.getpid()
+
+    def dies_at_once(i):
+        if os.getpid() != caller:
+            os._exit(0)          # leaves with its claim unsent
+        return -i
+
+    def killed_later(i):
+        if os.getpid() != caller and i % 3 == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return -i
+
+    for fn in (dies_at_once, killed_later):
+        started.clear()
+        assert numlin.on_processes(fn, 12) == [-i for i in range(12)]
+        assert len(started.forked) == cores - 1
+        _assert_no_child_left()
+
+    # a result that cannot be pickled is computed again by the caller
+    got = numlin.on_processes(lambda i: (lambda: i), 7)
+    assert [f() for f in got] == list(range(7))
+    _assert_no_child_left()
+
+
+def test_a_worker_whose_caller_is_gone_claims_nothing():
+    tasks_fd, fill_fd = os.pipe()
+    os.write(fill_fd, b"".join(i.to_bytes(numlin._TOKEN_BYTES, "little") for i in (0, 1)))
+    os.close(fill_fd)
+    try:
+        # this process's own pid is never its parent's: the caller is gone
+        assert numlin._claim_and_run(lambda i: -i, 2, 1, tasks_fd, os.getpid()) == {}
+        assert numlin._claim_and_run(lambda i: -i, 2, 1, tasks_fd, os.getppid()) == {
+            0: (0, None), 1: (-1, None)}
+    finally:
+        os.close(tasks_fd)
+
+
+def test_on_processes_kills_its_workers_when_the_caller_is_interrupted(force_cores):
+    started = force_cores(3)
+    caller = os.getpid()
+
+    def fn(i):
+        if os.getpid() == caller:
+            time.sleep(0.2)       # the workers are in their long cells by now
+            raise KeyboardInterrupt
+        time.sleep(60)
+        return i
+
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        numlin.on_processes(fn, 6)
+    assert time.monotonic() - t0 < 30
+    assert len(started.forked) == 2
+    _assert_no_child_left()
+
+
+def test_on_processes_forks_nothing_while_another_thread_lives(force_cores):
+    started = force_cores(2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        got = numlin.on_processes(lambda i: (i, os.getpid()), 4)
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert got == [(i, os.getpid()) for i in range(4)]
+    assert not started.forked

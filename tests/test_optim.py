@@ -168,21 +168,6 @@ def test_sgd_deterministic_and_seed_sensitive():
     assert not np.array_equal(a_loss, c_loss)
 
 
-def test_sgd_interpolated_decay_is_loglinear():
-    for seed in range(5):
-        rng = substream(seed, "probe-interp")
-        X = rng.standard_normal((16, 64))
-        y = rng.standard_normal(16)
-        lam = numlin.spectral_norm(X) ** 2
-        row = float(np.einsum("ij,ij->i", X, X).max())
-        step = optim.scan_step_rule(4, 16, row, lam) / 8.0
-        iters, losses, _ = sgd(X, y, np.zeros(64), step, batch=4, iters=2000,
-                               seed=seed, record_every=25)
-        rate, r2 = rate_fit(iters, losses, (200, 2000))
-        assert rate < 0.0
-        assert r2 >= 0.99
-
-
 def _plstar_ratio(X, y, w):
     """The gradient-domination ratio 0.5*||grad||^2 / L at w."""
     return float(gd_path(X, y, w, 1.0, 0)[1][0])
@@ -381,7 +366,15 @@ def test_floyd_subsets_match_scalar_oracle():
         assert np.array_equal(got, want), (n, m)
 
 
-def test_scan_makes_no_choice_call(monkeypatch):
+def _choice_probe():
+    rng = substream(36, "probe-scan-choice")
+    X = rng.standard_normal((24, 40))
+    y = X @ rng.standard_normal(40)
+    return X, y, [1, 2, 5, 23, 24], 1e-8 * 0.5 * float(y @ y)
+
+
+def test_scan_makes_no_choice_call(monkeypatch, force_cores):
+    force_cores(1)       # a forked worker's calls would not reach the counts
     calls = {}
 
     class CountingGenerator:
@@ -392,10 +385,7 @@ def test_scan_makes_no_choice_call(monkeypatch):
             calls[name] = calls.get(name, 0) + 1
             return getattr(self.rng, name)
 
-    rng = substream(36, "probe-scan-choice")
-    X = rng.standard_normal((24, 40))
-    y = X @ rng.standard_normal(40)
-    args = (X, y, [1, 2, 5, 23, 24], 1e-8 * 0.5 * float(y @ y))
+    args = _choice_probe()
     want = optim.critical_batch_scan(*args, seeds=3)
     real_substream = optim.substream
     monkeypatch.setattr(optim, "substream",
@@ -545,7 +535,8 @@ def test_blocked_batch_one_overflowing_gram_square():
             assert want is not None and got == want, (spike, seed)
 
 
-def test_scan_takes_one_top_eigenvalue_and_no_svd(monkeypatch):
+def test_scan_takes_one_top_eigenvalue_and_no_svd(monkeypatch, force_cores):
+    force_cores(1)       # a forked worker's calls would not reach the counts
     calls = {"max_eig": 0, "svd": 0}
     real_max_eig, real_svd = numlin.max_eig, np.linalg.svd
 
@@ -673,13 +664,19 @@ def test_validation_errors():
         optim.critical_batch_scan(np.zeros_like(X), np.zeros_like(y), [1], 0.0, seeds=2)
 
 
-def test_scan_runs_the_full_batch_cell_once(monkeypatch):
-    # the per-seed loop at m = n gives every seed the count the scan reports
+def _full_batch_probe():
     rng = substream(22, "probe-full-batch")
-    n, d, seeds = 24, 40, 5
+    n, d = 24, 40
     X = rng.standard_normal((n, d))
     y = X @ rng.standard_normal(d)
-    target = 1e-10 * 0.5 * float(y @ y)
+    return X, y, [1, 4, n], 1e-10 * 0.5 * float(y @ y)
+
+
+def test_scan_runs_the_full_batch_cell_once(monkeypatch, force_cores):
+    # the per-seed loop at m = n gives every seed the count the scan reports
+    force_cores(1)       # a forked worker's calls would not reach the counts
+    X, y, grid, target = _full_batch_probe()
+    n, seeds = X.shape[0], 5
     batches, calls = optim._batches, []
 
     def counted(rng, n, m):
@@ -687,7 +684,7 @@ def test_scan_runs_the_full_batch_cell_once(monkeypatch):
         return batches(rng, n, m)
 
     monkeypatch.setattr(optim, "_batches", counted)
-    rep = optim.critical_batch_scan(X, y, [1, 4, n], target, seeds=seeds)
+    rep = optim.critical_batch_scan(X, y, grid, target, seeds=seeds)
     assert calls.count(n) == 1 and calls.count(4) == seeds
     G = X @ X.T
     c = optim.scan_step_rule(n, n, float(np.einsum("ij,ij->i", X, X).max()),
@@ -701,3 +698,17 @@ def test_scan_runs_the_full_batch_cell_once(monkeypatch):
                 break
         counts.append(t)
     assert counts == [rep.median_iters[-1]] * seeds
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+def test_scan_on_several_cores_matches_one(cores, force_cores):
+    # the data of the two call-counting tests above, which run on one core
+    for args, seeds in ((_choice_probe(), 3), (_full_batch_probe(), 5)):
+        force_cores(1)
+        want = optim.critical_batch_scan(*args, seeds=seeds)
+        started = force_cores(cores)
+        started.clear()
+        got = optim.critical_batch_scan(*args, seeds=seeds)
+        assert len(started.forked) == cores - 1
+        assert np.array_equal(got.median_iters, want.median_iters)
+        assert got.regimes == want.regimes
