@@ -822,6 +822,26 @@ def test_one_blas_thread_without_a_setter_does_nothing(monkeypatch):
     assert np.array_equal(x, np.ones(2))
 
 
+def test_one_blas_thread_leaves_no_numpy_worker_after_a_fork(force_cores):
+    # OpenBLAS shuts its pool down at a fork and the restore restarts it;
+    # the block parks it again, so no restarted worker is left spinning
+    calls = numlin._blas_thread_calls()
+    park = numlin._blas_shutdown(np.linalg._umath_linalg)
+    if calls is None or park is None:
+        pytest.skip("numpy's BLAS has no thread setter or shutdown call")
+    if calls[0]() < 2:
+        pytest.skip("numpy's OpenBLAS runs one thread here")
+    force_cores(2)
+    park()
+    scipy_park = numlin._scipy_blas_shutdown()
+    if scipy_park is not None:
+        scipy_park()        # a fork shuts scipy's pool down too
+    before = _task_count()
+    with numlin.one_blas_thread():
+        assert numlin.on_processes(lambda i: -i, 4) == [0, -1, -2, -3]
+    assert _task_count() == before
+
+
 # --- on_cores ---
 
 def test_core_count_is_the_affinity():
@@ -901,6 +921,13 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _open_fds():
+    """This process's open file descriptors; skips where /proc is absent."""
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd to count descriptors in")
+    return sorted(os.listdir("/proc/self/fd"))
+
+
 @pytest.mark.parametrize("cores", [1, 2, 3])
 def test_on_processes_returns_results_in_index_order(cores, force_cores, tmp_path):
     started = force_cores(cores)
@@ -908,6 +935,7 @@ def test_on_processes_returns_results_in_index_order(cores, force_cores, tmp_pat
     for count in sorted({0, 1, max(1, cores - 1), cores, cores + 1, 3 * cores + 2}):
         started.clear()
         log.write_text("")
+        fds = _open_fds()
 
         def fn(i):
             _log_index(log, i)
@@ -920,6 +948,7 @@ def test_on_processes_returns_results_in_index_order(cores, force_cores, tmp_pat
         ran = _ran_where(log)
         assert sorted(i for i, _ in ran) == list(range(count))   # each index once
         assert {pid for _, pid in ran} <= {os.getpid(), *started.forked}
+        assert _open_fds() == fds               # every pipe end closed
         _assert_no_child_left()
 
 
@@ -1008,11 +1037,12 @@ def test_on_processes_kills_its_workers_when_the_caller_is_interrupted(force_cor
         time.sleep(60)
         return i
 
-    t0 = time.monotonic()
+    fds, t0 = _open_fds(), time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         numlin.on_processes(fn, 6)
     assert time.monotonic() - t0 < 30
     assert len(started.forked) == 2
+    assert _open_fds() == fds
     _assert_no_child_left()
 
 
