@@ -10,9 +10,10 @@ direct      the 1-nearest-neighbor rule and the simplex minority volume
 netmodels   one-hidden-layer nets: exact jacobians, curvature, tangent kernels
 optim       gradient descent on linear models or networks, batch-size scans
 labcli      experiment runner behind the ``interplab`` command
+artifacts   a run's files, written all or nothing
 """
 
-from . import datagen, direct, errors, kernelmach, labcli, netmodels, numlin, optim, rng
+from . import artifacts, datagen, direct, errors, kernelmach, labcli, netmodels, numlin, optim, rng
 from .datagen import (
     CorruptionSpec,
     Dataset,
@@ -60,6 +61,7 @@ __all__ = [
     "RFFModel",
     "TwoGaussians",
     "UniformSimplex",
+    "artifacts",
     "bayes_risk",
     "corrupt",
     "critical_batch_scan",

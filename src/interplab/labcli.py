@@ -17,17 +17,15 @@ discovered mid-run (non-convergence, divergence, unreachable targets).
 """
 
 import argparse
-import contextlib
-import errno
 import hashlib
 import math
-import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import datagen, direct, kernelmach, netmodels, numlin, optim
+from .artifacts import write_artifacts
 from .errors import (
     BadMagic,
     ConfigError,
@@ -678,54 +676,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_artifacts(out_dir: str, artifacts: dict) -> None:
-    """Write the whole artifact set or none of it.
-
-    Each file is first written under a temporary name in ``out_dir``.
-    Once every write has succeeded and no target is a directory, each
-    file already in place is moved to a backup name and its new version
-    renamed in. If a rename still fails, every file already replaced is
-    put back. On an OSError the directory is left as it was, apart from
-    ``out_dir`` itself being created, and ConfigError is raised.
-    """
-    names = sorted(artifacts)
-    targets = [os.path.join(out_dir, name) for name in names]
-    temps = [os.path.join(out_dir, f".{name}.{os.getpid()}.tmp") for name in names]
-    backups = [os.path.join(out_dir, f".{name}.{os.getpid()}.old") for name in names]
-    done = []       # (target, its backup or None), in the order replaced
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        for name, tmp in zip(names, temps):
-            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(artifacts[name])
-        for target in targets:
-            if os.path.isdir(target) and not os.path.islink(target):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
-        for target, tmp, backup in zip(targets, temps, backups):
-            kept = os.path.lexists(target)
-            if kept:
-                os.replace(target, backup)
-            done.append((target, backup if kept else None))
-            os.replace(tmp, target)
-    except OSError as exc:
-        for target, backup in reversed(done):
-            with contextlib.suppress(OSError):
-                if backup is None:
-                    os.remove(target)
-                else:
-                    os.replace(backup, target)
-        for tmp in temps:
-            with contextlib.suppress(OSError):
-                os.remove(tmp)
-        raise ConfigError(f"cannot write {out_dir!r}: {exc}") from exc
-    for _, backup in done:
-        if backup is not None:
-            with contextlib.suppress(OSError):
-                os.remove(backup)
-    for target in targets:
-        print(target)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -736,7 +686,7 @@ def main(argv=None) -> int:
         # on one numpy BLAS thread, no result depends on the core count
         with numlin.one_blas_thread():
             artifacts = RUNNERS[args.command](cfg)
-        _write_artifacts(cfg.out_dir, artifacts)
+        write_artifacts(cfg.out_dir, artifacts)
         return 0
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -151,12 +151,17 @@ def one_blas_thread():
 
     The previous count is restored on leaving, by an exception too. Where
     numpy links no OpenBLAS with a known thread setter, this does nothing.
-    Each change of the count is followed by a park of numpy's pool.
-    OpenBLAS shuts its pool down before every fork (on_processes forks),
-    the next change of the count starts it again, and a pool just started
-    spins its worker threads for about 0.1 s of CPU (on the 2-vCPU VM of
-    BENCH_26.json), on cores the command's own work could use. A threaded
-    call made after the block starts the pool on demand.
+
+    Each change of the count is followed by a park of numpy's pool, which
+    a threaded call made after the block starts again on demand. OpenBLAS
+    shuts its pool down before every fork (on_processes forks), the next
+    change of the count starts it again, and a pool just started spins
+    its worker threads for about 0.1 s of CPU (on the 2-vCPU VM of
+    BENCH_26.json), on cores the command's own work could use. The park
+    on entry also keeps a forking command's memory flat: parking only in
+    processes that had forked left batch-scan's passes 4 MB larger than
+    without a fork, and parking on entry from the first command left them
+    as large as without one (BENCH_26.json, park_scope).
     """
     calls = _blas_thread_calls()
     if calls is None:
@@ -353,6 +358,11 @@ def on_processes(fn, count: int) -> list:
     leaves by an exception (KeyboardInterrupt included), it kills the
     workers still running first. A worker whose caller was killed
     finishes its current index and claims no more.
+
+    It forks by hand rather than through multiprocessing: a fork-context
+    ProcessPoolExecutor, one per call, made the benchmark's batch-scan
+    pass about 0.10 s slower on 2 vCPUs (BENCH_26.json), its threads,
+    queues and idle caller costing most of what the second core gains.
     """
     procs = 1 if threading.active_count() > 1 else min(core_count(), count)
     done = _run_forked(fn, count, procs) if procs > 1 else {}

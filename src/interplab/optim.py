@@ -242,7 +242,10 @@ def critical_batch_scan(X, y, batch_grid, target_loss: float,
     2 up, then batch 1, whose blocked steps make it quicker than its step
     count. A cell's count is the one a serial run gives it, so no byte
     depends on the core count. A cell that misses its target raises
-    TargetUnreachable, for the first such cell in that order.
+    TargetUnreachable, for the first such cell in grid order (batch size,
+    then seed), as a loop over the grid would: when a cell fails, the
+    batch-1 cells are run again before the first failure in the order
+    run is raised.
 
     Targets whose y @ y overflows or is zero, and data whose first step
     could overflow (n max|y| max_i |x_i|^2 beyond the float range), raise
@@ -310,7 +313,16 @@ def critical_batch_scan(X, y, batch_grid, target_loss: float,
     # itself spends about 0.25 s on it
     from scipy.linalg.blas import dtrsv  # noqa: F401
 
-    found = dict(zip(cells, numlin.on_processes(lambda i: run_cell(*cells[i]), len(cells))))
+    try:
+        counts = numlin.on_processes(lambda i: run_cell(*cells[i]), len(cells))
+    except TargetUnreachable as exc:
+        # exc names the first failing cell in the order run, which is the
+        # grid's order but for batch 1: a loop over the grid would name a
+        # failing batch-1 cell first
+        for s in range(seeds):
+            run_cell(1, s)
+        raise exc
+    found = dict(zip(cells, counts))
     by_m = np.array([[found[m, s if m < n else 0] for s in range(seeds)] for m in grid],
                     dtype=float)
     med = [float(np.median(row)) for row in by_m]

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import interplab
-from interplab import datagen, direct, kernelmach, labcli, netmodels, numlin, optim
+from interplab import artifacts, datagen, direct, kernelmach, labcli, netmodels, numlin, optim
 from interplab.errors import ConfigError, NoConvergence, NoCorruptedNeighbor
 from interplab.rng import substream
 from test_trace_targets import _workloads
@@ -837,9 +837,32 @@ def test_sgd_scaling_unreachable_in_a_worker_exits_three(tmp_path, capsys, force
     code, forked, csv = _sgd_scaling_main(tmp_path, capsys, params, 1, "forked")
     assert (code, forked, csv) == (3, serial, None)
     assert "Traceback" not in forked
-    ran = {(int(m), int(s)): int(pid) for m, s, pid in
-           (line.split() for line in log.read_text().splitlines())}
+    # where each cell ran first: once a cell fails, the caller reruns the
+    # batch-1 cells to find the first failure in grid order
+    ran = {}
+    for m, s, pid in (line.split() for line in log.read_text().splitlines()):
+        ran.setdefault((int(m), int(s)), int(pid))
     assert ran[1, 0] == started.forked[0]
+
+
+@pytest.mark.parametrize("slow, first", [((), "batch 1, seed 0"),
+                                          ((4, 8), "batch 4, seed 0")])
+def test_sgd_scaling_names_the_first_failing_cell_in_grid_order(
+        tmp_path, capsys, force_cores, monkeypatch, slow, first):
+    # batch 1 runs last but leads the grid. With every cell failing, the
+    # message names batch 1, as a loop over the grid would; with batch 1
+    # passing and batches 4 and 8 held back by a tiny step, it names batch 4
+    real_rule = optim.scan_step_rule
+    monkeypatch.setattr(optim, "scan_step_rule",
+                        lambda m, *a: real_rule(m, *a) * (1e-9 if m in slow else 1.0))
+    params = {"scan.n": 16, "scan.d": 32, "batch.grid": "1, 2, 4, 8", "scan.seeds": 2,
+              "scan.iter_cap": 3000 if slow else 3}
+    for cores in (1, 2, 3):
+        force_cores(cores)
+        code, err, csv = _sgd_scaling_main(tmp_path, capsys, params, 1, f"{cores}")
+        assert (code, csv) == (3, None)
+        assert err.startswith(f"numerical failure: {first}: loss "), (cores, err)
+        assert "Traceback" not in err
 
 
 def test_linearity_csv_and_plot_range():
@@ -1009,38 +1032,72 @@ def test_main_unwritable_out_exits_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_directory_in_the_way_leaves_the_old_files(tmp_path, capsys):
-    # sgd-scaling.gp is a directory: nothing is renamed, so the CSV of the
-    # earlier run keeps its bytes
+def _no_hard_links(monkeypatch):
+    def link(src, dst, **kwargs):
+        raise OSError(errno.EPERM, "Operation not permitted", src)
+
+    monkeypatch.setattr(artifacts.os, "link", link)
+
+
+@pytest.mark.parametrize("links", [True, False])
+def test_directory_in_the_way_leaves_the_old_files(tmp_path, capsys, monkeypatch, links):
+    # sgd-scaling.gp is a directory, which can be neither linked nor
+    # copied to a backup: the CSV already replaced is put back with the
+    # bytes of the earlier run, with hard links and without
     params = {"scan.n": 16, "scan.d": 8}
     code, _, old = _sgd_scaling_main(tmp_path, capsys, params, 1, "out")
     assert code == 0
     (tmp_path / "out" / "sgd-scaling.gp").unlink()
     (tmp_path / "out" / "sgd-scaling.gp").mkdir()
+    if not links:
+        _no_hard_links(monkeypatch)
     code, err, kept = _sgd_scaling_main(tmp_path, capsys, params, 2, "out")
     assert code == 2 and "Is a directory" in err
     assert kept == old
     assert sorted(os.listdir(tmp_path / "out")) == ["sgd-scaling.csv", "sgd-scaling.gp"]
+    assert (tmp_path / "out" / "sgd-scaling.gp").is_dir()
 
 
-def test_failed_rename_puts_the_old_files_back(tmp_path, capsys, monkeypatch):
-    # the second rename into place fails: the first file is put back
+@pytest.mark.parametrize("links", [True, False])
+def test_failed_rename_puts_the_old_files_back(tmp_path, capsys, monkeypatch, links):
+    # the second rename into place fails: the first file is put back, and
+    # no target is missing at any rename
     params = {"scan.n": 16, "scan.d": 8}
     code, _, old_csv = _sgd_scaling_main(tmp_path, capsys, params, 1, "out")
     old_gp = (tmp_path / "out" / "sgd-scaling.gp").read_bytes()
-    real_replace = os.replace
+    real_replace, missing = os.replace, []
 
     def failing_replace(src, dst):
+        missing.extend(name for name in ("sgd-scaling.csv", "sgd-scaling.gp")
+                       if not (tmp_path / "out" / name).exists())
         if src.endswith(".tmp") and dst.endswith("sgd-scaling.gp"):
             raise OSError(errno.EIO, "Input/output error", dst)
         return real_replace(src, dst)
 
-    monkeypatch.setattr(labcli.os, "replace", failing_replace)
+    monkeypatch.setattr(artifacts.os, "replace", failing_replace)
+    if not links:
+        _no_hard_links(monkeypatch)
     code, err, csv = _sgd_scaling_main(tmp_path, capsys, params, 2, "out")
     assert code == 2 and "Input/output error" in err
     assert csv == old_csv
     assert (tmp_path / "out" / "sgd-scaling.gp").read_bytes() == old_gp
     assert sorted(os.listdir(tmp_path / "out")) == ["sgd-scaling.csv", "sgd-scaling.gp"]
+    assert missing == []
+
+
+@pytest.mark.parametrize("links", [True, False])
+def test_rewrite_replaces_every_file_and_leaves_no_backup(tmp_path, capsys, monkeypatch,
+                                                         links):
+    params = {"scan.n": 16, "scan.d": 8}
+    _sgd_scaling_main(tmp_path, capsys, params, 1, "out")
+    fresh = _sgd_scaling_main(tmp_path, capsys, params, 2, "fresh")
+    if not links:
+        _no_hard_links(monkeypatch)
+    again = _sgd_scaling_main(tmp_path, capsys, params, 2, "out")
+    assert again == fresh and again[0] == 0
+    assert sorted(os.listdir(tmp_path / "out")) == ["sgd-scaling.csv", "sgd-scaling.gp"]
+    assert ((tmp_path / "out" / "sgd-scaling.gp").read_bytes()
+            == (tmp_path / "fresh" / "sgd-scaling.gp").read_bytes())
 
 
 def test_failed_write_leaves_no_artifact(tmp_path, capsys, monkeypatch):
@@ -1053,7 +1110,7 @@ def test_failed_write_leaves_no_artifact(tmp_path, capsys, monkeypatch):
             raise OSError(errno.ENOSPC, "No space left on device", path)
         return real_open(path, *args, **kwargs)
 
-    monkeypatch.setattr(labcli, "open", failing_open, raising=False)
+    monkeypatch.setattr(artifacts, "open", failing_open, raising=False)
     cfg = tmp_path / "lin.cfg"
     cfg.write_text("lin.widths = 4, 8\nlin.probes = 2\nlin.points = 2\n")
     out = tmp_path / "out"

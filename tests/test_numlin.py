@@ -1,4 +1,5 @@
 import os
+import select
 import signal
 import threading
 import time
@@ -1011,6 +1012,43 @@ def test_on_processes_runs_what_a_dead_worker_claimed(cores, force_cores):
     got = numlin.on_processes(lambda i: (lambda: i), 7)
     assert [f() for f in got] == list(range(7))
     _assert_no_child_left()
+
+
+def test_on_processes_claims_runs_of_indices(force_cores, tmp_path, monkeypatch):
+    # past PIPE_BUF / 4 indices every claim is a run; a PIPE_BUF of 16 makes
+    # 11 indices four runs: 0-2, 3-5, 6-8 and 9-10
+    monkeypatch.setattr(select, "PIPE_BUF", 16)
+    force_cores(2)
+    log, runs = tmp_path / "ran", [range(0, 3), range(3, 6), range(6, 9), range(9, 11)]
+
+    def fn(i):
+        _log_index(log, i)
+        return _fails_at_5_and_8(i) if fails else -i
+
+    for fails in (False, True):
+        log.write_text("")
+        if fails:
+            with pytest.raises(TargetUnreachable, match="^cell 5 missed its target$"):
+                numlin.on_processes(fn, 11)
+        else:
+            assert numlin.on_processes(fn, 11) == [-i for i in range(11)]
+        ran = _ran_where(log)
+        where = dict(ran)
+        assert len(where) == len(ran)           # no index ran twice
+        by_pid = {}
+        for i, pid in ran:
+            by_pid.setdefault(pid, []).append(i)
+        assert all(got == sorted(got) for got in by_pid.values())
+        for run in runs:                        # a run is one process's, up to its raise
+            assert len({where[i] for i in run if i in where}) <= 1, run
+        if fails:
+            # the process that raised at 5 ran nothing after it; the
+            # indices before 5 all ran
+            assert by_pid[where[5]][-1] == 5
+            assert all(i in where for i in range(5))
+        else:
+            assert sorted(where) == list(range(11))
+        _assert_no_child_left()
 
 
 def test_a_worker_whose_caller_is_gone_claims_nothing():
