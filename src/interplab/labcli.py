@@ -654,6 +654,9 @@ RUNNERS = {
     "sgd-scaling": run_sgd_scaling,
     "linearity": run_linearity,
 }
+# the commands that fork worker processes (numlin.on_processes), around
+# which numlin.one_blas_thread parks numpy's BLAS pool from the start
+_FORKING = frozenset({"sgd-scaling"})
 
 
 # --- command line ---
@@ -684,7 +687,7 @@ def main(argv=None) -> int:
             raise ConfigError("threads must be at least 1")
         cfg = experiment_config(args.command, params, args.seed, args.out)
         # on one numpy BLAS thread, no result depends on the core count
-        with numlin.one_blas_thread():
+        with numlin.one_blas_thread(park=args.command in _FORKING):
             artifacts = RUNNERS[args.command](cfg)
         write_artifacts(cfg.out_dir, artifacts)
         return 0

@@ -92,6 +92,9 @@ _BLAS_SHUTDOWN_SYMBOL = "blas_thread_shutdown_"
 # held from the park before solve_spd's factorization to the park after it,
 # so that no thread shuts scipy's pool down while another one factorizes
 _SCIPY_BLAS_LOCK = threading.Lock()
+# set once on_processes has forked from this process, which shut numpy's
+# OpenBLAS pool down; one_blas_thread parks the pool from then on
+_forked = False
 
 
 @functools.cache
@@ -146,37 +149,43 @@ def _scipy_blas_shutdown():
 
 
 @contextlib.contextmanager
-def one_blas_thread():
+def one_blas_thread(park: bool = False):
     """Hold numpy's OpenBLAS to one thread inside the block.
 
     The previous count is restored on leaving, by an exception too. Where
     numpy links no OpenBLAS with a known thread setter, this does nothing.
 
-    Each change of the count is followed by a park of numpy's pool, which
-    a threaded call made after the block starts again on demand. OpenBLAS
-    shuts its pool down before every fork (on_processes forks), the next
-    change of the count starts it again, and a pool just started spins
-    its worker threads for about 0.1 s of CPU (on the 2-vCPU VM of
-    BENCH_26.json), on cores the command's own work could use. The park
-    on entry also keeps a forking command's memory flat: parking only in
-    processes that had forked left batch-scan's passes 4 MB larger than
-    without a fork, and parking on entry from the first command left them
-    as large as without one (BENCH_26.json, park_scope).
+    With park, and in any process that on_processes has forked from, each
+    change of the count is followed by a park of numpy's pool, which a
+    threaded call made after the block starts again on demand. OpenBLAS
+    shuts its pool down before every fork, the next change of the count
+    starts it again, and a pool just started spins its worker threads for
+    about 0.1 s of CPU (on the 2-vCPU VM of BENCH_26.json), on cores the
+    command's own work could use. Work that forks passes park, so that
+    the pool is parked before its first BLAS call: parking only from the
+    first fork on left batch-scan's passes 4 MB larger, and parking in
+    every command left width-scan's 0.25 MB larger (BENCH_26.json,
+    park_scope).
     """
     calls = _blas_thread_calls()
     if calls is None:
         yield
         return
     get, set_ = calls
-    park = _blas_shutdown(np.linalg._umath_linalg) or (lambda: None)
+
+    def settle():
+        shutdown = (park or _forked) and _blas_shutdown(np.linalg._umath_linalg)
+        if shutdown:
+            shutdown()
+
     before = get()
     set_(1)
-    park()
+    settle()
     try:
         yield
     finally:
         set_(before)
-        park()
+        settle()
 
 
 def core_count() -> int:
@@ -290,6 +299,7 @@ def _run_forked(fn, count: int, procs: int) -> dict:
     import select
     import signal
 
+    global _forked
     # the tokens fit in one atomic pipe write, so writing them never blocks
     per = -(-count * _TOKEN_BYTES // select.PIPE_BUF)
     try:
@@ -316,6 +326,7 @@ def _run_forked(fn, count: int, procs: int) -> dict:
                 break
             if pid == 0:
                 _worker(fn, count, per, tasks_fd, write_fd, caller)
+            _forked = True
             os.close(write_fd)
             workers.append((pid, read_fd))
         done = _claim_and_run(fn, count, per, tasks_fd)

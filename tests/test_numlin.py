@@ -823,15 +823,39 @@ def test_one_blas_thread_without_a_setter_does_nothing(monkeypatch):
     assert np.array_equal(x, np.ones(2))
 
 
-def test_one_blas_thread_leaves_no_numpy_worker_after_a_fork(force_cores):
-    # OpenBLAS shuts its pool down at a fork and the restore restarts it;
-    # the block parks it again, so no restarted worker is left spinning
+def _numpy_blas_pool():
+    """(get, set, park) of numpy's OpenBLAS pool; skips where any is missing
+    or the pool has no worker thread."""
     calls = numlin._blas_thread_calls()
     park = numlin._blas_shutdown(np.linalg._umath_linalg)
     if calls is None or park is None:
         pytest.skip("numpy's BLAS has no thread setter or shutdown call")
     if calls[0]() < 2:
         pytest.skip("numpy's OpenBLAS runs one thread here")
+    return (*calls, park)
+
+
+def test_one_blas_thread_parks_only_when_asked_before_a_fork(monkeypatch):
+    # a process that never forked keeps numpy's pool across the block;
+    # park=True parks it on entry and again after the restore restarts it
+    get, set_, _ = _numpy_blas_pool()
+    monkeypatch.setattr(numlin, "_forked", False)
+    set_(get())             # starts the pool if an earlier park stopped it
+    running = _task_count()
+    with numlin.one_blas_thread():
+        assert _task_count() == running
+    assert _task_count() == running
+    with numlin.one_blas_thread(park=True):
+        parked = _task_count()
+        assert parked < running
+    assert _task_count() == parked
+
+
+def test_one_blas_thread_leaves_no_numpy_worker_after_a_fork(force_cores, monkeypatch):
+    # OpenBLAS shuts its pool down at a fork and the restore restarts it;
+    # the block parks it again, so no restarted worker is left spinning
+    _, _, park = _numpy_blas_pool()
+    monkeypatch.setattr(numlin, "_forked", False)
     force_cores(2)
     park()
     scipy_park = numlin._scipy_blas_shutdown()
