@@ -104,9 +104,9 @@ def _blas_symbols(extension, groups, loader=ctypes.CDLL):
 
     The symbols are looked up through the handle of the extension; dlsym
     on that handle also searches its dependencies. Each lookup is made
-    once per process: one_blas_thread makes two on every command, and
-    made afresh, their small allocations between the scan's large arrays
-    raised sgd-scaling's peak resident memory by 2 MB.
+    once per process: one_blas_thread makes two on every command that
+    forks, and made afresh, their small allocations between the scan's
+    large arrays raised sgd-scaling's peak resident memory by 2 MB.
     """
     lib = loader(extension.__file__)
     for names in groups:
@@ -293,20 +293,18 @@ def _run_forked(fn, count: int, procs: int) -> dict:
     """_claim_and_run's results of the caller and of procs - 1 forked
     workers, all claiming from one task pipe; every worker reaped.
 
-    select, signal and pickle are imported where they are used, so that
-    importing this module costs the commands that never fork nothing more.
+    signal and pickle are imported where they are used, signal only when
+    the caller is interrupted, so that importing this module costs the
+    commands that never fork nothing more.
     """
-    import select
-    import signal
-
     global _forked
-    # the tokens fit in one atomic pipe write, so writing them never blocks
-    per = -(-count * _TOKEN_BYTES // select.PIPE_BUF)
     try:
         tasks_fd, fill_fd = os.pipe()
     except OSError:     # no descriptor to spare: the caller runs every index
         return {}
     try:
+        # the tokens fit in one atomic pipe write, so writing them never blocks
+        per = -(-count * _TOKEN_BYTES // os.fpathconf(fill_fd, "PC_PIPE_BUF"))
         os.write(fill_fd, b"".join(i.to_bytes(_TOKEN_BYTES, "little")
                                    for i in range(0, count, per)))
     finally:
@@ -335,6 +333,8 @@ def _run_forked(fn, count: int, procs: int) -> dict:
     except BaseException:
         if os.getpid() != caller:   # a worker interrupted before its own handler
             os._exit(1)
+        import signal
+
         for pid, _ in workers:
             os.kill(pid, signal.SIGKILL)    # not reaped yet, so the pid is still ours
         raise

@@ -319,7 +319,7 @@ def critical_batch_scan(X, y, batch_grid, target_loss: float,
         # exc names the first failing cell in the order run, which is the
         # grid's order but for batch 1: a loop over the grid would name a
         # failing batch-1 cell first
-        for s in range(seeds):
+        for s in (range(seeds) if n > 1 else (0,)):
             run_cell(1, s)
         raise exc
     found = dict(zip(cells, counts))

@@ -1,5 +1,4 @@
 import os
-import select
 import signal
 import threading
 import time
@@ -1041,7 +1040,9 @@ def test_on_processes_runs_what_a_dead_worker_claimed(cores, force_cores):
 def test_on_processes_claims_runs_of_indices(force_cores, tmp_path, monkeypatch):
     # past PIPE_BUF / 4 indices every claim is a run; a PIPE_BUF of 16 makes
     # 11 indices four runs: 0-2, 3-5, 6-8 and 9-10
-    monkeypatch.setattr(select, "PIPE_BUF", 16)
+    real_fpathconf = os.fpathconf
+    monkeypatch.setattr(numlin.os, "fpathconf", lambda fd, name: 16 if name == "PC_PIPE_BUF"
+                        else real_fpathconf(fd, name))
     force_cores(2)
     log, runs = tmp_path / "ran", [range(0, 3), range(3, 6), range(6, 9), range(9, 11)]
 
