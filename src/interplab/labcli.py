@@ -41,7 +41,7 @@ from .errors import (
 from .rng import substream
 
 CONFIG_VERSION = "1"   # config files this build accepts
-FORMAT_VERSION = "12"  # CSV bytes; bumped whenever a result moves
+FORMAT_VERSION = "13"  # CSV bytes; bumped whenever a result moves
 COMMANDS = ("noise-interp", "double-descent", "raisin", "loss-compare",
             "simplex", "sgd-scaling", "linearity")
 
@@ -352,7 +352,8 @@ def run_noise_interp(cfg: ExperimentConfig) -> dict:
                          test_risk - train_risk))
         return rows
 
-    per_seed = [draw(s) for s in range(n_seeds)]
+    # each seed's factorization holds the GIL, so the seeds run on processes
+    per_seed = numlin.on_processes(draw, n_seeds)
     rows = [seed_rows[j] for j in range(len(grid)) for seed_rows in per_seed]
     return {"noise-interp.csv": _csv(
         cfg, "q,seed,train_risk,test_risk,bayes_risk,gap", rows)}
@@ -654,9 +655,6 @@ RUNNERS = {
     "sgd-scaling": run_sgd_scaling,
     "linearity": run_linearity,
 }
-# the commands that fork worker processes (numlin.on_processes), around
-# which numlin.one_blas_thread parks numpy's BLAS pool from the start
-_FORKING = frozenset({"sgd-scaling"})
 
 
 # --- command line ---
@@ -674,21 +672,21 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory for CSVs and plot scripts")
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility and ignored (must be "
-                             "at least 1); numpy's BLAS runs on one thread, and "
-                             "work split over the cores uses every core")
+                             "at least 1); numpy's and scipy's BLAS run on one "
+                             "thread, and work split over the cores uses every core")
     return parser
 
 
 def main(argv=None) -> int:
+    # on one numpy BLAS thread, no result depends on the core count
+    numlin.pin_one_blas_thread(np.linalg._umath_linalg)
     args = build_parser().parse_args(argv)
     try:
         params = load_config(args.config) if args.config else {}
         if args.threads < 1:
             raise ConfigError("threads must be at least 1")
         cfg = experiment_config(args.command, params, args.seed, args.out)
-        # on one numpy BLAS thread, no result depends on the core count
-        with numlin.one_blas_thread(park=args.command in _FORKING):
-            artifacts = RUNNERS[args.command](cfg)
+        artifacts = RUNNERS[args.command](cfg)
         write_artifacts(cfg.out_dir, artifacts)
         return 0
     except _CONFIG_ERRORS as exc:

@@ -55,8 +55,9 @@ def _softplus(z):
 
 
 def _softplus_d(z):
-    from scipy.special import expit
+    from scipy.special import _ufuncs, expit
 
+    numlin.pin_one_blas_thread(_ufuncs)     # scipy.special loads scipy's OpenBLAS
     return expit(z)
 
 

@@ -6,23 +6,22 @@ complex128; solve_spd also takes a matrix of right-hand sides), and
 every entry must be finite. Factorizations and eigensolvers are
 delegated to LAPACK through numpy. The one exception is solve_spd's
 Cholesky factor and solve, which call LAPACK dpotrf and dpotrs through
-scipy.linalg.lapack, imported inside solve_spd so that importing this
+scipy's LAPACK module, imported inside solve_spd so that importing this
 module loads no scipy. This module pins down the conventions
 (pseudo-inverse rank cutoff, jitter handling) and the error surface,
 which the rest of the package relies on.
 
-A result that numpy's threaded OpenBLAS computes can round differently
-per core count: double-descent's complex Gram products do, and so does
-max_eig's eigvalsh. one_blas_thread holds numpy's OpenBLAS to one thread,
-which makes such results independent of the core count. The CLI runs
-every command under it. For the commands that call scipy's LAPACK or
-BLAS it also matters for speed: scipy links an OpenBLAS of its own, and
-each library's worker thread spins for a while after every threaded
-call, so on a machine with few cores the two pools would spin against
-each other. scipy's pool keeps its threads for solve_spd's
-factorization, but solve_spd parks it (shuts its worker threads down)
-before and after the factorization, so that no worker is left spinning
-once it returns; the next threaded scipy call starts them again.
+numpy and scipy each link an OpenBLAS of their own, and a result that a
+threaded OpenBLAS computes can round differently per core count:
+double-descent's complex Gram products do, max_eig's eigvalsh does, and
+so does solve_spd's Cholesky factor. pin_one_blas_thread sets one
+library to one thread and stops its worker threads for the rest of the
+process, which makes such results independent of the core count. The CLI
+pins numpy's library before every command, and each function that
+imports scipy pins scipy's right after the import, so that commands that
+call no scipy load none. Once both counts are one, no pool starts again:
+OpenBLAS stops its pool at every fork, and only a change of the count
+would restart it.
 
 The package uses several cores from Python through two helpers with one
 contract: each computes [fn(0), ..., fn(count - 1)] on at most one worker
@@ -34,7 +33,8 @@ kernelmach.rff_features its rows, and labcli's simplex command its
 dimensions, all in numpy loops. on_processes runs fn in forked worker
 processes, for work that holds the GIL: optim.critical_batch_scan runs
 its (batch size, seed) cells through it, whose step loops spend their
-time in the interpreter. It forks only while the caller is the one
+time in the interpreter, and labcli's noise-interp command its seeds,
+each one Cholesky factorization. It forks only while the caller is the one
 Python thread, and a worker that dies costs time, not a result. Each
 caller of on_cores allocates its per-thread scratch arrays on the calling
 thread before calling it: buffers that workers allocate come from fresh
@@ -57,7 +57,6 @@ tests' reference.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import os
@@ -81,111 +80,52 @@ _SYM_RTOL = 1e-10
 _SYM_TILE = 128      # require_symmetric tile edge; a tile pair fits in L2
 
 
-# (get, set) symbol pairs of numpy's OpenBLAS thread count, first match wins
+# (get, set, shutdown) calls of an OpenBLAS thread pool, first full match
+# wins: numpy's library exports the 64-bit names, scipy's the plain ones
 _BLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"))
-# OpenBLAS's call that shuts its worker threads down; the next threaded call
-# starts them again. numpy's library and scipy's both export it unprefixed.
-_BLAS_SHUTDOWN_SYMBOL = "blas_thread_shutdown_"
-# held from the park before solve_spd's factorization to the park after it,
-# so that no thread shuts scipy's pool down while another one factorizes
-_SCIPY_BLAS_LOCK = threading.Lock()
-# set once on_processes has forked from this process, which shut numpy's
-# OpenBLAS pool down; one_blas_thread parks the pool from then on
-_forked = False
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_",
+     "blas_thread_shutdown_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads",
+     "blas_thread_shutdown_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_", "blas_thread_shutdown_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads", "blas_thread_shutdown_"))
 
 
 @functools.cache
-def _blas_symbols(extension, groups, loader=ctypes.CDLL):
-    """The first group of names in groups that the OpenBLAS an extension
-    module links exports in full, as a list of ctypes functions, or None.
+def _blas_calls(extension):
+    """The first group of _BLAS_THREAD_SYMBOLS that the OpenBLAS an
+    extension module links exports in full, as ctypes functions, or None.
 
     The symbols are looked up through the handle of the extension; dlsym
-    on that handle also searches its dependencies. Each lookup is made
-    once per process: one_blas_thread makes two on every command that
-    forks, and made afresh, their small allocations between the scan's
-    large arrays raised sgd-scaling's peak resident memory by 2 MB.
+    on that handle also searches its dependencies. ctypes.PyDLL keeps the
+    GIL held across each call, so no Python thread enters that BLAS while
+    its pool stops. Each lookup is made once per process: made afresh,
+    their small allocations between sgd-scaling's large arrays raised its
+    peak resident memory by 2 MB.
     """
-    lib = loader(extension.__file__)
-    for names in groups:
+    lib = ctypes.PyDLL(extension.__file__)
+    for names in _BLAS_THREAD_SYMBOLS:
         calls = [getattr(lib, name, None) for name in names]
         if all(call is not None for call in calls):
             return calls
     return None
 
 
-def _blas_thread_calls():
-    """(get, set) for the thread count of the OpenBLAS numpy links, or None."""
-    calls = _blas_symbols(np.linalg._umath_linalg, _BLAS_THREAD_SYMBOLS)
-    if calls is None:
-        return None
-    get, set_ = calls
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
+def pin_one_blas_thread(extension) -> None:
+    """Set the OpenBLAS that an extension module links to one thread, and
+    stop that pool's worker threads. Nothing is restored.
 
-
-def _blas_shutdown(extension):
-    """The shutdown call of the OpenBLAS an extension module links, or None.
-
-    It is loaded through ctypes.PyDLL, which keeps the GIL held across the
-    call, so no Python thread enters that BLAS while the pool stops.
+    The count is set only where it is not one already: setting it on a
+    pool that a shutdown or a fork stopped starts the pool again. Where the
+    library exports no such calls (another BLAS), this does nothing.
     """
-    calls = _blas_symbols(extension, ((_BLAS_SHUTDOWN_SYMBOL,),), ctypes.PyDLL)
+    calls = _blas_calls(extension)
     if calls is None:
-        return None
-    shutdown, = calls
-    shutdown.argtypes, shutdown.restype = [], ctypes.c_int
-    return shutdown
-
-
-def _scipy_blas_shutdown():
-    """The shutdown call of the OpenBLAS scipy links, or None."""
-    from scipy.linalg import _flapack
-
-    return _blas_shutdown(_flapack)
-
-
-@contextlib.contextmanager
-def one_blas_thread(park: bool = False):
-    """Hold numpy's OpenBLAS to one thread inside the block.
-
-    The previous count is restored on leaving, by an exception too. Where
-    numpy links no OpenBLAS with a known thread setter, this does nothing.
-
-    With park, and in any process that on_processes has forked from, each
-    change of the count is followed by a park of numpy's pool, which a
-    threaded call made after the block starts again on demand. OpenBLAS
-    shuts its pool down before every fork, the next change of the count
-    starts it again, and a pool just started spins its worker threads for
-    about 0.1 s of CPU (on the 2-vCPU VM of BENCH_26.json), on cores the
-    command's own work could use. Work that forks passes park, so that
-    the pool is parked before its first BLAS call: parking only from the
-    first fork on left batch-scan's passes 4 MB larger, and parking in
-    every command left width-scan's 0.25 MB larger (BENCH_26.json,
-    park_scope).
-    """
-    calls = _blas_thread_calls()
-    if calls is None:
-        yield
         return
-    get, set_ = calls
-
-    def settle():
-        shutdown = (park or _forked) and _blas_shutdown(np.linalg._umath_linalg)
-        if shutdown:
-            shutdown()
-
-    before = get()
-    set_(1)
-    settle()
-    try:
-        yield
-    finally:
-        set_(before)
-        settle()
+    get, set_, shutdown = calls
+    if get() != 1:
+        set_(1)
+    shutdown()
 
 
 def core_count() -> int:
@@ -297,7 +237,6 @@ def _run_forked(fn, count: int, procs: int) -> dict:
     the caller is interrupted, so that importing this module costs the
     commands that never fork nothing more.
     """
-    global _forked
     try:
         tasks_fd, fill_fd = os.pipe()
     except OSError:     # no descriptor to spare: the caller runs every index
@@ -324,7 +263,6 @@ def _run_forked(fn, count: int, procs: int) -> dict:
                 break
             if pid == 0:
                 _worker(fn, count, per, tasks_fd, write_fd, caller)
-            _forked = True
             os.close(write_fd)
             workers.append((pid, read_fd))
         done = _claim_and_run(fn, count, per, tasks_fd)
@@ -424,17 +362,12 @@ def solve_spd(a, b, jitter: float = 0.0) -> np.ndarray:
     """Solve (A + jitter*I) x = b for symmetric positive definite A.
 
     Uses a Cholesky factorization, LAPACK dpotrf then dpotrs, on scipy's
-    threaded OpenBLAS. The jitter is added to the diagonal of a copy
-    before factorizing; a itself is never written. NotPositiveDefinite is
-    raised if the shifted matrix still fails to factor. b is a vector, or
-    a matrix whose columns are solved on the one factorization; x has the
-    shape of b.
-
-    scipy's OpenBLAS worker threads are parked before the factorization
-    and again when the solve returns or raises, so none is left spinning
-    once the call is over; a lock serializes the park, the factorization,
-    the solve and the park across Python threads. Where scipy's library
-    has no shutdown call (another BLAS), nothing is parked.
+    OpenBLAS, pinned to one thread (pin_one_blas_thread) so that x does not
+    depend on the core count. The jitter is added to the diagonal of a
+    copy before factorizing; a itself is never written.
+    NotPositiveDefinite is raised if the shifted matrix still fails to
+    factor. b is a vector, or a matrix whose columns are solved on the one
+    factorization; x has the shape of b.
     """
     a = as_array(a, 2, "A")
     b = as_array(b, 2 if np.ndim(b) == 2 else 1, "b")
@@ -447,26 +380,18 @@ def solve_spd(a, b, jitter: float = 0.0) -> np.ndarray:
     if jitter != 0.0:
         shifted = a.copy()
         shifted.flat[::a.shape[0] + 1] += jitter
-    from scipy.linalg.lapack import dpotrf, dpotrs
+    from scipy.linalg import _flapack
 
-    park = _scipy_blas_shutdown() or (lambda: None)
-    with _SCIPY_BLAS_LOCK:
-        # parking first also frees the worker OpenBLAS starts at load time,
-        # whose buffer would otherwise stay resident beside its successor's
-        park()
-        try:
-            # shifted.T is the Fortran-ordered view, so LAPACK gets a plain
-            # copy (or, for the private jittered copy, the array itself) and
-            # its upper triangle is the lower triangle of shifted
-            factor, info = dpotrf(shifted.T, lower=0, clean=0,
-                                  overwrite_a=shifted is not a)
-            if info > 0:
-                raise NotPositiveDefinite(
-                    f"Cholesky failed at jitter={jitter:g}: leading minor {info} "
-                    f"is not positive")
-            x, _ = dpotrs(factor, b, lower=0)
-        finally:
-            park()
+    pin_one_blas_thread(_flapack)
+    # shifted.T is the Fortran-ordered view, so LAPACK gets a plain copy
+    # (or, for the private jittered copy, the array itself) and its upper
+    # triangle is the lower triangle of shifted
+    factor, info = _flapack.dpotrf(shifted.T, lower=0, clean=0,
+                                   overwrite_a=shifted is not a)
+    if info > 0:
+        raise NotPositiveDefinite(
+            f"Cholesky failed at jitter={jitter:g}: leading minor {info} is not positive")
+    x, _ = _flapack.dpotrs(factor, b, lower=0)
     return x
 
 
@@ -476,10 +401,10 @@ def max_eig(a) -> float:
     The critical-batch scan reads lambda_max(X^T X) this way from the Gram
     matrix X X^T, which has the same nonzero spectrum, and loss-compare
     its step size from the tangent kernel. numpy's eigvalsh
-    computes no eigenvectors. scipy's eigh can compute the top eigenvalue
-    alone, a few ms sooner at n = 512, but it runs on scipy's threaded
-    OpenBLAS. sgd-scaling holds numpy's to one thread (one_blas_thread), so
-    there eigvalsh's last bits do not depend on the core count.
+    computes no eigenvectors; scipy's eigh can compute the top eigenvalue
+    alone, a few ms sooner at n = 512. The CLI pins numpy's OpenBLAS to
+    one thread (pin_one_blas_thread), so eigvalsh's last bits do not
+    depend on the core count.
     """
     a = as_array(a, 2, "A")
     require_symmetric(a, "A")
@@ -525,8 +450,8 @@ def _gram_solve(gram: np.ndarray, rhs: np.ndarray):
     exact test, runs only on a Gram the screen refuses; either way a
     width takes the same path and the same solve, one LU factorization.
     All three LAPACK calls are numpy's, not scipy's, so double-descent
-    loads no scipy. It runs inside one_blas_thread, so these calls give the
-    same bits on every core count.
+    loads no scipy. The CLI pins numpy's OpenBLAS to one thread, so these
+    calls give the same bits on every core count.
     """
     if not np.all(np.isfinite(gram)):
         return None

@@ -56,8 +56,9 @@ def _loss_grad(X, y, w, loss: str = SQUARE, model=None) -> tuple:
     if loss == SQUARE:
         r = f - y
         return 0.5 * float(r @ r), J.T @ r
-    from scipy.special import expit
+    from scipy.special import _ufuncs, expit
 
+    numlin.pin_one_blas_thread(_ufuncs)     # scipy.special loads scipy's OpenBLAS
     margins = -y * f
     return float(np.sum(np.logaddexp(0.0, margins))), J.T @ (-y * expit(margins))
 
@@ -186,7 +187,6 @@ def _batch_one_steps(G, G2, r, c: float, target: float, iter_cap: int, rng):
             a = dtrsv(c * Gi[:, ii], c * r[ii], lower=1, diag=1)
             r_sq = float(r @ r)
             with np.errstate(over="ignore", invalid="ignore"):
-                # tril(H) @ a in numpy: scipy's dtrmv wakes BLAS threads at B = 64
                 two_loss = r_sq + np.cumsum(
                     a * (2.0 * (np.tril(H) @ a) - np.diagonal(H) * a - 2.0 * (Gi @ r)))
                 bound = math.sqrt(r_sq) + float(np.abs(a) @ np.sqrt(np.diagonal(H)))
@@ -309,9 +309,11 @@ def critical_batch_scan(X, y, batch_grid, target_loss: float,
     # the full batch draws nothing, so its one cell (seed 0) serves every seed
     cells = [(m, s) for m in sorted(grid, key=lambda m: (m == 1, m))
              for s in (range(seeds) if m < n else (0,))]
-    # batch 1's dtrsv, imported before the fork: a worker importing scipy
-    # itself spends about 0.25 s on it
-    from scipy.linalg.blas import dtrsv  # noqa: F401
+    # batch 1's dtrsv, imported and pinned to one thread before the fork: a
+    # worker importing scipy itself spends about 0.25 s on it
+    from scipy.linalg import _fblas
+
+    numlin.pin_one_blas_thread(_fblas)
 
     try:
         counts = numlin.on_processes(lambda i: run_cell(*cells[i]), len(cells))

@@ -122,35 +122,39 @@ def test_simplex_schema_and_accuracy():
         assert abs(est - expect) <= 4.0 * se
 
 
-def _numpy_blas_threads():
-    """(get, set) of numpy's OpenBLAS thread count; skips where not found."""
-    calls = numlin._blas_thread_calls()
-    if calls is None:
-        pytest.skip("no thread-count setter found for numpy's OpenBLAS")
-    return calls
+def _blas_libraries():
+    """[(extension, get, set)] for numpy's OpenBLAS thread count, then
+    scipy's; skips where either is not found."""
+    from scipy.linalg import _flapack
+
+    found = []
+    for extension in (np.linalg._umath_linalg, _flapack):
+        calls = numlin._blas_calls(extension)
+        if calls is None:
+            pytest.skip(f"no thread-count setter found for {extension.__name__}'s BLAS")
+        found.append((extension, *calls[:2]))
+    return found
 
 
 def _main_at_one_and_two_blas_threads(tmp_path, command, params, seed):
     """The files ``labcli.main`` writes for ``command``, as {name: bytes},
-    with numpy's OpenBLAS set to one thread, then to two."""
-    get, set_ = _numpy_blas_threads()
+    with numpy's and scipy's OpenBLAS set to one thread, then to two."""
+    libraries = _blas_libraries()
     cfg = tmp_path / f"{command}.cfg"
     cfg.write_text("".join(f"{key} = {value}\n" for key, value in params.items()))
-    before, runs = get(), []
-    try:
-        for threads in (1, 2):
+    runs = []
+    for threads in (1, 2):
+        for _, _, set_ in libraries:
             set_(threads)
-            out = tmp_path / f"threads-{threads}"
-            assert labcli.main([command, "--config", str(cfg), "--seed", str(seed),
-                                "--out", str(out)]) == 0
-            runs.append({p.name: p.read_bytes() for p in out.iterdir()})
-    finally:
-        set_(before)
+        out = tmp_path / f"threads-{threads}"
+        assert labcli.main([command, "--config", str(cfg), "--seed", str(seed),
+                            "--out", str(out)]) == 0
+        runs.append({p.name: p.read_bytes() for p in out.iterdir()})
     return runs
 
 
-# (command, params, seed) runs whose numpy BLAS calls are large enough to
-# thread at two; main must write the same bytes at one thread and at two
+# (command, params, seed) runs whose BLAS calls are large enough to thread
+# at two; main must write the same bytes at one thread and at two
 _THREAD_CHECK_RUNS = [
     pytest.param("simplex", {}, 1, id="simplex"),
     # numpy's kernel-matrix GEMMs run threaded at two
@@ -164,6 +168,11 @@ _THREAD_CHECK_RUNS = [
                                     "rff.replicates": "2"}, 1, id="double-descent"),
     # the kernel GEMMs thread in numpy, the Cholesky solve in scipy
     pytest.param("raisin", {"data.train_n": "1000"}, 1, id="raisin"),
+    # scipy's dpotrf at two threads wrote query 3's flip_radius as
+    # 0.625331713501166, and 0.625395876410411 at one, unless the solve pins it
+    pytest.param("raisin", {"data.train_n": "800", "data.dim": "4",
+                            "kernel.family": "gaussian", "kernel.bandwidth": "1.5"},
+                 2, id="raisin-gaussian"),
     pytest.param("loss-compare", {}, 1, id="loss-compare"),
     # the tangent kernel J J^T rounds differently at two numpy BLAS threads,
     # unless the command runs it at one
@@ -288,7 +297,8 @@ def test_noise_interp_matches_per_cell_reference(params):
             [(q, s) for q in grid for s in range(int(params["seeds.count"]))]
 
 
-def test_noise_interp_one_factorization_per_seed(monkeypatch):
+def test_noise_interp_one_factorization_per_seed(monkeypatch, force_cores):
+    force_cores(1)      # on one process, so that every call is counted here
     calls = {"kernel_matrix": 0, "fit_interpolating": 0, "solve_spd": 0}
     for module, name in ((kernelmach, "kernel_matrix"),
                          (kernelmach, "fit_interpolating"),
@@ -302,6 +312,47 @@ def test_noise_interp_one_factorization_per_seed(monkeypatch):
     labcli.run_noise_interp(_cfg("noise-interp", params))
     # one train and one test kernel matrix per seed; jitter zero suffices
     assert calls == {"kernel_matrix": 6, "fit_interpolating": 3, "solve_spd": 3}
+
+
+def test_noise_interp_bytes_match_at_any_core_count(tmp_path, capsys, force_cores):
+    # the seeds run on forked workers, each fit as a serial run makes it
+    cfg = tmp_path / "ni.cfg"
+    cfg.write_text("data.train_n = 150\ndata.test_n = 100\nseeds.count = 5\n"
+                   "noise.grid = 0, 0.3\ndata.dim = 4\n")
+    runs = {}
+    for cores in (1, 2, 3):
+        started = force_cores(cores)
+        started.clear()
+        out = tmp_path / f"cores-{cores}"
+        assert labcli.main(["noise-interp", "--config", str(cfg), "--seed", "3",
+                            "--out", str(out)]) == 0
+        assert len(started.forked) == cores - 1
+        runs[cores] = (out / "noise-interp.csv").read_bytes()
+    capsys.readouterr()
+    assert runs[1] == runs[2] == runs[3]
+
+
+def test_noise_interp_idx_error_in_a_worker_exits_two(tmp_path, capsys, force_cores):
+    # every seed raises, and the caller stops at its first, so the worker
+    # raises too; either way the exception comes back as one line
+    rng = np.random.default_rng(0)
+    _write_idx(tmp_path, rng.integers(0, 256, size=(60, 4, 4)), np.arange(60) % 3)
+    base = ("data.family = idx\ndata.labels = {0}/labels\ndata.classes = 1, 2\n"
+            "data.train_n = 20\ndata.test_n = 20\nseeds.count = 3\n").format(tmp_path)
+    cases = {"data.images = {0}/images\n": "config error: noise-interp needs a family "
+                                           "with a closed-form risk\n",
+             "data.images = {0}/none\n": "config error: cannot read idx data: "}
+    cfg = tmp_path / "ni.cfg"
+    for images, message in cases.items():
+        cfg.write_text(base + images.format(tmp_path))
+        started = force_cores(2)
+        started.clear()
+        out = tmp_path / "out"
+        assert labcli.main(["noise-interp", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(started.forked) == 1
+        assert err.startswith(message) and err.count("\n") == 1, err
+        assert not out.exists()
 
 
 # --- double descent ---
@@ -930,29 +981,35 @@ def test_main_end_to_end(tmp_path):
                                          (None, RuntimeError("bug"))])
 def test_main_holds_numpy_blas_to_one_thread(tmp_path, capsys, monkeypatch,
                                               command, code, error):
-    get, set_ = _numpy_blas_threads()
+    # main pins numpy's OpenBLAS and the runner's solve pins scipy's; nothing
+    # restores either count or starts either pool, whichever way main ends
+    from test_numlin import _task_count
+
+    libraries = _blas_libraries()
+    for extension, _, _ in libraries:
+        numlin.pin_one_blas_thread(extension)
+    without_workers = _task_count()
     inside = []
 
     def runner(cfg):
-        inside.append(get())
+        inside.append(libraries[0][1]())
+        numlin.solve_spd(np.eye(2), np.ones(2))
         if error is not None:
             raise error
         return {}
 
     monkeypatch.setitem(labcli.RUNNERS, command, runner)
     argv = [command, "--out", str(tmp_path / "o")]
-    before = get()
-    try:
+    for _, _, set_ in libraries:
         set_(2)
-        if code is None:
-            with pytest.raises(RuntimeError):
-                labcli.main(argv)
-        else:
-            assert labcli.main(argv) == code
-        assert inside == [1]
-        assert get() == 2
-    finally:
-        set_(before)
+    if code is None:
+        with pytest.raises(RuntimeError):
+            labcli.main(argv)
+    else:
+        assert labcli.main(argv) == code
+    assert inside == [1]
+    assert [get() for _, get, _ in libraries] == [1, 1]
+    assert _task_count() == without_workers
     capsys.readouterr()
 
 
@@ -1505,9 +1562,10 @@ def test_laplace_identity_kernel_interpolates(tmp_path, capsys, command):
         assert rows and all(float(r[col]) == 0.0 for r in rows)
 
 
-def test_interp_risk_fits_need_no_jitter(tmp_path, capsys, monkeypatch):
+def test_interp_risk_fits_need_no_jitter(tmp_path, capsys, monkeypatch, force_cores):
     # a fit that needs a second Cholesky rung costs the benchmark's
     # interp-risk workload a second factorization of a 2000 x 2000 K
+    force_cores(1)      # on one process, so that every fit is recorded here
     workloads = _workloads()
     jitters = []
 

@@ -92,60 +92,9 @@ def _task_count():
     return len(os.listdir("/proc/self/task"))
 
 
-def _scipy_blas_threads():
-    """Thread count of scipy's OpenBLAS, or None where no getter is found."""
-    from scipy.linalg import _flapack
-
-    calls = numlin._blas_symbols(_flapack, (("scipy_openblas_get_num_threads",),
-                                            ("openblas_get_num_threads",)))
-    return None if calls is None else calls[0]()
-
-
-def test_solve_spd_leaves_no_blas_worker_behind(monkeypatch):
-    if numlin._scipy_blas_shutdown() is None:
-        pytest.skip("scipy's BLAS has no thread shutdown call")
-    rng = np.random.default_rng(5)
-    n = 800    # large enough that dpotrf runs on scipy's worker threads
-    a, b = _spd(rng, n, 1e-2), rng.standard_normal(n)
-    indefinite = a.copy()
-    indefinite[-1, -1] = -1.0     # fails at the last minor, after the threaded work
-
-    def refused():
-        with pytest.raises(NotPositiveDefinite):
-            numlin.solve_spd(indefinite, b)
-
-    numlin.solve_spd(np.eye(2), np.ones(2))   # parks what earlier scipy calls left
-    for solve in (lambda: numlin.solve_spd(a, b),
-                  lambda: numlin.solve_spd(a, b, jitter=1e-8), refused):
-        before = _task_count()
-        solve()
-        assert _task_count() == before
-    # the control: unparked, the same solve leaves scipy's worker behind
-    threads = _scipy_blas_threads()
-    monkeypatch.setattr(numlin, "_BLAS_SHUTDOWN_SYMBOL", "no_such_thread_shutdown")
-    before = _task_count()
-    numlin.solve_spd(a, b)
-    left = _task_count() - before
-    monkeypatch.undo()
-    numlin.solve_spd(np.eye(2), np.ones(2))
-    if threads is not None and threads > 1:
-        assert left > 0
-
-
-def test_solve_spd_without_a_shutdown_parks_nothing(monkeypatch):
-    rng = np.random.default_rng(6)
-    a, b = _spd(rng, 300, 1e-2), rng.standard_normal(300)
-    parked = numlin.solve_spd(a, b, jitter=1e-10)
-    monkeypatch.setattr(numlin, "_BLAS_SHUTDOWN_SYMBOL", "no_such_thread_shutdown")
-    assert numlin._scipy_blas_shutdown() is None
-    assert numlin.solve_spd(a, b, jitter=1e-10).tobytes() == parked.tobytes()
-    with pytest.raises(NotPositiveDefinite):
-        numlin.solve_spd(-np.eye(3), np.ones(3))
-
-
 def test_concurrent_solves_match_serial_bits():
-    # two Python threads solve threaded-size systems at once; the lock
-    # around solve_spd's park, factorization and solve keeps them apart
+    # two Python threads solve threaded-size systems at once, with no lock
+    # around solve_spd's pin, factorization and solve
     rng = np.random.default_rng(7)
     systems = [(_spd(rng, n, 1e-2), rng.standard_normal((n, k) if k else n), jitter)
                for n, k, jitter in ((600, 0, 0.0), (700, 3, 1e-10), (650, 0, 1e-8),
@@ -807,62 +756,45 @@ def test_gram_solve_screen_matches_eigvalsh_certificate(seed):
     assert min(verdicts.values()) > 60
 
 
-# --- one_blas_thread ---
+# --- pin_one_blas_thread ---
 
-def test_one_blas_thread_without_a_setter_does_nothing(monkeypatch):
-    real = numlin._blas_thread_calls()
-    threads = (lambda: real[0]()) if real else (lambda: None)
-    monkeypatch.setattr(numlin, "_BLAS_THREAD_SYMBOLS",
-                        (("no_such_get_num_threads", "no_such_set_num_threads"),))
-    assert numlin._blas_thread_calls() is None
-    before = threads()
-    with numlin.one_blas_thread():
-        assert threads() == before
-        x = numlin.solve_spd(np.eye(2), np.ones(2))
-    assert np.array_equal(x, np.ones(2))
+def _blas_calls(extension):
+    """(get, set, shutdown) of the OpenBLAS an extension links; skips where
+    any is missing."""
+    calls = numlin._blas_calls(extension)
+    if calls is None:
+        pytest.skip(f"{extension.__name__}'s BLAS has no thread setter or shutdown call")
+    return calls
 
 
-def _numpy_blas_pool():
-    """(get, set, park) of numpy's OpenBLAS pool; skips where any is missing
-    or the pool has no worker thread."""
-    calls = numlin._blas_thread_calls()
-    park = numlin._blas_shutdown(np.linalg._umath_linalg)
-    if calls is None or park is None:
-        pytest.skip("numpy's BLAS has no thread setter or shutdown call")
-    if calls[0]() < 2:
-        pytest.skip("numpy's OpenBLAS runs one thread here")
-    return (*calls, park)
+def test_pinned_pools_start_no_thread_across_a_fork(force_cores):
+    # the pin sets one thread again after a later change of the count;
+    # OpenBLAS stops both pools at a fork, and only a change of the count
+    # would start them again, so neither the caller nor a worker gains a
+    # thread from large numpy and scipy calls after the fork
+    from scipy.linalg import _flapack
 
-
-def test_one_blas_thread_parks_only_when_asked_before_a_fork(monkeypatch):
-    # a process that never forked keeps numpy's pool across the block;
-    # park=True parks it on entry and again after the restore restarts it
-    get, set_, _ = _numpy_blas_pool()
-    monkeypatch.setattr(numlin, "_forked", False)
-    set_(get())             # starts the pool if an earlier park stopped it
-    running = _task_count()
-    with numlin.one_blas_thread():
-        assert _task_count() == running
-    assert _task_count() == running
-    with numlin.one_blas_thread(park=True):
-        parked = _task_count()
-        assert parked < running
-    assert _task_count() == parked
-
-
-def test_one_blas_thread_leaves_no_numpy_worker_after_a_fork(force_cores, monkeypatch):
-    # OpenBLAS shuts its pool down at a fork and the restore restarts it;
-    # the block parks it again, so no restarted worker is left spinning
-    _, _, park = _numpy_blas_pool()
-    monkeypatch.setattr(numlin, "_forked", False)
+    for extension in (np.linalg._umath_linalg, _flapack):
+        get, set_, _ = _blas_calls(extension)
+        set_(2)
+        numlin.pin_one_blas_thread(extension)
+        assert get() == 1
     force_cores(2)
-    park()
-    scipy_park = numlin._scipy_blas_shutdown()
-    if scipy_park is not None:
-        scipy_park()        # a fork shuts scipy's pool down too
-    before = _task_count()
-    with numlin.one_blas_thread():
-        assert numlin.on_processes(lambda i: -i, 4) == [0, -1, -2, -3]
+    rng = np.random.default_rng(8)
+    a, b = _spd(rng, 800, 1e-2), rng.standard_normal(800)
+    before, caller = _task_count(), os.getpid()
+
+    def work(i):
+        if i == 0:
+            time.sleep(0.2)     # so that the other process takes index 1
+        np.linalg.eigvalsh(a @ a)
+        numlin.solve_spd(a, b)
+        return os.getpid(), len(os.listdir("/proc/self/task"))
+
+    ran = numlin.on_processes(work, 2)
+    assert len({pid for pid, _ in ran}) == 2
+    for pid, tasks in ran:
+        assert tasks == (before if pid == caller else 1), ran
     assert _task_count() == before
 
 
