@@ -20,6 +20,7 @@ import interplab
 from interplab import artifacts, datagen, direct, kernelmach, labcli, netmodels, numlin, optim
 from interplab.errors import ConfigError, NoConvergence, NoCorruptedNeighbor
 from interplab.rng import substream
+from test_numlin import _task_count
 from test_trace_targets import _workloads
 
 
@@ -983,16 +984,14 @@ def test_main_holds_numpy_blas_to_one_thread(tmp_path, capsys, monkeypatch,
                                               command, code, error):
     # main pins numpy's OpenBLAS and the runner's solve pins scipy's; nothing
     # restores either count or starts either pool, whichever way main ends
-    from test_numlin import _task_count
-
     libraries = _blas_libraries()
     for extension, _, _ in libraries:
         numlin.pin_one_blas_thread(extension)
     without_workers = _task_count()
-    inside = []
+    numpy_threads, inside = libraries[0][1], []
 
     def runner(cfg):
-        inside.append(libraries[0][1]())
+        inside.append(numpy_threads())
         numlin.solve_spd(np.eye(2), np.ones(2))
         if error is not None:
             raise error

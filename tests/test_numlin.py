@@ -758,15 +758,6 @@ def test_gram_solve_screen_matches_eigvalsh_certificate(seed):
 
 # --- pin_one_blas_thread ---
 
-def _blas_calls(extension):
-    """(get, set, shutdown) of the OpenBLAS an extension links; skips where
-    any is missing."""
-    calls = numlin._blas_calls(extension)
-    if calls is None:
-        pytest.skip(f"{extension.__name__}'s BLAS has no thread setter or shutdown call")
-    return calls
-
-
 def test_pinned_pools_start_no_thread_across_a_fork(force_cores):
     # the pin sets one thread again after a later change of the count;
     # OpenBLAS stops both pools at a fork, and only a change of the count
@@ -775,7 +766,10 @@ def test_pinned_pools_start_no_thread_across_a_fork(force_cores):
     from scipy.linalg import _flapack
 
     for extension in (np.linalg._umath_linalg, _flapack):
-        get, set_, _ = _blas_calls(extension)
+        calls = numlin._blas_calls(extension)
+        if calls is None:
+            pytest.skip(f"{extension.__name__}'s BLAS has no thread setter or shutdown call")
+        get, set_, _ = calls
         set_(2)
         numlin.pin_one_blas_thread(extension)
         assert get() == 1
