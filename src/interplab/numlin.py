@@ -80,21 +80,20 @@ _SYM_RTOL = 1e-10
 _SYM_TILE = 128      # require_symmetric tile edge; a tile pair fits in L2
 
 
-# (get, set, shutdown) calls of an OpenBLAS thread pool, first full match
-# wins: numpy's library exports the 64-bit names, scipy's the plain ones
+# (get, set) symbol pairs of an OpenBLAS thread count, first match wins:
+# numpy's library exports the 64-bit names, scipy's the plain ones
 _BLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_",
-     "blas_thread_shutdown_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads",
-     "blas_thread_shutdown_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_", "blas_thread_shutdown_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads", "blas_thread_shutdown_"))
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"))
 
 
 @functools.cache
 def _blas_calls(extension):
-    """The first group of _BLAS_THREAD_SYMBOLS that the OpenBLAS an
-    extension module links exports in full, as ctypes functions, or None.
+    """(get, set, shutdown) of the OpenBLAS an extension module links, as
+    ctypes functions: the first pair of _BLAS_THREAD_SYMBOLS it exports,
+    and the call that stops its worker threads. None if any is missing.
 
     The symbols are looked up through the handle of the extension; dlsym
     on that handle also searches its dependencies. ctypes.PyDLL keeps the
@@ -105,7 +104,7 @@ def _blas_calls(extension):
     """
     lib = ctypes.PyDLL(extension.__file__)
     for names in _BLAS_THREAD_SYMBOLS:
-        calls = [getattr(lib, name, None) for name in names]
+        calls = [getattr(lib, name, None) for name in (*names, "blas_thread_shutdown_")]
         if all(call is not None for call in calls):
             return calls
     return None
