@@ -12,8 +12,9 @@ exists.
 
 Exit codes: 0 success; 2 for configuration problems (unparseable or
 inconsistent config, bad values caught by module validation, data files
-that cannot back the requested experiment); 3 for numerical failures
-discovered mid-run (non-convergence, divergence, unreachable targets).
+that cannot back the requested experiment, sizes that exhaust memory);
+3 for numerical failures discovered mid-run (non-convergence,
+divergence, unreachable targets).
 """
 
 import argparse
@@ -41,7 +42,7 @@ from .errors import (
 from .rng import substream
 
 CONFIG_VERSION = "1"   # config files this build accepts
-FORMAT_VERSION = "13"  # CSV bytes; bumped whenever a result moves
+FORMAT_VERSION = "14"  # CSV bytes; bumped whenever a result moves
 COMMANDS = ("noise-interp", "double-descent", "raisin", "loss-compare",
             "simplex", "sgd-scaling", "linearity")
 
@@ -472,7 +473,9 @@ def run_raisin_search(cfg: ExperimentConfig) -> dict:
         hit = flips(active, mid)
         hi[active[hit]] = mid[hit]
         lo[active[~hit]] = mid[~hit]
-        active = active[hi[active] - lo[active] > tol]
+        # a bracket with no float strictly inside cannot shrink, whatever tol is
+        lo_a, hi_a = lo[active], hi[active]
+        active = active[(hi_a - lo_a > tol) & (np.nextafter(lo_a, hi_a) < hi_a)]
     # each bracketed query draws trials successive directions, in query
     # order; each row is normalized on its own so its norm keeps the bits
     # of a one-vector norm. The probes are scored in blocks of at most
@@ -689,8 +692,8 @@ def main(argv=None) -> int:
         artifacts = RUNNERS[args.command](cfg)
         write_artifacts(cfg.out_dir, artifacts)
         return 0
-    except _CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (*_CONFIG_ERRORS, MemoryError) as exc:   # MemoryError: arrays beyond memory
+        print(f"config error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

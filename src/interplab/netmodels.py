@@ -55,10 +55,8 @@ def _softplus(z):
 
 
 def _softplus_d(z):
-    from scipy.special import _ufuncs, expit
-
-    numlin.pin_one_blas_thread(_ufuncs)     # scipy.special loads scipy's OpenBLAS
-    return expit(z)
+    with np.errstate(over="ignore"):    # exp(-z) = inf gives the logistic's limit 0
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 def _softplus_dd(z):
@@ -72,10 +70,7 @@ _ACT = {
     "softplus": (_softplus, _softplus_d, _softplus_dd),
 }
 
-_WRAP = {
-    "none": (_identity, _identity_d, _identity_dd),
-    "softplus": (_softplus, _softplus_d, _softplus_dd),
-}
+_WRAP = {"none": _ACT["identity"], "softplus": _ACT["softplus"]}
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,12 @@ double-descent's complex Gram products do, max_eig's eigvalsh does, and
 so does solve_spd's Cholesky factor. pin_one_blas_thread sets one
 library to one thread and stops its worker threads for the rest of the
 process, which makes such results independent of the core count. The CLI
-pins numpy's library before every command, and each function that
-imports scipy pins scipy's right after the import, so that commands that
-call no scipy load none. Once both counts are one, no pool starts again:
-OpenBLAS stops its pool at every fork, and only a change of the count
-would restart it.
+pins numpy's library before every command. Only solve_spd (LAPACK dpotrf,
+dpotrs) and optim.critical_batch_scan (BLAS dtrsv) import scipy, for what
+numpy lacks, and each pins scipy's library right after the import, so
+commands that call neither load no scipy. Once both counts are one, no
+pool starts again: OpenBLAS stops its pool at every fork, and only a
+change of the count would restart it.
 
 The package uses several cores from Python through two helpers with one
 contract: each computes [fn(0), ..., fn(count - 1)] on at most one worker

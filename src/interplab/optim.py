@@ -56,11 +56,8 @@ def _loss_grad(X, y, w, loss: str = SQUARE, model=None) -> tuple:
     if loss == SQUARE:
         r = f - y
         return 0.5 * float(r @ r), J.T @ r
-    from scipy.special import _ufuncs, expit
-
-    numlin.pin_one_blas_thread(_ufuncs)     # scipy.special loads scipy's OpenBLAS
-    margins = -y * f
-    return float(np.sum(np.logaddexp(0.0, margins))), J.T @ (-y * expit(margins))
+    m = -y * f      # the margins; softplus is the loss, its derivative the weight
+    return float(np.sum(netmodels._softplus(m))), J.T @ (-y * netmodels._softplus_d(m))
 
 
 def gd(X, y, w0, step: float, iters: int, loss: str = SQUARE, model=None) -> np.ndarray:
@@ -174,7 +171,7 @@ def _batch_one_steps(G, G2, r, c: float, target: float, iter_cap: int, rng):
     term of the expansion: at least B eps |r|^2, however small the target.
     A screen that is not finite, as when G2 overflowed, replays too.
     """
-    from scipy.linalg.blas import dtrsv
+    from scipy.linalg._fblas import dtrsv
 
     n = G.shape[0]
     eps = np.finfo(float).eps

@@ -623,6 +623,27 @@ def test_raisin_lockstep_unbracketed_rows_match_per_query_loop(monkeypatch, seed
         [labcli._cell(v) for v in row] for row in reference]
 
 
+@pytest.mark.parametrize("tol", ["1e-17", "5e-324"])
+def test_raisin_tolerance_below_float_spacing_exits_zero(tmp_path, tol):
+    # below the float spacing at a flip radius, bisecting stops once no
+    # float lies strictly inside the bracket; before, the loop never ended
+    params = {"data.train_n": "20", "query.count": "3", "search.tol": tol}
+    (tmp_path / "run.cfg").write_text("".join(f"{k} = {v}\n" for k, v in params.items()))
+    proc = _fresh_python(tmp_path, "-m", "interplab", "raisin", "--config", "run.cfg",
+                         "--out", "out")
+    assert proc.returncode == 0, proc.stderr
+    _header, rows = _rows((tmp_path / "out" / "raisin.csv").read_text())
+    # at this spacing a single-row prediction rounds differently from the
+    # lockstep's batch, so the check is against the default tol's radii
+    del params["search.tol"]
+    _header, coarse = _rows(labcli.run_raisin_search(_cfg("raisin", params, seed=0))
+                            ["raisin.csv"])
+    assert len(rows) == len(coarse) == 4 and rows[-1][0] == "summary"
+    for fine, want in zip(rows[:-1], coarse[:-1]):
+        assert fine[4] == "1" and fine[:3] == want[:3]
+        assert abs(float(fine[3]) - float(want[3])) <= 1e-4
+
+
 def test_raisin_without_corruption_raises():
     params = {"data.train_n": "60", "noise.q": "0", "query.count": "4"}
     with pytest.raises(NoCorruptedNeighbor):
@@ -1077,6 +1098,34 @@ def test_main_rejects_empty_list_items(tmp_path, capsys, command, setting):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 59.6 GiB", "Unable to allocate 59.6 GiB"),
+    ("", "out of memory")])
+def test_main_memory_exhaustion_exits_two(tmp_path, capsys, monkeypatch, message, line):
+    def runner(cfg):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(labcli.RUNNERS, "linearity", runner)
+    out = tmp_path / "o"
+    assert labcli.main(["linearity", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {line}\n"
+    assert not out.exists()
+
+
+def test_main_request_beyond_the_address_space_exits_two(tmp_path, capsys):
+    # 10^14 random directions per query, petabytes: more than a 47-bit
+    # address space holds, so the allocation fails at once on any host
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(_tiny_without("raisin", {"random.trials"})
+                   + "random.trials = 100000000000000\n")
+    out = tmp_path / "o"
+    assert labcli.main(["raisin", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: Unable to allocate ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_main_unwritable_out_exits_two(tmp_path, capsys):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text("simplex.draws = 100\nsimplex.dims = 1\n")
@@ -1502,8 +1551,13 @@ def test_commands_without_scipy_never_load_it(tmp_path):
             "import interplab\n"
             "from interplab import labcli\n"
             "print('import', scipy_modules())\n"
-            + "".join(_main_source(c, _TINY[c])
-                      for c in ("simplex", "double-descent", "linearity"))
+            + "".join(_main_source(c, text) for c, text in (
+                ("simplex", _TINY["simplex"]),
+                ("double-descent", _TINY["double-descent"]),
+                ("linearity", _TINY["linearity"]),
+                ("linearity", _TINY["linearity"] + "lin.wrap = softplus\n"),
+                # every loss-compare run takes a cross-entropy pass
+                ("loss-compare", _TINY["loss-compare"])))
             + "print('runs', scipy_modules())\n")
     proc = _fresh_python(tmp_path, "-c", code)
     assert proc.returncode == 0, proc.stderr
@@ -1515,10 +1569,6 @@ def test_commands_without_scipy_never_load_it(tmp_path):
 _LAZY_SCIPY_SITES = {
     "numlin.solve_spd": _main_source("noise-interp", _TINY["noise-interp"]),
     "optim._batch_one_steps": _main_source("sgd-scaling", _TINY["sgd-scaling"]),
-    "netmodels._softplus_d": _main_source(
-        "linearity", _TINY["linearity"] + "lin.wrap = softplus\n"),
-    # every loss-compare run takes a cross-entropy pass
-    "optim._loss_grad": _main_source("loss-compare", _TINY["loss-compare"]),
 }
 
 

@@ -178,6 +178,33 @@ def test_jacobian_rows_are_gradients():
         assert np.abs(G[i] - nm.grad(model, w, X[i])).max() < 1e-13
 
 
+# --- the logistic, softplus's derivative ---
+
+@pytest.mark.parametrize("scale", [1.0, 5.0, 30.0, 800.0])
+def test_logistic_matches_scipy_expit(scale):
+    from scipy.special import expit     # the oracle; the package loads no scipy.special
+
+    z = substream(20, "logistic", int(scale)).standard_normal(200_000) * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = nm._softplus_d(z)
+    want = expit(z)
+    # np.spacing at the smallest normal is the subnormal spacing, so a zero
+    # or subnormal expit is held to 4 subnormal steps too
+    ulps = np.abs(got - want) / np.spacing(np.maximum(want, np.finfo(float).tiny))
+    assert ulps.max() <= 4.0
+
+
+def test_logistic_limits_are_exact():
+    z = np.array([-np.inf, -1e308, -800.0, -746.0, 0.0, 40.0, 800.0, 1e308, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = nm._softplus_d(z)
+        scalars = [nm._softplus_d(float(t)) for t in z]
+    assert got.tolist() == scalars == [0.0] * 4 + [0.5] + [1.0] * 4
+    assert nm._softplus_dd(z[[1, 2, 6, 7]]).tolist() == [0.0] * 4
+
+
 # --- Hessians ---
 
 def test_hessian_matches_fd_of_gradient():

@@ -630,6 +630,36 @@ def test_cross_entropy_objective_path():
     assert np.all(np.diff(losses[::10]) <= 0.0)
 
 
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_cross_entropy_gradient_matches_finite_differences(kind):
+    # the loss is sum softplus(-y f) and its gradient -J^T (y logistic(-y f));
+    # scipy's expit is the oracle of the logistic
+    from scipy.special import expit
+
+    rng = substream(21, "ce-fd", kind)
+    if kind == "linear":
+        model, X = None, rng.standard_normal((10, 6))
+        w = 2.0 * rng.standard_normal(6)
+        f, J = X @ w, X
+    else:
+        model = netmodels.init_mlp(3, 6, "softplus", seed=5, output_wrap="softplus")
+        X = rng.standard_normal((10, 3))
+        w = netmodels.flatten_params(model) + rng.standard_normal(18)
+        f, J = netmodels.forward_batch(model, w, X), netmodels.jacobian(model, w, X)
+    y = np.sign(rng.standard_normal(10))
+    loss, g = optim._loss_grad(X, y, w, optim.CROSS_ENTROPY, model)
+    want = sum(max(m, 0.0) + math.log1p(math.exp(-abs(m))) for m in -y * f)
+    assert loss == pytest.approx(want, rel=1e-13)
+    assert np.allclose(g, J.T @ (-y * expit(-y * f)), rtol=1e-13, atol=0.0)
+    h = 1e-6
+    for j in range(w.size):
+        e = np.zeros(w.size)
+        e[j] = h
+        fd = (optim._loss_grad(X, y, w + e, optim.CROSS_ENTROPY, model)[0]
+              - optim._loss_grad(X, y, w - e, optim.CROSS_ENTROPY, model)[0]) / (2 * h)
+        assert abs(g[j] - fd) <= 1e-6 * (1.0 + abs(fd))
+
+
 def test_validation_errors():
     X, y = _random_problem(1, 5, 4)
     with pytest.raises(DimensionMismatch):
