@@ -32,6 +32,7 @@ m = n where the norm spikes, is solved through the SVD
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,24 +81,29 @@ def kernel_matrix(spec: KernelSpec, X, Z=None) -> np.ndarray:
     """Cross-kernel matrix K[i, j] = K(X[i], Z[j]); Z defaults to X.
 
     One GEMM gives 2 X Z^T, which becomes K in place. Its rows are then
-    finished in blocks of about _BLOCK_BYTES, so each block stays in cache
-    through the whole epilogue: the squared distance
-    max(|x|^2 + |z|^2 - 2 x.z, 0), then exp(-d / bw) for laplace with
-    d = sqrt(d^2), or exp(-d^2 / (2 bw^2)) for gaussian. The blocks are
-    split into one contiguous run per core (numlin.on_cores), each with a
-    scratch block allocated before any thread starts, when every run gets
-    at least four blocks; starting and joining a thread costs about as much
-    as two blocks' epilogue, so a call of fewer blocks, such as a
-    prediction at a few points, runs on the calling thread alone. The GEMM
-    is not split, since row blocks of it can round differently from the
-    whole product. Every entry goes through the same IEEE operations in the
-    same order as the one-expression form, so neither the blocking nor the
-    split moves a bit. The epilogue treats (i, j)
-    and (j, i) alike, so when Z is None K equals its transpose exactly
-    wherever the GEMM's 2 X X^T does. When Z is X (or None) the squared
-    distance's diagonal is also set to 0 in each block, so K(x, x) is
-    exactly 1; the one-expression form leaves there a rounding residue of
-    about 1e-16 |x|^2, which laplace's sqrt lifts to about 1e-8.
+    finished in blocks of about _BLOCK_BYTES, each on a contiguous scratch
+    block that stays in cache through the whole epilogue: the squared
+    distance max(|x|^2 + |z|^2 - 2 x.z, 0), then exp(-d / bw) for laplace
+    with d = sqrt(d^2), or exp(-d^2 / (2 bw^2)) for gaussian. The blocks
+    are split into one contiguous run of about equal area per core
+    (numlin.on_cores), each with a scratch block allocated before any
+    thread starts, when every run gets at least four blocks; starting and
+    joining a thread costs about as much as two blocks' epilogue, so a
+    call of fewer blocks, such as a prediction at a few points, runs on the
+    calling thread alone. The GEMM is not split, since row blocks of it can
+    round differently from the whole product. Every entry goes through the
+    same IEEE operations in the same order as the one-expression form, so
+    neither the blocking nor the split moves a bit.
+
+    When Z is X (or None), K is exactly symmetric: the epilogue finishes
+    the lower triangle only, each block up to its last row's column, and
+    numlin.mirror_lower copies it onto the upper one. The GEMM's 2 X X^T is
+    not always symmetric in the last bits (with OpenBLAS it is not at
+    n = 300 or 500), so the lower triangle is the one-expression form's,
+    bit for bit, and the upper one its transpose. The squared distance's
+    diagonal is also set to 0 in each block, so K(x, x) is exactly 1; the
+    one-expression form leaves there a rounding residue of about
+    1e-16 |x|^2, which laplace's sqrt lifts to about 1e-8.
 
     InvalidInput is raised, before the GEMM, when s = max |x|^2 + max |z|^2
     is not below 0.99 times the float maximum. s bounds every |2 x.z| and
@@ -118,32 +124,46 @@ def kernel_matrix(spec: KernelSpec, X, Z=None) -> np.ndarray:
         raise InvalidInput("kernel matrix would overflow: squared point norms reach "
                            f"{max(x_sq.max(), z_sq.max()):.3e}; lower data.scale")
     K = 2.0 * X @ Z.T
-    rows = max(1, _BLOCK_BYTES // (K.itemsize * max(1, K.shape[1])))
-    starts = range(0, K.shape[0], rows)
-    parts = min(numlin.core_count(), len(starts) // 4) or 1
-    scratch = np.empty((parts, min(rows, K.shape[0]), K.shape[1]))
+    n, cols = K.shape
+    rows = max(1, _BLOCK_BYTES // (K.itemsize * max(1, cols)))
+    # (start, end, width): a row block's epilogue covers K[start:end, :width],
+    # which ends at the block's last row when Z is X
+    blocks = [(start, min(start + rows, n), min(start + rows, n) if Z is X else cols)
+              for start in range(0, n, rows)]
+    parts = min(numlin.core_count(), len(blocks) // 4) or 1
+    # one contiguous run of blocks per part, of about equal area: a block
+    # goes to the part whose share of the total holds the area before it
+    area = list(itertools.accumulate(((end - start) * width for start, end, width in blocks),
+                                     initial=0))
+    owner = [parts * before // max(area[-1], 1) for before in area[:-1]]
+    scratch = np.empty((parts, min(rows, n) * cols))
 
     def finish(part):
-        own = starts[len(starts) * part // parts:len(starts) * (part + 1) // parts]
         with np.errstate(over="ignore"):   # numpy's error state is per thread
-            for start in own:
-                block = K[start:start + rows]
-                sq = scratch[part, :block.shape[0]]
-                np.add(x_sq[start:start + rows, None], z_sq, out=sq)
-                np.subtract(sq, block, out=block)
-                np.maximum(block, 0.0, out=block)
+            for (start, end, width), own in zip(blocks, owner):
+                if own != part:
+                    continue
+                # the epilogue runs on a contiguous copy, since numpy's loops
+                # over a strided triangle block run several times slower
+                block = K[start:end, :width]
+                sq = scratch[part, :block.size].reshape(block.shape)
+                np.add(x_sq[start:end, None], z_sq[:width], out=sq)
+                np.subtract(sq, block, out=sq)
+                np.maximum(sq, 0.0, out=sq)
                 if Z is X:
-                    np.fill_diagonal(block[:, start:start + block.shape[0]], 0.0)
+                    np.fill_diagonal(sq[:, start:end], 0.0)
                 if spec.family == GAUSSIAN:
-                    np.negative(block, out=block)
-                    np.divide(block, 2.0 * spec.bandwidth**2, out=block)
+                    np.negative(sq, out=sq)
+                    np.divide(sq, 2.0 * spec.bandwidth**2, out=sq)
                 else:
-                    np.sqrt(block, out=block)
-                    np.negative(block, out=block)
-                    np.divide(block, spec.bandwidth, out=block)
-                np.exp(block, out=block)
+                    np.sqrt(sq, out=sq)
+                    np.negative(sq, out=sq)
+                    np.divide(sq, spec.bandwidth, out=sq)
+                np.exp(sq, out=block)
 
     numlin.on_cores(finish, parts)
+    if Z is X:
+        numlin.mirror_lower(K)
     return K
 
 

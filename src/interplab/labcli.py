@@ -594,8 +594,8 @@ def run_sgd_scaling(cfg: ExperimentConfig) -> dict:
         grid = tuple(m for m in _BATCH_SIZES if m < n) + (n,)
 
     rng = substream(cfg.seed, "labcli", "scan-data")
-    cov_sqrt = np.sqrt(np.concatenate([[spike], np.ones(d - 1)]))
-    X = rng.standard_normal((n, d)) * cov_sqrt
+    X = rng.standard_normal((n, d))
+    X[:, 0] *= math.sqrt(spike)     # covariance diag(spike, 1, ..., 1)
     y = X @ rng.standard_normal(d)
     with np.errstate(over="ignore"):    # the scan rejects an overflowed y @ y
         target = values["scan.target_factor"] * 0.5 * float(y @ y)

@@ -11,6 +11,14 @@ module loads no scipy. This module pins down the conventions
 (pseudo-inverse rank cutoff, jitter handling) and the error surface,
 which the rest of the package relies on.
 
+solve_spd factors in place, so that a kernel fit holds one n x n array:
+it writes the factor over the lower triangle of its input and, before it
+returns or raises, puts the diagonal back and refills that triangle from
+the upper one (mirror_lower). Its input must therefore be exactly
+symmetric, bit for bit, and no two threads may solve on one array at
+once. require_symmetric checks exact symmetry for it and symmetry within
+a relative tolerance for max_eig, in one tiled scan.
+
 numpy and scipy each link an OpenBLAS of their own, and a result that a
 threaded OpenBLAS computes can round differently per core count:
 double-descent's complex Gram products do, max_eig's eigvalsh does, and
@@ -78,7 +86,7 @@ GRAM_CERT = 1e-8     # minnorm_prefixes keeps a Gram solve when lambda_min > thi
 GRAM_PATH, SVD_PATH = "gram", "svd"
 _SCREEN_C = 4        # the Gram screen shifts by (GRAM_CERT + this * k^2 * eps) * ||G||_F
 _SYM_RTOL = 1e-10
-_SYM_TILE = 128      # require_symmetric tile edge; a tile pair fits in L2
+_SYM_TILE = 128      # require_symmetric and mirror_lower tile edge; a tile pair fits in L2
 
 
 # (get, set) symbol pairs of an OpenBLAS thread count, first match wins:
@@ -337,25 +345,52 @@ def as_array(a, ndim: int, name: str, allow_complex: bool = False) -> np.ndarray
     return arr
 
 
-def require_symmetric(a: np.ndarray, name: str = "matrix") -> None:
-    """Raise NotSymmetric unless max |a_ij - a_ji| <= _SYM_RTOL * max |a_ij|.
+def require_symmetric(a: np.ndarray, name: str = "matrix", rtol: float = _SYM_RTOL) -> None:
+    """Raise NotSymmetric unless max |a_ij - a_ji| <= rtol * max |a_ij|.
 
-    The skew is taken over square tiles of the upper triangle, diagonal
-    tiles included: max |a[I, J] - a[J, I]^T| over tile pairs J >= I. That
-    covers every pair (i, j) once, because |a_ij - a_ji| = |a_ji - a_ij|,
-    and each tile's transposed read stays in cache. The check runs for
-    every caller, matrices symmetric by construction included.
+    rtol = 0 asks for exact symmetry: a_ij and a_ji must have the same
+    bits, so zeros of opposite sign differ too. The skew is taken over
+    square tiles of the upper triangle, diagonal tiles included: a[I, J]
+    against a[J, I]^T over tile pairs J >= I. That covers every pair
+    (i, j) once, because |a_ij - a_ji| = |a_ji - a_ij|, and each tile's
+    transposed read stays in cache. The check runs for every caller,
+    matrices symmetric by construction included.
     """
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
+    n, t = a.shape[0], _SYM_TILE
+    pairs = ((a[i:i + t, j:j + t], a[j:j + t, i:i + t].T)
+             for i in range(0, n, t) for j in range(i, n, t))
+    if rtol == 0.0:
+        if any(np.any(u.view(np.uint64) != v.view(np.uint64)) for u, v in pairs):
+            raise NotSymmetric(f"{name} is not exactly symmetric")
+        return
     scale = max(a.max(), -a.min())
     if scale == 0.0:
         return
+    skew = max(np.abs(u - v).max() for u, v in pairs)
+    if skew > rtol * scale:
+        raise NotSymmetric(f"{name} asymmetry {skew:.3e} exceeds {rtol:.0e} * {scale:.3e}")
+
+
+def mirror_lower(a: np.ndarray) -> None:
+    """Copy the lower triangle of a square array onto its strict upper
+    triangle, in place, so that a equals its transpose bit for bit.
+
+    The copy runs over _SYM_TILE square tiles, so each transposed read
+    stays in cache: a tile below the diagonal is written, transposed, to
+    its mirror above it, and a diagonal tile copies its own strict lower
+    part. a may be any square view; on a.T it fills a's strict lower
+    triangle from its upper one.
+    """
     n, t = a.shape[0], _SYM_TILE
-    skew = max(np.abs(a[i:i + t, j:j + t] - a[j:j + t, i:i + t].T).max()
-               for i in range(0, n, t) for j in range(i, n, t))
-    if skew > _SYM_RTOL * scale:
-        raise NotSymmetric(f"{name} asymmetry {skew:.3e} exceeds {_SYM_RTOL:.0e} * {scale:.3e}")
+    upper = np.triu(np.ones((t, t), dtype=bool), 1)
+    for i in range(0, n, t):
+        tile = a[i:i + t, i:i + t]
+        m = tile.shape[0]
+        np.copyto(tile, tile.T, where=upper[:m, :m])
+        for j in range(i + t, n, t):
+            a[i:i + t, j:j + t] = a[j:j + t, i:i + t].T
 
 
 def solve_spd(a, b, jitter: float = 0.0) -> np.ndarray:
@@ -363,35 +398,47 @@ def solve_spd(a, b, jitter: float = 0.0) -> np.ndarray:
 
     Uses a Cholesky factorization, LAPACK dpotrf then dpotrs, on scipy's
     OpenBLAS, pinned to one thread (pin_one_blas_thread) so that x does not
-    depend on the core count. The jitter is added to the diagonal of a
-    copy before factorizing; a itself is never written.
-    NotPositiveDefinite is raised if the shifted matrix still fails to
-    factor. b is a vector, or a matrix whose columns are solved on the one
-    factorization; x has the shape of b.
+    depend on the core count. b is a vector, or a matrix whose columns are
+    solved on the one factorization; x has the shape of b.
+    NotPositiveDefinite is raised if the shifted matrix fails to factor.
+
+    A must be exactly symmetric (NotSymmetric otherwise), because a serves
+    as the factorization's workspace and no copy of it is made: the jitter
+    is added to a's diagonal, and dpotrf writes the factor over a's lower
+    triangle. Before solve_spd returns or raises, a's diagonal is put back
+    and its lower triangle refilled from the upper one (mirror_lower), so
+    the caller finds a with the same bits again. An a that is not a
+    writeable C-ordered float64 array is copied once first. a holds the
+    factor while solve_spd runs, so two threads must not solve on one a.
     """
-    a = as_array(a, 2, "A")
+    a = as_array(np.asarray(a, dtype=float, order="C"), 2, "A")
     b = as_array(b, 2 if np.ndim(b) == 2 else 1, "b")
-    require_symmetric(a, "A")
+    require_symmetric(a, "A", rtol=0.0)
     if a.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"A is {a.shape} but b has {b.shape[0]} rows")
     if jitter < 0.0:
         raise InvalidInput("jitter must be non-negative")
-    shifted = a
-    if jitter != 0.0:
-        shifted = a.copy()
-        shifted.flat[::a.shape[0] + 1] += jitter
+    if not a.flags.writeable:
+        a = a.copy()
+    elif np.may_share_memory(a, b):
+        b = b.copy()    # dpotrf writes over a before dpotrs reads b
     from scipy.linalg import _flapack
 
     pin_one_blas_thread(_flapack)
-    # shifted.T is the Fortran-ordered view, so LAPACK gets a plain copy
-    # (or, for the private jittered copy, the array itself) and its upper
-    # triangle is the lower triangle of shifted
-    factor, info = _flapack.dpotrf(shifted.T, lower=0, clean=0,
-                                   overwrite_a=shifted is not a)
-    if info > 0:
-        raise NotPositiveDefinite(
-            f"Cholesky failed at jitter={jitter:g}: leading minor {info} is not positive")
-    x, _ = _flapack.dpotrs(factor, b, lower=0)
+    diagonal = a.diagonal().copy()
+    try:
+        if jitter != 0.0:
+            a.flat[::a.shape[0] + 1] += jitter
+        # a.T is the Fortran-ordered view, so LAPACK factors a itself, and
+        # the upper triangle it reads and overwrites is a's lower triangle
+        factor, info = _flapack.dpotrf(a.T, lower=0, clean=0, overwrite_a=1)
+        if info > 0:
+            raise NotPositiveDefinite(
+                f"Cholesky failed at jitter={jitter:g}: leading minor {info} is not positive")
+        x, _ = _flapack.dpotrs(factor, b, lower=0)
+    finally:
+        np.fill_diagonal(a, diagonal)
+        mirror_lower(a.T)
     return x
 
 

@@ -74,6 +74,18 @@ def rate_fit(iters, losses, window):
     return float(slope), 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
 
 
+def solve_spd(a, b, jitter):
+    """(A + jitter I)^-1 b from numpy's Cholesky factor of a shifted copy
+    of A and two triangular solves: the path numlin.solve_spd took before
+    it called LAPACK dpotrf and dpotrs. np.linalg.LinAlgError when the
+    copy is not positive definite."""
+    from scipy.linalg import solve_triangular
+
+    chol = np.linalg.cholesky(a + jitter * np.eye(a.shape[0]))
+    y = solve_triangular(chol, b, lower=True)
+    return solve_triangular(chol.T, y, lower=False)
+
+
 def simplex_rule(x):
     """The simplicial interpolant of the d unit vertices (+1) and the
     origin (-1) at a point x of the standard simplex: sign(2 sum(x) - 1),

@@ -2,6 +2,7 @@
 
 import math
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,8 @@ from interplab.errors import (
     InvalidSpec,
 )
 from interplab.rng import substream
+
+import oracles
 
 
 def _two_point_laplace():
@@ -74,6 +77,11 @@ def _kernel_matrix_one_expression(spec, X, Z=None):
     return np.exp(-np.sqrt(d2) / spec.bandwidth)
 
 
+def _mirrored(K):
+    """K's lower triangle, diagonal included, with its transpose above it."""
+    return np.where(np.tri(K.shape[0], dtype=bool), K, K.T)
+
+
 def _points(rng, n, dim):
     # scattered points at mixed scales with repeated rows, so some squared
     # distances round below zero and the clamp at 0 is exercised
@@ -90,24 +98,15 @@ def test_blocked_kernel_matrix_matches_one_expression(seed, monkeypatch):
     dim = int(rng.integers(1, 25))
 
     def check(X, Z=None):
-        # the epilogue is symmetric in i and j, so K equals its transpose
-        # exactly wherever the GEMM's 2 X X^T does; with one input column
-        # every GEMM entry is a single product, so that always holds
-        gemm_symmetric = False
-        if Z is None:
-            G = 2.0 * X @ X.T
-            gemm_symmetric = np.array_equal(G, G.T)
-            assert gemm_symmetric or X.shape[1] > 1
-        # K(X, X) has an exact unit diagonal, where the one-expression
-        # form keeps a rounding residue; every other entry matches it
-        off = ~np.eye(X.shape[0], dtype=bool) if Z is None else slice(None)
+        # K(X, X) is the one-expression form's lower triangle mirrored, with
+        # an exact unit diagonal where that form keeps a rounding residue
         for spec in specs:
             K = km.kernel_matrix(spec, X, Z)
-            assert np.array_equal(K[off], _kernel_matrix_one_expression(spec, X, Z)[off]), spec
+            want = _kernel_matrix_one_expression(spec, X, Z)
             if Z is None:
-                assert np.all(np.diag(K) == 1.0), spec
-            if gemm_symmetric:
-                assert np.array_equal(K, K.T), spec
+                want = _mirrored(want)
+                np.fill_diagonal(want, 1.0)
+            assert K.tobytes() == want.tobytes(), spec
 
     # Z != X at the real block height: row counts around the block edges
     Z = _points(rng, 300, dim)
@@ -137,7 +136,8 @@ def _split_points(rng, n, dim, root_max):
 @pytest.mark.parametrize("cores", [1, 2, 3])
 def test_split_kernel_matrix_matches_one_expression(cores, force_cores, monkeypatch):
     # the row blocks split over the cores move no bit of the one-expression
-    # form, whose diagonal is 1 where kernel_matrix zeroes the distance
+    # form, whose diagonal is 1 where kernel_matrix zeroes the distance, and
+    # whose lower triangle K(X, X) mirrors
     started = force_cores(cores)
     rng = substream(cores, "km-split")
     root_max = math.sqrt(np.finfo(float).max)
@@ -158,6 +158,7 @@ def test_split_kernel_matrix_matches_one_expression(cores, force_cores, monkeypa
                 with np.errstate(over="ignore"):
                     want = _kernel_matrix_one_expression(spec, X, other)
                 if other is None or other is X:
+                    want = _mirrored(want)
                     np.fill_diagonal(want, 1.0)
                 started.clear()
                 with warnings.catch_warnings():
@@ -174,6 +175,22 @@ def test_split_kernel_matrix_matches_one_expression(cores, force_cores, monkeypa
                 limits += int(np.count_nonzero(got == 0.0))
     assert limits > 0
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("n", [300, 500])
+def test_kernel_matrix_is_exactly_symmetric(n):
+    # with this OpenBLAS the GEMM's 2 X X^T differs from its transpose in
+    # the last bits at these sizes; K takes its lower triangle, bit for bit
+    # the one-expression form's, and mirrors it
+    rng = substream(n, "km-exact-symmetry")
+    lower = np.tri(n, k=-1, dtype=bool)
+    for dim in (2, 5, 20, 64):
+        X = _points(rng, n, dim)
+        for spec in (km.KernelSpec("gaussian", 0.9), km.KernelSpec("laplace", 7.3)):
+            K = km.kernel_matrix(spec, X)
+            assert K.tobytes() == K.T.tobytes(), (dim, spec)
+            assert K[lower].tobytes() == \
+                _kernel_matrix_one_expression(spec, X)[lower].tobytes(), (dim, spec)
 
 
 def test_kernel_matrix_diagonal_is_exactly_one():
@@ -291,12 +308,27 @@ def _per_column_reference(spec, ds, labels):
     return None, []
 
 
+def _ladder_on_copies(spec, ds, labels):
+    """fit_interpolating's rung rule with oracles.solve_spd, which factors
+    a shifted copy of K: (first rung whose every column passes, alpha)."""
+    K = km.kernel_matrix(spec, ds.X)
+    bound = km.INTERPOLATION_TOL * (1.0 + np.abs(labels).max(axis=0))
+    for jitter in km.JITTER_LADDER:
+        try:
+            alpha = oracles.solve_spd(K, labels, jitter)
+        except np.linalg.LinAlgError:
+            continue
+        if np.all(np.abs(K @ alpha - labels).max(axis=0) <= bound):
+            return jitter, alpha
+    return None, None
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_multi_column_fit_matches_per_column_fits(seed):
     # 30 cases of scattered points, then 10 of a flat gaussian kernel on a
     # tight 1-D grid, where the ladder climbs past jitter zero
     rng = substream(seed, "km-multi-column")
-    compared, rungs = 0, set()
+    compared, climbed, rungs = 0, 0, set()
     for case in range(40):
         n, d, k = int(rng.integers(5, 201)), int(rng.integers(1, 21)), int(rng.integers(1, 5))
         family = (km.GAUSSIAN, km.LAPLACE)[case % 2]
@@ -332,9 +364,35 @@ def test_multi_column_fit_matches_per_column_fits(seed):
                 rtol * np.abs(fit.alpha).max()
             assert np.array_equal(np.sign(pred[:, j]), np.sign(km.kernel_predict(fit, Z)))
             assert np.array_equal(np.sign(machine.train_pred[:, j]), np.sign(fit.train_pred))
+        if jitter > 0.0:
+            # each failed rung factored in K itself and gave it back: the
+            # ladder on fresh copies of K reaches the same rung and alpha
+            ref_jitter, ref_alpha = _ladder_on_copies(spec, ds, labels)
+            assert ref_jitter == jitter
+            assert np.abs(machine.alpha - ref_alpha).max() <= rtol * np.abs(ref_alpha).max()
+            assert machine.alpha.tobytes() == numlin.solve_spd(
+                km.kernel_matrix(spec, ds.X), labels, jitter=jitter).tobytes()
+            climbed += 1
         compared += 1
         rungs.add(jitter)
-    assert compared >= 20 and len(rungs) >= 2
+    assert compared >= 20 and len(rungs) >= 2 and climbed >= 1
+
+
+def test_fit_holds_one_kernel_matrix():
+    # the Cholesky factor overwrites K's lower triangle instead of a copy of
+    # K, so the fit's peak is one n x n array and a few row blocks
+    n = 1000
+    rng = substream(15, "km-one-matrix")
+    ds = datagen.make_dataset(rng.standard_normal((n, 5)), rng.choice([-1.0, 1.0], size=n))
+    numlin.solve_spd(np.eye(1), np.ones(1))   # imports scipy's LAPACK before the count
+    tracemalloc.start()
+    try:
+        machine = km.fit_interpolating(km.KernelSpec("laplace", 1.0), ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert machine.fit_jitter == 0.0
+    assert peak < 1.25 * 8 * n * n, peak / (8 * n * n)
 
 
 def test_fit_train_pred_is_prediction_at_centers():

@@ -17,6 +17,8 @@ from interplab.errors import (
     TargetUnreachable,
 )
 
+import oracles
+
 
 # --- solve_spd ---
 
@@ -103,11 +105,13 @@ def test_concurrent_solves_match_serial_bits():
     results, errors = {}, []
 
     def worker(k):
+        # solve_spd factors in a itself, so each thread solves on its own copies
+        own = [(a.copy(), b, j) for a, b, j in systems]
         order = range(len(systems)) if k == 0 else range(len(systems) - 1, -1, -1)
         try:
             for rep in range(3):
                 for i in order:
-                    a, b, j = systems[i]
+                    a, b, j = own[i]
                     results[k, rep, i] = numlin.solve_spd(a, b, jitter=j).tobytes()
         except Exception as exc:   # reported on the main thread below
             errors.append(exc)
@@ -189,16 +193,6 @@ def _spd(rng, n, low):
     return 0.5 * (a + a.T)
 
 
-def _solve_spd_reference(a, b, jitter):
-    """numpy's Cholesky factor and two triangular solves: the path
-    solve_spd took before it called LAPACK dpotrf and dpotrs."""
-    from scipy.linalg import solve_triangular
-
-    chol = np.linalg.cholesky(a + jitter * np.eye(a.shape[0]))
-    y = solve_triangular(chol, b, lower=True)
-    return solve_triangular(chol.T, y, lower=False)
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_solve_spd_matches_numpy_cholesky_reference(seed):
     # both are backward stable, so they agree to n * eps * cond(A) relative
@@ -210,7 +204,7 @@ def test_solve_spd_matches_numpy_cholesky_reference(seed):
         bound = n * np.finfo(float).eps * np.linalg.cond(shifted)
         for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
             x = numlin.solve_spd(a, b, jitter=jitter)
-            ref = _solve_spd_reference(a, b, jitter)
+            ref = oracles.solve_spd(a, b, jitter)
             assert x.shape == b.shape
             assert np.abs(x - ref).max() <= bound * np.abs(ref).max()
 
@@ -231,16 +225,66 @@ def test_solve_spd_indefinite_raises_until_jitter_covers_it(seed):
 
 
 def test_solve_spd_leaves_a_unchanged():
-    # fit_interpolating reuses K after the solve; the jittered path may
-    # write only its private copy
+    # fit_interpolating reuses K after the solve: the factorization works
+    # in a and must give it back bit for bit, also when it fails
     rng = np.random.default_rng(11)
-    a = _spd(rng, 70, low=1e-3)
-    for order in ("C", "F"):
-        a_in = np.array(a, order=order)
-        for jitter in (0.0, 1e-3):
-            for b in (rng.standard_normal(70), rng.standard_normal((70, 2))):
-                numlin.solve_spd(a_in, b, jitter=jitter)
-                assert np.array_equal(a_in, a)
+    spd = _spd(rng, 70, low=1e-3)
+    q = np.linalg.qr(rng.standard_normal((70, 1)))[0]
+    indefinite = spd - 2.0 * (q @ q.T)    # A + 2I stays positive definite
+    for a, jitters, fails in ((spd, (0.0, 1e-3), False),
+                              (indefinite, (0.0, 1e-8, 0.3), True)):
+        for order in ("C", "F"):
+            a_in = np.array(a, order=order)
+            for jitter in jitters:
+                for b in (rng.standard_normal(70), rng.standard_normal((70, 2))):
+                    if fails:
+                        with pytest.raises(NotPositiveDefinite):
+                            numlin.solve_spd(a_in, b, jitter=jitter)
+                    else:
+                        numlin.solve_spd(a_in, b, jitter=jitter)
+                    assert a_in.tobytes() == a.tobytes(), (order, jitter)
+
+
+def test_solve_spd_exact_symmetry_and_aliased_rhs():
+    # the lower triangle is rebuilt from the upper one, so a pair that
+    # differs in one ulp, or in the sign of a zero, is refused untouched
+    rng = np.random.default_rng(12)
+    a = _spd(rng, 200, low=1e-2)
+    a[150, 3] = a[3, 150] = 0.0
+    b = rng.standard_normal(200)
+    x = numlin.solve_spd(a, b)
+    for i, j, value in ((150, 3, np.nextafter(a[3, 150], 1.0)), (150, 3, -0.0),
+                        (5, 1, np.nextafter(a[1, 5], 0.0))):
+        bent = a.copy()
+        bent[i, j] = value
+        before = bent.tobytes()
+        with pytest.raises(NotSymmetric):
+            numlin.solve_spd(bent, b)
+        assert bent.tobytes() == before
+        numlin.require_symmetric(bent)      # within the default tolerance
+    # a right-hand side that is a column of a is read before a is written
+    col = a[:, 7]
+    assert numlin.solve_spd(a, col).tobytes() == numlin.solve_spd(a, col.copy()).tobytes()
+    # a read-only a is solved on a copy
+    frozen = a.copy()
+    frozen.flags.writeable = False
+    assert numlin.solve_spd(frozen, b).tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_mirror_lower_matches_where(seed):
+    rng = np.random.default_rng(seed)
+    t = numlin._SYM_TILE
+    for n in (1, 2, t - 1, t, t + 1, 2 * t + 5):
+        a = rng.standard_normal((n, n))
+        a[rng.random((n, n)) < 0.1] = -0.0
+        lower = np.tri(n, dtype=bool)
+        got = a.copy()
+        numlin.mirror_lower(got)
+        assert got.tobytes() == np.where(lower, a, a.T).tobytes(), n
+        got = a.copy()
+        numlin.mirror_lower(got.T)    # the Fortran-ordered view
+        assert got.tobytes() == np.where(lower, a.T, a).tobytes(), n
 
 
 def test_solve_spd_rejects_indefinite():
