@@ -32,7 +32,6 @@ m = n where the norm spikes, is solved through the SVD
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,19 +80,14 @@ def kernel_matrix(spec: KernelSpec, X, Z=None) -> np.ndarray:
     """Cross-kernel matrix K[i, j] = K(X[i], Z[j]); Z defaults to X.
 
     One GEMM gives 2 X Z^T, which becomes K in place. Its rows are then
-    finished in blocks of about _BLOCK_BYTES, each on a contiguous scratch
-    block that stays in cache through the whole epilogue: the squared
-    distance max(|x|^2 + |z|^2 - 2 x.z, 0), then exp(-d / bw) for laplace
-    with d = sqrt(d^2), or exp(-d^2 / (2 bw^2)) for gaussian. The blocks
-    are split into one contiguous run of about equal area per core
-    (numlin.on_cores), each with a scratch block allocated before any
-    thread starts, when every run gets at least four blocks; starting and
-    joining a thread costs about as much as two blocks' epilogue, so a
-    call of fewer blocks, such as a prediction at a few points, runs on the
-    calling thread alone. The GEMM is not split, since row blocks of it can
-    round differently from the whole product. Every entry goes through the
-    same IEEE operations in the same order as the one-expression form, so
-    neither the blocking nor the split moves a bit.
+    finished in blocks of about _BLOCK_BYTES, each on one contiguous
+    scratch block that stays in cache through the whole epilogue: the
+    squared distance max(|x|^2 + |z|^2 - 2 x.z, 0), then exp(-d / bw) for
+    laplace with d = sqrt(d^2), or exp(-d^2 / (2 bw^2)) for gaussian. All
+    of it runs on the calling thread; a command spreads its work over the
+    cores at its outer loop instead. Every entry goes through the same
+    IEEE operations in the same order as the one-expression form, so the
+    blocking moves no bit.
 
     When Z is X (or None), K is exactly symmetric: the epilogue finishes
     the lower triangle only, each block up to its last row's column, and
@@ -126,42 +120,28 @@ def kernel_matrix(spec: KernelSpec, X, Z=None) -> np.ndarray:
     K = 2.0 * X @ Z.T
     n, cols = K.shape
     rows = max(1, _BLOCK_BYTES // (K.itemsize * max(1, cols)))
-    # (start, end, width): a row block's epilogue covers K[start:end, :width],
-    # which ends at the block's last row when Z is X
-    blocks = [(start, min(start + rows, n), min(start + rows, n) if Z is X else cols)
-              for start in range(0, n, rows)]
-    parts = min(numlin.core_count(), len(blocks) // 4) or 1
-    # one contiguous run of blocks per part, of about equal area: a block
-    # goes to the part whose share of the total holds the area before it
-    area = list(itertools.accumulate(((end - start) * width for start, end, width in blocks),
-                                     initial=0))
-    owner = [parts * before // max(area[-1], 1) for before in area[:-1]]
-    scratch = np.empty((parts, min(rows, n) * cols))
-
-    def finish(part):
-        with np.errstate(over="ignore"):   # numpy's error state is per thread
-            for (start, end, width), own in zip(blocks, owner):
-                if own != part:
-                    continue
-                # the epilogue runs on a contiguous copy, since numpy's loops
-                # over a strided triangle block run several times slower
-                block = K[start:end, :width]
-                sq = scratch[part, :block.size].reshape(block.shape)
-                np.add(x_sq[start:end, None], z_sq[:width], out=sq)
-                np.subtract(sq, block, out=sq)
-                np.maximum(sq, 0.0, out=sq)
-                if Z is X:
-                    np.fill_diagonal(sq[:, start:end], 0.0)
-                if spec.family == GAUSSIAN:
-                    np.negative(sq, out=sq)
-                    np.divide(sq, 2.0 * spec.bandwidth**2, out=sq)
-                else:
-                    np.sqrt(sq, out=sq)
-                    np.negative(sq, out=sq)
-                    np.divide(sq, spec.bandwidth, out=sq)
-                np.exp(sq, out=block)
-
-    numlin.on_cores(finish, parts)
+    scratch = np.empty(min(rows, n) * cols)
+    with np.errstate(over="ignore"):
+        for start in range(0, n, rows):
+            end = min(start + rows, n)
+            # the epilogue runs on a contiguous copy, since numpy's loops
+            # over a strided triangle block run several times slower; when
+            # Z is X it covers the block's rows up to its last row's column
+            block = K[start:end, :end if Z is X else cols]
+            sq = scratch[:block.size].reshape(block.shape)
+            np.add(x_sq[start:end, None], z_sq[:block.shape[1]], out=sq)
+            np.subtract(sq, block, out=sq)
+            np.maximum(sq, 0.0, out=sq)
+            if Z is X:
+                np.fill_diagonal(sq[:, start:end], 0.0)
+            if spec.family == GAUSSIAN:
+                np.negative(sq, out=sq)
+                np.divide(sq, 2.0 * spec.bandwidth**2, out=sq)
+            else:
+                np.sqrt(sq, out=sq)
+                np.negative(sq, out=sq)
+                np.divide(sq, spec.bandwidth, out=sq)
+            np.exp(sq, out=block)
     if Z is X:
         numlin.mirror_lower(K)
     return K
@@ -247,12 +227,10 @@ def draw_rff_freqs(m: int, dim: int, seed: int, replicate: int = 0) -> np.ndarra
 def rff_features(freqs: np.ndarray, X) -> np.ndarray:
     """Complex feature matrix exp(i X freqs^T), one row per input point.
 
-    The phases X freqs^T come from one GEMM. The elementwise i * phase and
-    complex exp, most of the work, are split into one contiguous block of
-    rows per available core, run by numlin.on_cores (numpy releases the
-    GIL in both loops). Each entry goes through the same operations as in
-    np.exp((X @ freqs.T) * 1j), so the split moves no bit. Phases that
-    overflow raise InvalidInput before any thread starts.
+    The phases X freqs^T come from one GEMM, then i * phase and the
+    complex exp are taken in place on one output array, the same
+    operations as in np.exp((X @ freqs.T) * 1j). Phases that overflow
+    raise InvalidInput.
     """
     X = np.asarray(X, dtype=float)
     freqs = np.asarray(freqs, dtype=float)
@@ -263,17 +241,8 @@ def rff_features(freqs: np.ndarray, X) -> np.ndarray:
     if not np.all(np.isfinite(phase)):
         raise InvalidInput("random Fourier feature phases X freqs^T overflow; "
                            "lower data.scale")
-    out = np.empty(phase.shape, dtype=complex)
-    n = phase.shape[0]
-    parts = min(numlin.core_count(), n)
-
-    def finish(i):
-        rows = slice(n * i // parts, n * (i + 1) // parts)
-        np.multiply(phase[rows], 1j, out=out[rows])
-        np.exp(out[rows], out=out[rows])
-
-    numlin.on_cores(finish, parts)
-    return out
+    out = np.multiply(phase, 1j)
+    return np.exp(out, out=out)
 
 
 def rff_fit_minnorm(X, y, freqs) -> RFFModel:
@@ -321,7 +290,9 @@ def double_descent_sweep(train: Dataset, test: Dataset, m_grid, replicates: int,
     0-1 loss, coefficient norm, and the replicate's empirical
     interpolation threshold (the smallest m in the grid whose training MSE
     is at most 1e-6; -1 if none); ``paths`` records which solve each row
-    took, "gram" or "svd".
+    took, "gram" or "svd". The replicates run on forked workers
+    (numlin.on_processes) and are gathered in replicate order, so the
+    result does not depend on the core count.
     """
     m_grid = np.asarray(sorted(set(int(m) for m in np.asarray(m_grid).ravel())))
     if m_grid.size == 0 or m_grid[0] < 1:
@@ -329,32 +300,36 @@ def double_descent_sweep(train: Dataset, test: Dataset, m_grid, replicates: int,
     if replicates < 1:
         raise InvalidSpec("replicates must be at least 1")
     m_max = int(m_grid[-1])
-    rows, paths = [], []
-    thresholds = np.full(replicates, -1, dtype=int)
-    per_m = {m: {"train": [], "test": [], "zo": [], "norm": []} for m in m_grid}
-    for rep in range(replicates):
+
+    def replicate(rep):
+        """[(m, train_mse, test_mse, test_01, norm, path)] per width, as
+        plain Python numbers, so that a worker's result pickles small."""
         stack = draw_rff_freqs(m_max, train.dim, seed, replicate=rep)
         phi_train = rff_features(stack, train.X)
         phi_test = rff_features(stack, test.X)
-        rep_rows = []
-        solves = numlin.minnorm_prefixes(phi_train, train.y, m_grid)
-        for m, (w, path) in zip(m_grid, solves):
-            tr = float(np.mean(np.abs(phi_train[:, :m] @ w - train.y) ** 2))
+        out = []
+        for m, (w, path) in zip(m_grid, numlin.minnorm_prefixes(phi_train, train.y, m_grid)):
             pred = np.real(phi_test[:, :m] @ w)
-            te = float(np.mean((pred - test.y) ** 2))
-            zo = float(np.mean(to_labels(pred) != test.y))
-            nrm = float(np.linalg.norm(w))
-            rep_rows.append([int(m), rep, tr, te, zo, nrm])
+            out.append((int(m), float(np.mean(np.abs(phi_train[:, :m] @ w - train.y) ** 2)),
+                        float(np.mean((pred - test.y) ** 2)),
+                        float(np.mean(to_labels(pred) != test.y)),
+                        float(np.linalg.norm(w)), path))
+        return out
+
+    # the replicates are the command's outer loop, the one that uses the cores
+    per_rep = numlin.on_processes(replicate, replicates)
+    rows, paths = [], []
+    thresholds = np.full(replicates, -1, dtype=int)
+    per_m = {m: {"train": [], "test": [], "zo": [], "norm": []} for m in m_grid}
+    for rep, widths in enumerate(per_rep):
+        thresholds[rep] = next((m for m, tr, *_ in widths if tr <= TRAIN_MSE_THRESHOLD), -1)
+        for m, tr, te, zo, nrm, path in widths:
+            rows.append((m, rep, tr, te, zo, nrm, int(thresholds[rep])))
             paths.append(path)
-            if thresholds[rep] < 0 and tr <= TRAIN_MSE_THRESHOLD:
-                thresholds[rep] = int(m)
             per_m[m]["train"].append(tr)
             per_m[m]["test"].append(te)
             per_m[m]["zo"].append(zo)
             per_m[m]["norm"].append(nrm)
-        for row in rep_rows:
-            rows.append(tuple(row + [int(thresholds[rep])]))
-        del phi_train, phi_test   # free before the next replicate's draw
 
     def _mean(key):
         return np.array([float(np.mean(per_m[m][key])) for m in m_grid])

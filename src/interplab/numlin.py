@@ -32,25 +32,21 @@ commands that call neither load no scipy. Once both counts are one, no
 pool starts again: OpenBLAS stops its pool at every fork, and only a
 change of the count would restart it.
 
-The package uses several cores from Python through two helpers with one
-contract: each computes [fn(0), ..., fn(count - 1)] on at most one worker
-per core the process may run on, the caller among them, is done with
-every worker before it returns, and re-raises the exception of the lowest
-index that raised. on_cores runs fn on threads, for work that releases
-the GIL: kernelmach.kernel_matrix finishes its row blocks through it,
-kernelmach.rff_features its rows, and labcli's simplex command its
-dimensions, all in numpy loops. on_processes runs fn in forked worker
-processes, for work that holds the GIL: optim.critical_batch_scan runs
-its (batch size, seed) cells through it, whose step loops spend their
-time in the interpreter, and labcli's noise-interp command its seeds,
-each one Cholesky factorization. It forks only while the caller is the one
-Python thread, and a worker that dies costs time, not a result. Each
-caller of on_cores allocates its per-thread scratch arrays on the calling
-thread before calling it: buffers that workers allocate come from fresh
-malloc arenas and raise the peak resident memory. The GEMMs before
-kernel_matrix's and rff_features's epilogues stay single calls: on
-OpenBLAS, row blocks of a product computed apart often round differently
-from the whole product, which would tie the results to the core count.
+The package uses several cores only at a command's outer loop, through
+two helpers with one contract: each computes [fn(0), ..., fn(count - 1)]
+on at most one worker per core the process may run on, the caller among
+them, is done with every worker before it returns, and re-raises the
+exception of the lowest index that raised. on_processes runs fn in
+forked worker processes: optim.critical_batch_scan runs its (batch
+size, seed) cells through it, whose step loops spend their time in the
+interpreter, labcli's noise-interp command its seeds, each one Cholesky
+factorization, and kernelmach.double_descent_sweep its replicates. It
+forks only while the caller is the one Python thread, and a worker that
+dies costs time, not a result. on_cores runs fn on threads, for work
+that releases the GIL; its one caller is labcli's simplex command, whose
+dimensions run in numpy loops, each on per-thread scratch arrays that
+the caller allocates before calling it: buffers that workers allocate
+come from fresh malloc arenas and raise the peak resident memory.
 
 minnorm_prefixes gives pinv_apply's solution for every column prefix of
 one matrix in a list of widths. It solves each width through the nested
@@ -340,7 +336,10 @@ def as_array(a, ndim: int, name: str, allow_complex: bool = False) -> np.ndarray
         arr = arr.astype(float)
     if arr.ndim != ndim or arr.size == 0:
         raise InvalidInput(f"{name} must be a nonempty {ndim}-D array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    # min and max allocate nothing the size of arr: a NaN carries through
+    # both, and an infinity is one of them
+    parts = (arr.real, arr.imag) if np.iscomplexobj(arr) else (arr,)
+    if not all(np.isfinite(part.min()) and np.isfinite(part.max()) for part in parts):
         raise InvalidInput(f"{name} has non-finite entries")
     return arr
 

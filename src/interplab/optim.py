@@ -33,8 +33,14 @@ DEFAULT_ITER_CAP = 1_000_000
 
 
 def _arrays(X, y):
-    """X and y as float arrays, checked: X 2-D with one target per row."""
-    X = np.asarray(X, dtype=float)
+    """X and y as float arrays, checked: X 2-D with one target per row.
+
+    X is made C-contiguous, so that the results do not depend on its
+    memory layout: numpy computes X X^T by a symmetric rank-k update only
+    for some layouts, and by a general product, not always symmetric in
+    the last bits, for the others.
+    """
+    X = np.ascontiguousarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or y.shape != (X.shape[0],):
         raise DimensionMismatch(f"rows {X.shape} incompatible with targets {y.shape}")
@@ -216,13 +222,14 @@ def critical_batch_scan(X, y, batch_grid, target_loss: float,
     numlin.max_eig call), and tr(H) the sum of squared row norms.
 
     A step multiplies the batch residual by the batch rows of G. numpy
-    forms G with a symmetric rank-k update, so G equals its transpose
-    exactly. The row gather G[idx] then holds the same bytes as the
-    F-ordered column gather G[:, idx], and both products make the same
-    BLAS call; but a row gather copies contiguous memory, several times
-    faster than the strided column gather. For 1 < m < n, _batches draws
-    the sorted batches _SUBSET_BLOCK at a time with Floyd's sampler
-    (_floyd_subsets), so every step is bit for bit what gathering columns
+    forms G of the C-contiguous X (_arrays) with a symmetric rank-k
+    update, so G equals its transpose exactly. The row gather G[idx] then
+    holds the same bytes as the F-ordered column gather G[:, idx], and
+    both products make the same BLAS call; but a row gather copies
+    contiguous memory, several times faster than the strided column
+    gather. For 1 < m < n, _batches draws the sorted batches
+    _SUBSET_BLOCK at a time with Floyd's sampler (_floyd_subsets), so
+    every step is bit for bit what gathering columns
     of the same sorted subsets gives (tests keep that loop, fed by a
     scalar Floyd loop, as the reference); no step calls rng.choice.
     Batch 1 runs in blocks of steps (_batch_one_steps) on integer draws.

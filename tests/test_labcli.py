@@ -18,7 +18,7 @@ import pytest
 
 import interplab
 from interplab import artifacts, datagen, direct, kernelmach, labcli, netmodels, numlin, optim
-from interplab.errors import ConfigError, NoConvergence, NoCorruptedNeighbor
+from interplab.errors import ConfigError, InvalidInput, NoConvergence, NoCorruptedNeighbor
 from interplab.rng import substream
 from test_numlin import _task_count
 from test_trace_targets import _workloads
@@ -382,9 +382,10 @@ def test_double_descent_threshold_and_schema():
     assert "double-descent-summary.csv" in plot and "set arrow" in plot
 
 
-def test_rff_sweep_config_certifies_every_gram_without_eigvalsh(monkeypatch):
+def test_rff_sweep_config_certifies_every_gram_without_eigvalsh(monkeypatch, force_cores):
     # the benchmark's rff-sweep config: every width's Gram passes the
     # Cholesky screen, so the eigensolver, the screen's fallback, never runs
+    force_cores(1)      # on one process, so that every replicate's calls are counted here
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -409,6 +410,54 @@ def test_rff_sweep_config_certifies_every_gram_without_eigvalsh(monkeypatch):
     # the count sees the fallback: a Gram the screen refuses reaches eigvalsh
     assert numlin._gram_solve(np.diag([1.0, 1e-12]), np.ones(2)) is None
     assert calls == [(2, 2)]
+
+
+def test_double_descent_bytes_match_at_any_core_count(tmp_path, capsys, force_cores):
+    # the replicates run on forked workers, each as a serial run makes it
+    cfg = tmp_path / "dd.cfg"
+    cfg.write_text("data.train_n = 40\ndata.test_n = 60\nrff.grid = 10, 30, 40, 50, 120\n"
+                   "rff.replicates = 2\nnoise.q = 0.2\n")
+    runs = {}
+    for cores in (1, 2, 3):
+        started = force_cores(cores)
+        started.clear()
+        out = tmp_path / f"cores-{cores}"
+        assert labcli.main(["double-descent", "--config", str(cfg), "--seed", "3",
+                            "--out", str(out)]) == 0
+        assert len(started.forked) == min(cores, 2) - 1
+        runs[cores] = [(out / name).read_bytes()
+                       for name in ("double-descent.csv", "double-descent-summary.csv")]
+    capsys.readouterr()
+    assert runs[1] == runs[2] == runs[3]
+
+
+def test_double_descent_error_in_a_worker_exits_two(tmp_path, capsys, force_cores,
+                                                     monkeypatch):
+    # only replicate 1 raises; the caller naps on its first replicate, the
+    # one it claims first, so that the worker takes replicate 1
+    caller, napped, draw = os.getpid(), [], kernelmach.draw_rff_freqs
+
+    def failing(m, dim, seed, replicate=0):
+        if os.getpid() == caller and not napped:
+            napped.append(replicate)
+            time.sleep(0.3)
+        if replicate == 1:
+            raise InvalidInput("random Fourier feature phases X freqs^T overflow; "
+                               "lower data.scale")
+        return draw(m, dim, seed, replicate)
+
+    monkeypatch.setattr(kernelmach, "draw_rff_freqs", failing)
+    cfg = tmp_path / "dd.cfg"
+    cfg.write_text("data.train_n = 20\ndata.test_n = 20\nrff.grid = 10, 30\n"
+                   "rff.replicates = 3\n")
+    started = force_cores(2)
+    started.clear()
+    out = tmp_path / "out"
+    assert labcli.main(["double-descent", "--config", str(cfg), "--out", str(out)]) == 2
+    assert len(started.forked) == 1
+    assert capsys.readouterr().err == ("config error: random Fourier feature phases "
+                                       "X freqs^T overflow; lower data.scale\n")
+    assert not out.exists()
 
 
 def _main_unwarned(tmp_path, capsys, command, params):

@@ -2,6 +2,7 @@ import os
 import signal
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -297,6 +298,41 @@ def test_solve_spd_shape_errors():
         numlin.solve_spd(np.eye(3), np.ones(2))
     with pytest.raises(InvalidInput):
         numlin.solve_spd(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones(2))
+
+
+def test_finiteness_check_allocates_no_mask():
+    # the check reads min and max: a solve holds no n x n mask beside its
+    # input (an isfinite mask would be 0.125 * 8n^2), yet a NaN or an
+    # infinity anywhere, in either part of a complex entry, is refused
+    n = 1000
+    rng = np.random.default_rng(30)
+    m = rng.standard_normal((n, 20))
+    a = m @ m.T
+    numlin.mirror_lower(a)
+    a[np.diag_indices(n)] += n
+    b = rng.standard_normal(n)
+    numlin.solve_spd(np.eye(1), np.ones(1))   # imports scipy's LAPACK before the count
+    tracemalloc.start()
+    try:
+        numlin.solve_spd(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * 8 * n * n, peak / (8 * n * n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.nan, np.inf, -np.inf):
+            real = np.ones((4, 3))
+            real[2, 1] = bad
+            with pytest.raises(InvalidInput, match="non-finite"):
+                numlin.as_array(real, 2, "A")
+            for entry in (complex(bad, 0.0), complex(0.0, bad)):
+                cplx = np.ones((4, 3), dtype=complex)
+                cplx[1, 2] = entry
+                with pytest.raises(InvalidInput, match="non-finite"):
+                    numlin.as_array(cplx, 2, "A", allow_complex=True)
+                with pytest.raises(InvalidInput, match="non-finite"):
+                    numlin.pinv_apply(cplx, np.ones(4))
 
 
 def test_solve_spd_jitter_shifts_system():

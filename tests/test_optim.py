@@ -1,5 +1,6 @@
 """Optimizer behavior: descent certificates, min-norm limits, batch scaling."""
 
+import dataclasses
 import itertools
 import math
 import warnings
@@ -728,6 +729,22 @@ def test_scan_runs_the_full_batch_cell_once(monkeypatch, force_cores):
                 break
         counts.append(t)
     assert counts == [rep.median_iters[-1]] * seeds
+
+
+def test_scan_report_ignores_the_memory_layout_of_x():
+    # a strided X can make X X^T asymmetric in its last bits; the scan
+    # works on a C-contiguous copy, so it reports what that copy gives
+    rng = substream(30, "scan-layout")
+    for _ in range(12):
+        n, d, step = int(rng.integers(8, 40)), int(rng.integers(40, 90)), int(rng.integers(2, 4))
+        X = rng.standard_normal((n, step * d))[:, ::step]
+        y = X @ rng.standard_normal(d)
+        args = ([1, 4, n], 1e-6 * 0.5 * float(y @ y))
+        got = optim.critical_batch_scan(X, y, *args, seeds=2)
+        want = optim.critical_batch_scan(np.ascontiguousarray(X), y, *args, seeds=2)
+        for field in dataclasses.fields(want):
+            assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), \
+                (n, d, step, field.name)
 
 
 @pytest.mark.parametrize("cores", [2, 3])

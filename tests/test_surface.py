@@ -1,7 +1,7 @@
 """Guard against library surface that no experiment needs.
 
-Every command runs once through labcli.main under a profile hook that
-records each Python function called. Each public module-level function of
+Every command runs once through labcli.main, on one process, under a
+profile hook that records each Python function called. Each public module-level function of
 the package must then be reached by a command or be wrapped by the
 benchmark's traced run (perfbench/workloads.py TRACED). Reference methods
 that only tests use live in tests/oracles.py. Each error class must be
@@ -75,9 +75,10 @@ def _reached_code(tmp_path):
     return seen
 
 
-def test_every_public_function_is_reached_traced_or_an_oracle(tmp_path, capsys):
+def test_every_public_function_is_reached_traced_or_an_oracle(tmp_path, capsys, force_cores):
     traced = {f"{module}.{name}" for module, names in _workloads().TRACED.items()
               for name in names}
+    force_cores(1)      # the profile hook sees the calling process only, so fork no worker
     reached = _reached_code(tmp_path)
     capsys.readouterr()
     unreached = {name for name, fn in _public_functions().items()
